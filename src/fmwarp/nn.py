@@ -13,6 +13,15 @@ with c_t the long-term cell state and h_t the short-term hidden state.
 The hidden state feeds a stack of three dense layers whose final output
 is a single scalar (fuel moisture, percent).
 
+One kernel, ``lstm_steps``, runs the cell for inference, training and
+the bias-shift search. It stacks the per-gate tensors into (4H, input),
+(4H, H) and (4H,) arrays with rows in ``GATE_NAMES`` order (f, i, o, g),
+so one product gives every gate pre-activation, one sigmoid covers the
+contiguous f, i, o block and one tanh the cell candidate g. Given B
+bias-shift candidates, the candidate axis trails: states are (H, B) and
+gates (4H, B). The stacking happens per call; parameters, the freeze
+mask and checkpoints keep their per-gate tensors (``lstm.b_f`` ...).
+
 ``LstmParams.linear_gates`` switches every sigma/tanh above to the
 identity. In that mode a single-unit cell with zero gate weights,
 b_f = a and b_i = 1 - a reproduces the first-order time-lag recursion
@@ -34,13 +43,18 @@ import numpy as np
 from fmwarp.errors import DimensionError, InvalidInputError
 from fmwarp.timelag import TimeLagParams
 
-GATE_NAMES = ("f", "i", "g", "o")
+# Row order of the stacked gate tensors: the three sigmoid gates, then the
+# tanh candidate.
+GATE_NAMES = ("f", "i", "o", "g")
 CHECKPOINT_FORMAT = "fmwarp-tensors-v1"
+# Steps per batched input projection in ``lstm_steps``: one (T, 4H) block
+# for a whole series is 36 MB at H=64 over two years of hours.
+PROJECTION_BLOCK = 1024
 
 
 def sigmoid(z):
-    # Clip to keep exp() finite; sigmoid saturates far before +-500 anyway.
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    # The tanh form is finite for every finite z, so no clip is needed.
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 @dataclass
@@ -99,6 +113,14 @@ class LstmParams:
                 "b_f", "b_i", "b_g", "b_o",
             )
         }
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Input weights (4H, input), recurrent weights (4H, H) and biases
+        (4H,), gate blocks stacked in ``GATE_NAMES`` order."""
+        return tuple(
+            np.concatenate([getattr(self, f"{kind}{tag}") for tag in GATE_NAMES])
+            for kind in ("w_x", "w_h", "b_")
+        )
 
 
 @dataclass
@@ -194,43 +216,63 @@ class LstmState:
         return cls(c=np.zeros(hidden_size), h=np.zeros(hidden_size))
 
 
-@dataclass
-class GateRecord:
-    """Gate activations from one step, for diagnostics."""
+def lstm_steps(
+    lstm: LstmParams,
+    inputs: np.ndarray,
+    initial: LstmState,
+    shifts: np.ndarray | None = None,
+):
+    """Run the cell over a (T, input) series, yielding (gates, c, h) after
+    each step.
 
-    f: np.ndarray
-    i: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
+    ``gates`` holds the activated gates, rows in ``GATE_NAMES`` order. With
+    ``shifts`` (B, 2), candidate b adds shifts[b] to (b_f, b_i) and the
+    candidate axis trails: gates are (4H, B), c and h are (H, B). Without
+    it gates are (4H,) and c, h are (H,). Input projections are hoisted
+    out of the recurrent loop, one block of ``PROJECTION_BLOCK`` steps at a
+    time. Each yielded array is new, never reused.
+    """
+    w_x, w_h, b = lstm.stacked()
+    size = lstm.hidden_size
+    split = 3 * size
+    c, h = initial.c, initial.h
+    bias_shift = None
+    if shifts is not None:
+        bias_shift = np.repeat(shifts.T, size, axis=0)  # (2H, B): b_f rows, then b_i
+        c = np.repeat(c[:, None], len(shifts), axis=1)
+        h = np.repeat(h[:, None], len(shifts), axis=1)
+    for start in range(0, inputs.shape[0], PROJECTION_BLOCK):
+        z_in = inputs[start : start + PROJECTION_BLOCK] @ w_x.T + b
+        if bias_shift is not None:
+            z_in = z_in[:, :, None]
+        for z_t in z_in:
+            z = w_h @ h
+            z += z_t
+            if bias_shift is not None:
+                z[: 2 * size] += bias_shift
+            if not lstm.linear_gates:
+                z[:split] = sigmoid(z[:split])
+                z[split:] = np.tanh(z[split:])
+            f, i, o, g = z[:size], z[size : 2 * size], z[2 * size : split], z[split:]
+            c = f * c + i * g
+            h = o * (c if lstm.linear_gates else np.tanh(c))
+            yield z, c, h
 
 
-def lstm_step(params: LstmParams, state: LstmState, x: np.ndarray) -> tuple[LstmState, GateRecord]:
-    """One LSTM step; returns the new state and the gate activations."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.input_size,):
-        raise DimensionError(f"input shape {x.shape}, expected {(params.input_size,)}")
-    if state.h.shape != (params.hidden_size,) or state.c.shape != (params.hidden_size,):
-        raise DimensionError("state dimension does not match hidden_size")
-    if params.linear_gates:
-        gate, squash = (lambda z: z), (lambda z: z)
-    else:
-        gate, squash = sigmoid, np.tanh
-    f = gate(params.w_xf @ x + params.w_hf @ state.h + params.b_f)
-    i = gate(params.w_xi @ x + params.w_hi @ state.h + params.b_i)
-    g = squash(params.w_xg @ x + params.w_hg @ state.h + params.b_g)
-    o = gate(params.w_xo @ x + params.w_ho @ state.h + params.b_o)
-    c = f * state.c + i * g
-    h = o * squash(c)
-    return LstmState(c=c, h=h), GateRecord(f=f, i=i, g=g, o=o)
+def dense_forward(
+    dense: tuple[DenseParams, ...], h: np.ndarray, cache: list | None = None
+) -> np.ndarray:
+    """Dense stack applied to a single hidden vector or a (rows, hidden) batch.
 
-
-def dense_forward(dense: tuple[DenseParams, ...], h: np.ndarray) -> np.ndarray:
-    """Dense stack applied to a single hidden vector or a (T, hidden) batch."""
+    With a ``cache`` list, each layer appends its (input, pre-activation)
+    pair for the backward pass.
+    """
     v = h
     for layer in dense:
-        v = v @ layer.weights.T + layer.bias
-        if layer.activation == "relu":
-            v = np.maximum(v, 0.0)
+        z = v @ layer.weights.T + layer.bias
+        if cache is not None:
+            cache.append((v, z))
+        v = np.maximum(z, 0.0) if layer.activation == "relu" else z
     return v
 
 
@@ -238,22 +280,10 @@ def lstm_scan(
     lstm: LstmParams, inputs: np.ndarray, initial: LstmState
 ) -> tuple[np.ndarray, LstmState]:
     """Run the cell over a (T, input) series; returns (T, hidden) hidden
-    states and the final state. Input projections are hoisted out of the
-    recurrent loop."""
-    if lstm.linear_gates:
-        gate, squash = (lambda z: z), (lambda z: z)
-    else:
-        gate, squash = sigmoid, np.tanh
-    xp = {tag: inputs @ getattr(lstm, f"w_x{tag}").T for tag in GATE_NAMES}
-    c, h = initial.c, initial.h
+    states and the final state."""
     h_all = np.empty((inputs.shape[0], lstm.hidden_size))
-    for t in range(inputs.shape[0]):
-        f = gate(xp["f"][t] + lstm.w_hf @ h + lstm.b_f)
-        i = gate(xp["i"][t] + lstm.w_hi @ h + lstm.b_i)
-        g = squash(xp["g"][t] + lstm.w_hg @ h + lstm.b_g)
-        o = gate(xp["o"][t] + lstm.w_ho @ h + lstm.b_o)
-        c = f * c + i * g
-        h = o * squash(c)
+    c, h = initial.c, initial.h
+    for t, (_, c, h) in enumerate(lstm_steps(lstm, inputs, initial)):
         h_all[t] = h
     return h_all, LstmState(c=c, h=h)
 
@@ -273,7 +303,10 @@ def forward(
         raise DimensionError(
             f"inputs have {inputs.shape[1]} features, network expects {params.lstm.input_size}"
         )
-    state = initial if initial is not None else LstmState.zeros(params.lstm.hidden_size)
+    size = params.lstm.hidden_size
+    state = initial if initial is not None else LstmState.zeros(size)
+    if state.c.shape != (size,) or state.h.shape != (size,):
+        raise DimensionError(f"initial state must have shape {(size,)}")
     h_all, state = lstm_scan(params.lstm, inputs, state)
     preds = dense_forward(params.dense, h_all)[:, 0]
     return preds, state

@@ -47,9 +47,6 @@ _TEMP_REF_C = 21.1
 _RH_EXP = 0.115
 _KELVIN_OFFSET = 273.15
 
-# Count of drying < wetting inversions repaired by clamping, for diagnostics.
-_clamp_count = 0
-
 
 @dataclass(frozen=True)
 class TimeLagParams:
@@ -92,25 +89,6 @@ class WarpFactor:
             raise InvalidInputError(f"gamma must be finite and > 0, got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class EquilibriumPair:
-    """Drying and wetting equilibrium moisture contents, percent of dry mass."""
-
-    drying: float
-    wetting: float
-
-
-def step(m_prev: float, x: float, params: TimeLagParams) -> float:
-    """Advance the moisture state by one hour.
-
-    Returns a*m_prev + (1-a)*x, a convex combination, so the result lies
-    between m_prev and x.
-    """
-    if not (math.isfinite(m_prev) and math.isfinite(x)):
-        raise InvalidInputError(f"non-finite state or input: m_prev={m_prev}, x={x}")
-    return params.a * m_prev + (1.0 - params.a) * x
-
-
 def simulate(m0: float, x_series, params: TimeLagParams) -> np.ndarray:
     """Run the recursion from m0 over a sequence of equilibrium inputs.
 
@@ -138,38 +116,13 @@ def warp(params: TimeLagParams, gamma: WarpFactor) -> TimeLagParams:
     return TimeLagParams(tau=params.tau / gamma.gamma, a=a_warped)
 
 
-def equilibria(temp_k: float, rh: float) -> EquilibriumPair:
+def equilibria_arrays(temp_k, rh) -> tuple[np.ndarray, np.ndarray]:
     """Drying/wetting equilibrium moisture from temperature (K) and RH (%).
 
-    Uses the Van Wagner equations given in the module docstring. If the
-    formula ever inverts the pair (drying < wetting) the values are
-    swapped; inversions are counted and logged.
+    Uses the Van Wagner equations given in the module docstring, elementwise;
+    returns (drying, wetting) arrays. Where the formula inverts the pair
+    (drying < wetting) the values are swapped and the count is logged.
     """
-    if not (0.0 <= rh <= 100.0):
-        raise InvalidInputError(f"relative humidity must lie in [0,100], got {rh}")
-    if not temp_k > 0.0:
-        raise InvalidInputError(f"temperature must be positive Kelvin, got {temp_k}")
-    t_c = temp_k - _KELVIN_OFFSET
-    temp_term = _TEMP_COEF * (_TEMP_REF_C - t_c) * (1.0 - math.exp(-_RH_EXP * rh))
-    cd, ed_exp, ed_rain = _ED_COEF
-    cw, ew_exp, ew_rain = _EW_COEF
-    drying = cd * rh**ed_exp + ed_rain * math.exp(0.1 * rh) + temp_term
-    wetting = cw * rh**ew_exp + ew_rain * math.exp(0.1 * rh) + temp_term
-    drying = max(drying, 0.0)
-    wetting = max(wetting, 0.0)
-    if wetting > drying:
-        global _clamp_count
-        _clamp_count += 1
-        logger.warning(
-            "equilibrium inversion clamped (temp_k=%s, rh=%s); %d so far",
-            temp_k, rh, _clamp_count,
-        )
-        drying, wetting = wetting, drying
-    return EquilibriumPair(drying=drying, wetting=wetting)
-
-
-def equilibria_arrays(temp_k, rh) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`equilibria`; returns (drying, wetting) arrays."""
     temp_k = np.asarray(temp_k, dtype=float)
     rh = np.asarray(rh, dtype=float)
     if np.any((rh < 0.0) | (rh > 100.0)):
@@ -184,13 +137,6 @@ def equilibria_arrays(temp_k, rh) -> tuple[np.ndarray, np.ndarray]:
     wetting = np.maximum(cw * rh**ew_exp + ew_rain * np.exp(0.1 * rh) + temp_term, 0.0)
     inverted = wetting > drying
     if inverted.any():
-        global _clamp_count
-        _clamp_count += int(inverted.sum())
         logger.warning("clamped %d equilibrium inversions", int(inverted.sum()))
         drying, wetting = np.where(inverted, wetting, drying), np.where(inverted, drying, wetting)
     return drying, wetting
-
-
-def clamp_count() -> int:
-    """Number of drying/wetting inversions repaired since import."""
-    return _clamp_count

@@ -117,50 +117,11 @@ def masked_mse(pred, obs, mask) -> float:
     return float(np.sum(mask * (pred - obs) ** 2) / k)
 
 
-def _forward_cached(params: nn.RnnParams, inputs: np.ndarray, initial: nn.LstmState):
-    """Forward pass keeping everything the backward pass needs.
-
-    The recurrent loop is sequential; input projections and the dense
-    stack are batched over time.
-    """
-    lstm = params.lstm
-    T = inputs.shape[0]
-    h_dim = lstm.hidden_size
-    if lstm.linear_gates:
-        gate, squash = (lambda z: z), (lambda z: z)
-    else:
-        gate, squash = nn.sigmoid, np.tanh
-    xp = {tag: inputs @ getattr(lstm, f"w_x{tag}").T for tag in nn.GATE_NAMES}
-    cache = {
-        name: np.empty((T, h_dim))
-        for name in ("f", "i", "g", "o", "c", "h", "c_prev", "h_prev")
-    }
-    c, h = initial.c, initial.h
-    for t in range(T):
-        cache["c_prev"][t] = c
-        cache["h_prev"][t] = h
-        f = gate(xp["f"][t] + lstm.w_hf @ h + lstm.b_f)
-        i = gate(xp["i"][t] + lstm.w_hi @ h + lstm.b_i)
-        g = squash(xp["g"][t] + lstm.w_hg @ h + lstm.b_g)
-        o = gate(xp["o"][t] + lstm.w_ho @ h + lstm.b_o)
-        c = f * c + i * g
-        h = o * squash(c)
-        cache["f"][t], cache["i"][t], cache["g"][t], cache["o"][t] = f, i, g, o
-        cache["c"][t], cache["h"][t] = c, h
-    # Dense stack over all steps at once, caching layer inputs and
-    # pre-activations for the backward pass.
-    dense_in, dense_z = [], []
-    v = cache["h"]
-    for layer in params.dense:
-        dense_in.append(v)
-        z = v @ layer.weights.T + layer.bias
-        dense_z.append(z)
-        v = np.maximum(z, 0.0) if layer.activation == "relu" else z
-    cache["dense_in"], cache["dense_z"] = dense_in, dense_z
-    preds = v[:, 0]
-    if not np.isfinite(preds).all():
-        raise NumericOverflowError("forward pass produced non-finite predictions")
-    return preds, nn.LstmState(c=c, h=h), cache
+def _by_gate(stacked: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (f, i, o, g) column views of a (T, 4H) array whose column blocks
+    are in ``nn.GATE_NAMES`` order."""
+    views = dict(zip(nn.GATE_NAMES, np.split(stacked, 4, axis=1)))
+    return views["f"], views["i"], views["o"], views["g"]
 
 
 def backward(
@@ -174,14 +135,31 @@ def backward(
 
     Returns (gradients keyed like ``params.tensors()``, loss, final state).
     Frozen tensors get zero gradient; gradients do not flow into the
-    initial state (truncation boundary).
+    initial state (truncation boundary). The forward pass is the
+    inference kernel itself, so loss and final state match ``nn.forward``
+    bit for bit.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     mask = np.asarray(mask, dtype=float)
+    lstm = params.lstm
+    size = lstm.hidden_size
     if initial is None:
-        initial = nn.LstmState.zeros(params.lstm.hidden_size)
-    preds, final_state, cache = _forward_cached(params, inputs, initial)
+        initial = nn.LstmState.zeros(size)
+
+    # Forward: the recurrence is sequential; the dense stack is batched
+    # over time. Row 0 of c_all/h_all is the initial state.
+    T = inputs.shape[0]
+    gates = np.empty((T, 4 * size))
+    c_all = np.empty((T + 1, size))
+    h_all = np.empty((T + 1, size))
+    c_all[0], h_all[0] = c, h = initial.c, initial.h
+    for t, (z, c, h) in enumerate(nn.lstm_steps(lstm, inputs, initial)):
+        gates[t], c_all[t + 1], h_all[t + 1] = z, c, h
+    dense_cache = []
+    preds = nn.dense_forward(params.dense, h_all[1:], dense_cache)[:, 0]
+    if not np.isfinite(preds).all():
+        raise NumericOverflowError("forward pass produced non-finite predictions")
     loss = masked_mse(preds, targets, mask)
 
     grads = {}
@@ -192,49 +170,43 @@ def backward(
     dv = dpred[:, None]
     for j in range(len(params.dense) - 1, -1, -1):
         layer = params.dense[j]
-        z = cache["dense_z"][j]
+        v, z = dense_cache[j]
         dz = dv * (z > 0.0) if layer.activation == "relu" else dv
-        grads[f"dense{j}.w"] = dz.T @ cache["dense_in"][j]
+        grads[f"dense{j}.w"] = dz.T @ v
         grads[f"dense{j}.b"] = dz.sum(axis=0)
         dv = dz @ layer.weights
     dh_dense = dv  # (T, hidden)
 
-    lstm = params.lstm
-    linear = lstm.linear_gates
-    T = inputs.shape[0]
-    f_all, i_all, g_all, o_all = cache["f"], cache["i"], cache["g"], cache["o"]
-    c_all, c_prev_all = cache["c"], cache["c_prev"]
-    dz = {tag: np.empty((T, lstm.hidden_size)) for tag in nn.GATE_NAMES}
-    dh_next = np.zeros(lstm.hidden_size)
-    dc_next = np.zeros(lstm.hidden_size)
+    # LSTM backward: activation derivatives batched over time, then one
+    # recurrent product dz[t] @ W_h per step.
+    f, i, o, g = _by_gate(gates)
+    if lstm.linear_gates:
+        phi = c_all[1:]
+        dphi, dact = np.ones_like(phi), np.ones_like(gates)
+    else:
+        phi = np.tanh(c_all[1:])
+        dphi = 1.0 - phi * phi
+        dact = gates * (1.0 - gates)  # sigmoid rows; the candidate rows are tanh
+        _by_gate(dact)[3][:] = 1.0 - g * g
+    dz = np.empty((T, 4 * size))
+    dz_f, dz_i, dz_o, dz_g = _by_gate(dz)
+    _, w_h, _ = lstm.stacked()
+    dh_next = np.zeros(size)
+    dc_next = np.zeros(size)
     for t in range(T - 1, -1, -1):
         dh = dh_dense[t] + dh_next
-        f, i, g, o = f_all[t], i_all[t], g_all[t], o_all[t]
-        if linear:
-            phi, dphi = c_all[t], 1.0
-            sf, si, so, sg = 1.0, 1.0, 1.0, 1.0
-        else:
-            phi = np.tanh(c_all[t])
-            dphi = 1.0 - phi * phi
-            sf, si, so = f * (1.0 - f), i * (1.0 - i), o * (1.0 - o)
-            sg = 1.0 - g * g
-        dz["o"][t] = dh * phi * so
-        dc = dc_next + dh * o * dphi
-        dz["f"][t] = dc * c_prev_all[t] * sf
-        dz["i"][t] = dc * g * si
-        dz["g"][t] = dc * i * sg
-        dh_next = (
-            lstm.w_hf.T @ dz["f"][t]
-            + lstm.w_hi.T @ dz["i"][t]
-            + lstm.w_hg.T @ dz["g"][t]
-            + lstm.w_ho.T @ dz["o"][t]
-        )
-        dc_next = dc * f
-    h_prev_all = cache["h_prev"]
-    for tag in nn.GATE_NAMES:
-        grads[f"lstm.w_x{tag}"] = dz[tag].T @ inputs
-        grads[f"lstm.w_h{tag}"] = dz[tag].T @ h_prev_all
-        grads[f"lstm.b_{tag}"] = dz[tag].sum(axis=0)
+        dc = dc_next + dh * o[t] * dphi[t]
+        dz_f[t] = dc * c_all[t]
+        dz_i[t] = dc * g[t]
+        dz_o[t] = dh * phi[t]
+        dz_g[t] = dc * i[t]
+        dz[t] *= dact[t]
+        dh_next = dz[t] @ w_h
+        dc_next = dc * f[t]
+    stacked_grads = {"w_x": dz.T @ inputs, "w_h": dz.T @ h_all[:-1], "b_": dz.sum(axis=0)}
+    for kind, grad in stacked_grads.items():
+        for tag, rows in zip(nn.GATE_NAMES, np.split(grad, 4)):
+            grads[f"lstm.{kind}{tag}"] = rows
 
     for name, frozen in params.freeze_mask.items():
         if frozen:
@@ -242,7 +214,7 @@ def backward(
     for name, arr in grads.items():
         if not np.isfinite(arr).all():
             raise NumericOverflowError(f"non-finite gradient in {name}")
-    return grads, loss, final_state
+    return grads, loss, nn.LstmState(c=c, h=h)
 
 
 class AdamState:

@@ -106,40 +106,18 @@ def _masked_rmse_batched(
     """Masked training RMSE for every candidate shift in one vectorized sweep.
 
     Weights are shared across candidates; only the gate biases differ, so
-    the cell/hidden states are carried with a leading candidate axis.
+    the kernel carries the states with a trailing candidate axis.
     """
-    lstm = params.lstm
-    n_cand = shifts.shape[0]
-    h_dim = lstm.hidden_size
-    b_f = lstm.b_f + shifts[:, 0:1]  # (n_cand, hidden)
-    b_i = lstm.b_i + shifts[:, 1:2]
-    if lstm.linear_gates:
-        gate, squash = (lambda z: z), (lambda z: z)
-    else:
-        gate, squash = nn.sigmoid, np.tanh
-    c = np.zeros((n_cand, h_dim))
-    h = np.zeros((n_cand, h_dim))
-    sq_sum = np.zeros(n_cand)
-    x_proj = {
-        tag: series.inputs @ getattr(lstm, f"w_x{tag}").T for tag in nn.GATE_NAMES
-    }  # (T, hidden) each
+    initial = nn.LstmState.zeros(params.lstm.hidden_size)
+    sq_sum = np.zeros(shifts.shape[0])
     n_obs = series.mask.sum()
     # Extreme shifts can overflow in the linear-gate mode; those candidates
     # come back non-finite and are simply excluded from the argmin.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(len(series)):
-            f = gate(x_proj["f"][t] + h @ lstm.w_hf.T + b_f)
-            i = gate(x_proj["i"][t] + h @ lstm.w_hi.T + b_i)
-            g = squash(x_proj["g"][t] + h @ lstm.w_hg.T + lstm.b_g)
-            o = gate(x_proj["o"][t] + h @ lstm.w_ho.T + lstm.b_o)
-            c = f * c + i * g
-            h = o * squash(c)
+        steps = nn.lstm_steps(params.lstm, series.inputs, initial, shifts)
+        for t, (_, _, h) in enumerate(steps):
             if series.mask[t]:
-                v = h
-                for layer in params.dense:
-                    v = v @ layer.weights.T + layer.bias
-                    if layer.activation == "relu":
-                        v = np.maximum(v, 0.0)
+                v = nn.dense_forward(params.dense, h.T)
                 sq_sum += (v[:, 0] - series.targets[t]) ** 2
         return np.sqrt(sq_sum / n_obs)
 
@@ -148,25 +126,17 @@ def grid_search(
     params: nn.RnnParams,
     train: SupervisedSeries,
     grid: GridSpec = DEFAULT_GRID,
-    objective=None,
 ) -> tuple[BiasShift, np.ndarray]:
-    """Select the bias-shift pair minimizing the objective over the grid.
+    """Select the bias-shift pair minimizing the masked training RMSE.
 
-    The default objective is the masked RMSE over the training
-    observations. Ties are broken toward the smallest |alpha_f|+|alpha_i|,
-    then the smallest alpha_f. Returns the winning shift and the full
-    objective surface as an (n_candidates, 3) array of
-    (alpha_f, alpha_i, objective) rows.
+    Ties are broken toward the smallest |alpha_f|+|alpha_i|, then the
+    smallest alpha_f. Returns the winning shift and the full objective
+    surface as an (n_candidates, 3) array of (alpha_f, alpha_i, rmse) rows.
     """
     if train.mask.sum() < 1:
         raise InvalidInputError("grid search needs at least one training observation")
     shifts = candidate_shifts(grid)
-    if objective is None:
-        values = _masked_rmse_batched(params, train, shifts)
-    else:
-        values = np.array(
-            [objective(apply_shift(params, BiasShift(af, ai))) for af, ai in shifts]
-        )
+    values = _masked_rmse_batched(params, train, shifts)
     surface = np.column_stack([shifts, values])
     finite = np.isfinite(values)
     if not finite.any():

@@ -19,13 +19,24 @@ def zero_lstm(hidden, inputs):
     )
 
 
+def gates_by_name(gates):
+    """Split stacked kernel gates into per-gate rows, keyed by name."""
+    return dict(zip(nn.GATE_NAMES, gates.reshape(4, -1)))
+
+
+def first_step(lstm, initial, x):
+    """Gates (by name) and state after one kernel step on input x."""
+    gates, c, h = next(nn.lstm_steps(lstm, np.atleast_2d(x), initial))
+    return gates_by_name(gates), nn.LstmState(c=c, h=h)
+
+
 def test_lstm_step_all_zero():
     params = zero_lstm(3, 2)
-    state, gates = nn.lstm_step(params, nn.LstmState.zeros(3), np.zeros(2))
-    assert_allclose(gates.f, 0.5)
-    assert_allclose(gates.i, 0.5)
-    assert_allclose(gates.o, 0.5)
-    assert_allclose(gates.g, 0.0)
+    gates, state = first_step(params, nn.LstmState.zeros(3), np.zeros(2))
+    assert_allclose(gates["f"], 0.5)
+    assert_allclose(gates["i"], 0.5)
+    assert_allclose(gates["o"], 0.5)
+    assert_allclose(gates["g"], 0.0)
     assert_allclose(state.c, 0.0)
     assert_allclose(state.h, 0.0)
 
@@ -38,30 +49,34 @@ def test_lstm_step_bias_determined_gates():
     params.b_i[:] = -math.log(9.0)
     params.b_g[:] = 100.0
     params.b_o[:] = 100.0
-    state, gates = nn.lstm_step(params, nn.LstmState(c=np.ones(1), h=np.zeros(1)), np.zeros(1))
-    assert gates.f[0] == pytest.approx(0.9, abs=1e-12)
-    assert gates.i[0] == pytest.approx(0.1, abs=1e-12)
+    gates, state = first_step(params, nn.LstmState(c=np.ones(1), h=np.zeros(1)), np.zeros(1))
+    assert gates["f"][0] == pytest.approx(0.9, abs=1e-12)
+    assert gates["i"][0] == pytest.approx(0.1, abs=1e-12)
     assert state.c[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lstm_step_gate_ranges_random_sweep():
     rng = np.random.default_rng(5)
     params = nn.init_params(4, 6, (5, 3), rng=rng).lstm
-    state = nn.LstmState.zeros(6)
-    for _ in range(1000):
-        x = rng.normal(0, 3, size=4)
-        state, gates = nn.lstm_step(params, state, x)
-        for arr in (gates.f, gates.i, gates.o):
+    x = rng.normal(0, 3, size=(1000, 4))
+    for stacked, _, _ in nn.lstm_steps(params, x, nn.LstmState.zeros(6)):
+        gates = gates_by_name(stacked)
+        for arr in (gates["f"], gates["i"], gates["o"]):
             assert ((arr > 0.0) & (arr < 1.0)).all()
-        assert ((gates.g > -1.0) & (gates.g < 1.0)).all()
+        assert ((gates["g"] > -1.0) & (gates["g"] < 1.0)).all()
 
 
 def test_lstm_step_shape_mismatch():
-    params = zero_lstm(3, 2)
+    dense = (
+        nn.DenseParams(np.zeros((2, 3)), np.zeros(2), "relu"),
+        nn.DenseParams(np.zeros((2, 2)), np.zeros(2), "relu"),
+        nn.DenseParams(np.zeros((1, 2)), np.zeros(1), "identity"),
+    )
+    params = nn.RnnParams(lstm=zero_lstm(3, 2), dense=dense)
     with pytest.raises(DimensionError):
-        nn.lstm_step(params, nn.LstmState.zeros(3), np.zeros(5))
+        nn.forward(params, np.zeros((1, 5)), initial=nn.LstmState.zeros(3))
     with pytest.raises(DimensionError):
-        nn.lstm_step(params, nn.LstmState.zeros(2), np.zeros(2))
+        nn.forward(params, np.zeros((1, 2)), initial=nn.LstmState.zeros(2))
 
 
 def test_forward_constant_network():
@@ -119,7 +134,7 @@ def test_forward_deterministic():
 
 
 def test_forward_agrees_with_manual_stepping():
-    # forward's scan path and explicit lstm_step + dense_forward stay in sync
+    # One forward call over the series and T chained one-step calls agree
     rng = np.random.default_rng(14)
     params = nn.init_params(4, 5, (4, 3), rng=rng)
     x = rng.normal(size=(25, 4))
@@ -127,8 +142,8 @@ def test_forward_agrees_with_manual_stepping():
     state = nn.LstmState.zeros(5)
     preds = []
     for t in range(25):
-        state, _ = nn.lstm_step(params.lstm, state, x[t])
-        preds.append(nn.dense_forward(params.dense, state.h)[0])
+        step_preds, state = nn.forward(params, x[t : t + 1], initial=state)
+        preds.append(step_preds[0])
     assert_allclose(scan_preds, preds, rtol=1e-12, atol=1e-14)
     assert_allclose(scan_state.c, state.c, rtol=1e-12, atol=1e-14)
 

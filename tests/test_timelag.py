@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from fmwarp import timelag
 from fmwarp.errors import InvalidInputError
-from fmwarp.timelag import EquilibriumPair, TimeLagParams, WarpFactor
+from fmwarp.timelag import TimeLagParams, WarpFactor
 
 
 def test_params_consistency():
@@ -29,14 +29,14 @@ def test_params_reject_inconsistent_pair():
 def test_step_fixed_point():
     for tau in (1.0, 10.0, 100.0, 1000.0):
         p = TimeLagParams.from_tau(tau)
-        assert timelag.step(10.0, 10.0, p) == 10.0
-        assert timelag.step(5.0, 5.0, p) == 5.0
+        assert timelag.simulate(10.0, [10.0], p)[0] == 10.0
+        assert timelag.simulate(5.0, [5.0], p)[0] == 5.0
 
 
 def test_step_oracle_value():
     # a = e^-0.1; 10a + 20(1-a), evaluated independently.
     p = TimeLagParams.from_tau(10.0)
-    assert timelag.step(10.0, 20.0, p) == pytest.approx(10.951625819640405, abs=1e-12)
+    assert timelag.simulate(10.0, [20.0], p)[0] == pytest.approx(10.951625819640405, abs=1e-12)
 
 
 def test_step_stays_between_state_and_input():
@@ -44,16 +44,16 @@ def test_step_stays_between_state_and_input():
     for _ in range(200):
         m, x = rng.uniform(-50, 150, size=2)
         tau = rng.uniform(0.5, 500)
-        out = timelag.step(m, x, TimeLagParams.from_tau(tau))
+        out = timelag.simulate(m, [x], TimeLagParams.from_tau(tau))[0]
         assert min(m, x) <= out <= max(m, x)
 
 
 def test_step_rejects_non_finite():
     p = TimeLagParams.from_tau(10.0)
     with pytest.raises(InvalidInputError):
-        timelag.step(math.nan, 10.0, p)
+        timelag.simulate(math.nan, [10.0], p)
     with pytest.raises(InvalidInputError):
-        timelag.step(10.0, math.inf, p)
+        timelag.simulate(10.0, [math.inf], p)
 
 
 def test_simulate_geometric_closed_form():
@@ -140,16 +140,16 @@ def test_warp_rejects_bad_gamma():
 
 
 def test_equilibria_dry_air_limit():
-    pair = timelag.equilibria(298.15, 0.0)
-    assert pair.drying == pytest.approx(0.000499, abs=1e-12)
-    assert pair.wetting == pytest.approx(0.000454, abs=1e-12)
+    drying, wetting = timelag.equilibria_arrays([298.15], [0.0])
+    assert drying[0] == pytest.approx(0.000499, abs=1e-12)
+    assert wetting[0] == pytest.approx(0.000454, abs=1e-12)
 
 
 def test_equilibria_reference_point():
     # Independent scalar evaluation of the published formula at 25 C, 50% RH.
-    pair = timelag.equilibria(298.15, 50.0)
-    assert pair.drying == pytest.approx(12.53479898307514, abs=1e-10)
-    assert pair.wetting == pytest.approx(11.125057059268608, abs=1e-10)
+    drying, wetting = timelag.equilibria_arrays([298.15], [50.0])
+    assert drying[0] == pytest.approx(12.53479898307514, abs=1e-10)
+    assert wetting[0] == pytest.approx(11.125057059268608, abs=1e-10)
 
 
 def test_equilibria_drying_dominates_wetting_grid():
@@ -165,24 +165,8 @@ def test_equilibria_drying_dominates_wetting_grid():
 
 def test_equilibria_rejects_bad_inputs():
     with pytest.raises(InvalidInputError):
-        timelag.equilibria(298.15, -1.0)
+        timelag.equilibria_arrays([298.15], [-1.0])
     with pytest.raises(InvalidInputError):
-        timelag.equilibria(298.15, 101.0)
+        timelag.equilibria_arrays([298.15], [101.0])
     with pytest.raises(InvalidInputError):
-        timelag.equilibria(-3.0, 50.0)
-
-
-def test_equilibria_scalar_matches_vectorized():
-    rng = np.random.default_rng(3)
-    temp = rng.uniform(250, 320, 50)
-    rh = rng.uniform(0, 100, 50)
-    drying, wetting = timelag.equilibria_arrays(temp, rh)
-    for k in range(50):
-        pair = timelag.equilibria(temp[k], rh[k])
-        assert pair.drying == pytest.approx(drying[k], rel=1e-14)
-        assert pair.wetting == pytest.approx(wetting[k], rel=1e-14)
-
-
-def test_equilibrium_pair_is_plain_record():
-    pair = EquilibriumPair(drying=10.0, wetting=8.0)
-    assert pair.drying >= pair.wetting >= 0.0
+        timelag.equilibria_arrays([-3.0], [50.0])

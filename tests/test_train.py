@@ -124,6 +124,28 @@ def test_backward_linear_mode_finite_difference():
             assert abs(fd - an) / max(abs(fd), abs(an)) <= 1e-4, (name, idx)
 
 
+@pytest.mark.parametrize("linear_gates", [False, True])
+def test_backward_matches_forward_bitwise(linear_gates):
+    # Training and inference run the same kernel: from a non-zero initial
+    # state, backward's loss and final state equal forward's exactly.
+    rng = np.random.default_rng(17)
+    params = random_params(17, hidden=4)
+    if linear_gates:
+        for arr in params.tensors().values():
+            arr *= 0.3  # keep the linear recursion stable over the segment
+        params.lstm.linear_gates = True
+    inputs = rng.normal(size=(24, 3))
+    targets = rng.normal(size=24)
+    mask = (rng.random(24) < 0.6).astype(float)
+    mask[0] = 1.0
+    initial = nn.LstmState(c=rng.normal(size=4), h=rng.normal(size=4))
+    _, loss, final = train.backward(params, inputs, targets, mask, initial=initial)
+    preds, state = nn.forward(params, inputs, initial=initial)
+    assert loss == train.masked_mse(preds, targets, mask)
+    assert_array_equal(final.c, state.c)
+    assert_array_equal(final.h, state.h)
+
+
 def test_backward_respects_freeze_mask():
     params = random_params(9)
     params.freeze_mask["lstm.w_xf"] = True

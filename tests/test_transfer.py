@@ -92,6 +92,21 @@ def test_grid_search_speedup_direction_on_constructed_lstm():
     assert best_rmse < zero_rmse
 
 
+def naive_search(params, inputs, targets, mask, grid):
+    """Oracle for the batched sweep: shift the biases, run the full forward
+    pass per candidate, and pick by the documented tie-break."""
+    cands = transfer.candidate_shifts(grid)
+    values = []
+    for af, ai in cands:
+        preds, _ = nn.forward(transfer.apply_shift(params, BiasShift(af, ai)), inputs)
+        values.append(float(np.sqrt(np.sum(mask * (preds - targets) ** 2) / mask.sum())))
+    best = min(
+        range(len(cands)),
+        key=lambda k: (values[k], abs(cands[k, 0]) + abs(cands[k, 1]), *cands[k]),
+    )
+    return BiasShift(float(cands[best, 0]), float(cands[best, 1])), np.array(values)
+
+
 def test_grid_search_batched_path_matches_naive_objective():
     params = small_net(11)
     rng = np.random.default_rng(11)
@@ -101,28 +116,30 @@ def test_grid_search_batched_path_matches_naive_objective():
     mask[0] = 1.0
     series = series_from(inputs, targets, mask)
 
-    def naive(p):
-        preds, _ = nn.forward(p, inputs)
-        return float(np.sqrt(np.sum(mask * (preds - targets) ** 2) / mask.sum()))
-
     grid = GridSpec(-2.0, 2.0, 5)
     fast_shift, fast_surface = transfer.grid_search(params, series, grid)
-    slow_shift, slow_surface = transfer.grid_search(params, series, grid, objective=naive)
-    np.testing.assert_allclose(fast_surface[:, 2], slow_surface[:, 2], rtol=1e-10)
+    slow_shift, slow_values = naive_search(params, inputs, targets, mask, grid)
+    np.testing.assert_allclose(fast_surface[:, 2], slow_values, rtol=1e-10)
     assert fast_shift == slow_shift
 
 
 def test_grid_search_all_non_finite_fails():
-    params = small_net(3)
-    series = series_from(np.zeros((10, 3)), np.zeros(10))
+    # Linear gates with f = 10 + alpha_f >= 5: the cell state overflows
+    # within 500 steps for every candidate.
+    net = nn.construct_timelag_lstm(10.0, 0)
+    net.lstm.b_f[:] = 10.0
+    series = series_from(np.ones((500, 1)), np.ones(500))
     with pytest.raises(SearchFailedError):
-        transfer.grid_search(params, series, objective=lambda p: float("nan"))
+        transfer.grid_search(net, series)
 
 
 def test_grid_search_tie_break_prefers_smallest_shift():
+    # A zero output layer makes every candidate's RMSE the same value.
     params = small_net(4)
+    params.dense[2].weights[:] = 0.0
     series = series_from(np.zeros((5, 3)), np.zeros(5))
-    shift, _ = transfer.grid_search(params, series, objective=lambda p: 1.0)
+    shift, surface = transfer.grid_search(params, series)
+    assert np.unique(surface[:, 2]).size == 1
     assert shift == BiasShift(0.0, 0.0)
 
 
