@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,9 +75,14 @@ EXIT_CODES = (
 
 
 class Config:
-    """Flat dotted-key configuration with typed accessors."""
+    """Flat dotted-key configuration with typed accessors; every key must
+    be one of ``DEFAULTS``, so a misspelled key fails instead of training
+    on the default."""
 
     def __init__(self, values: dict[str, str]):
+        unknown = sorted(values.keys() - DEFAULTS.keys())
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
         self.values = dict(DEFAULTS)
         self.values.update(values)
 
@@ -221,19 +227,23 @@ def cmd_synth(cfg: Config, out_override: str | None = None) -> Path:
     return out
 
 
-def _pretrain_one(args):
-    (k, input_size, hidden, dense_sizes, train_s, val_s, config, vary) = args
-    seed_k = config.seed + k
-    reals = train.replicate(
-        input_size, hidden, dense_sizes, train_s, val_s,
-        train.TrainConfig(
-            learning_rate=config.learning_rate, batch_length=config.batch_length,
-            max_epochs=config.max_epochs, patience=config.patience,
-            seed=seed_k, shuffle=config.shuffle,
-        ),
-        n=1, vary=vary,
-    )
-    return k, reals[0]
+def _map(fn, tasks, jobs: int) -> list:
+    """``[fn(*task) for task in tasks]``, run in ``jobs`` worker processes
+    when jobs > 1; results come back in task order either way."""
+    if jobs <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
+
+
+def _pretrain_one(input_size, hidden, dense_sizes, train_s, val_s, config):
+    """One source realization: ("ok", realization), or ("diverged", its
+    last good snapshot)."""
+    try:
+        reals = train.replicate(input_size, hidden, dense_sizes, train_s, val_s, config, n=1)
+        return "ok", reals[0]
+    except TrainingDivergedError as exc:
+        return "diverged", exc.last_good
 
 
 def cmd_pretrain(cfg: Config, out_override: str | None = None, jobs: int | None = None) -> Path:
@@ -256,26 +266,13 @@ def cmd_pretrain(cfg: Config, out_override: str | None = None, jobs: int | None 
     config = cfg.train_config()
     n = cfg.get_int("realizations")
     jobs = jobs if jobs is not None else cfg.get_int("jobs")
-    vary = frozenset({"init", "order", "valsplit"})
     tasks = [
-        (k, datamod.N_FEATURES, hidden, dense_sizes, train_s, val_s, config, vary)
+        (datamod.N_FEATURES, hidden, dense_sizes, train_s, val_s,
+         replace(config, seed=config.seed + k))
         for k in range(n)
     ]
-    statuses = ["ok"] * n
-    results: list[train.Realization | None] = [None] * n
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for k, real in pool.map(_pretrain_worker_safe, tasks):
-                results[k] = real
-    else:
-        for task in tasks:
-            k, real = _pretrain_worker_safe(task)
-            results[k] = real
-    for k, real in enumerate(results):
-        if isinstance(real, TrainingDivergedError):
-            statuses[k] = "diverged"
-            real = real.last_good
-            results[k] = real
+    results = _map(_pretrain_one, tasks, jobs)
+    for k, (_, real) in enumerate(results):
         extra = {
             "normalizer": normalizer.to_dict(),
             "target_scaler": scaler.to_dict(),
@@ -289,35 +286,11 @@ def cmd_pretrain(cfg: Config, out_override: str | None = None, jobs: int | None 
         "command": "pretrain",
         "source_class": source_class,
         "seeds": [config.seed + k for k in range(n)],
-        "statuses": statuses,
+        "statuses": [status for status, _ in results],
         "config": cfg.manifest_echo(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return out
-
-
-def _pretrain_worker_safe(args):
-    k = args[0]
-    try:
-        return _pretrain_one(args)
-    except TrainingDivergedError as exc:
-        return k, exc
-
-
-def _transfer_one(args):
-    (k, ckpt_path, method_name, train_s, val_s, config, grid, arch) = args
-    method = transfer.TransferMethod.parse(method_name)
-    pretrained = None
-    if method is not transfer.TransferMethod.NO_TRANSFER:
-        pretrained, _ = nn.load_params(ckpt_path)
-    result = transfer.run_method(
-        method, pretrained, train_s, val_s, config, grid=grid, arch=arch
-    )
-    surface = None
-    if method in (transfer.TransferMethod.TIME_WARP, transfer.TransferMethod.TIME_WARP_FINE_TUNE):
-        base = pretrained if pretrained is not None else result.params
-        _, surface = transfer.grid_search(base, train_s, grid)
-    return k, result, surface
 
 
 def cmd_transfer(
@@ -327,16 +300,21 @@ def cmd_transfer(
     out_override: str | None = None,
     jobs: int | None = None,
 ) -> Path:
-    """Adapt every pretrained realization to a target fuel class."""
+    """Adapt every pretrained realization to a target fuel class.
+
+    Each checkpoint is read once; each realization is one
+    ``transfer.run_method`` call, whose search also yields the surface.
+    """
     if fuel_class not in datamod.FUEL_CLASSES:
         raise ConfigError(f"unknown fuel class {fuel_class!r}")
     method = transfer.TransferMethod.parse(method_name)
+    no_transfer = method is transfer.TransferMethod.NO_TRANSFER
     base_out = Path(out_override or cfg.get("out"))
     out = base_out / "transfer" / method.value / fuel_class
     out.mkdir(parents=True, exist_ok=True)
     pretrain_dir = base_out / "pretrain"
     ckpts = sorted(pretrain_dir.glob("ckpt_*.json"))
-    if method is not transfer.TransferMethod.NO_TRANSFER and not ckpts:
+    if not no_transfer and not ckpts:
         raise ConfigError(f"no pretrained checkpoints under {pretrain_dir}")
 
     frame, series = load_dataset(cfg)
@@ -344,63 +322,48 @@ def cmd_transfer(
     config = cfg.train_config()
     grid = cfg.grid_spec()
     hidden, dense_sizes = cfg.arch()
-    n = cfg.get_int("realizations") if method is transfer.TransferMethod.NO_TRANSFER else len(ckpts)
+    arch = (datamod.N_FEATURES, hidden, dense_sizes)
     jobs = jobs if jobs is not None else cfg.get_int("jobs")
 
+    # (pretrained params, normalizer, target scaler) per realization.
+    if no_transfer:
+        target_obs = parts.train.observations.get(fuel_class)
+        if target_obs is None or len(target_obs) == 0:
+            raise ConfigError(f"no {fuel_class} observations in the training span")
+        fitted = (None, datamod.Normalizer.fit(parts.train.weather),
+                  datamod.TargetScaler.fit(target_obs.values))
+        sources = [fitted] * cfg.get_int("realizations")
+    else:
+        sources = []
+        for path in ckpts:
+            params, extra = nn.load_params(path)
+            sources.append((params, datamod.Normalizer.from_dict(extra["normalizer"]),
+                            datamod.TargetScaler.from_dict(extra["target_scaler"])))
+
     tasks = []
-    normalizers = []
-    scalers = []
-    target_obs = parts.train.observations.get(fuel_class)
-    for k in range(n):
-        if method is transfer.TransferMethod.NO_TRANSFER:
-            normalizer = datamod.Normalizer.fit(parts.train.weather)
-            if target_obs is None or len(target_obs) == 0:
-                raise ConfigError(f"no {fuel_class} observations in the training span")
-            scaler = datamod.TargetScaler.fit(target_obs.values)
-            ckpt_path = None
-        else:
-            _, extra = nn.load_params(ckpts[k])
-            normalizer = datamod.Normalizer.from_dict(extra["normalizer"])
-            scaler = datamod.TargetScaler.from_dict(extra["target_scaler"])
-            ckpt_path = ckpts[k]
-        normalizers.append(normalizer)
-        scalers.append(scaler)
+    for k, (pretrained, normalizer, scaler) in enumerate(sources):
         train_s = build_series(parts.train, normalizer, fuel_class, scaler)
         val_s = build_series(parts.val, normalizer, fuel_class, scaler)
         if train_s.mask.sum() == 0 or val_s.mask.sum() == 0:
             raise ConfigError(f"no {fuel_class} observations in train or validation span")
-        config_k = train.TrainConfig(
-            learning_rate=config.learning_rate, batch_length=config.batch_length,
-            max_epochs=config.max_epochs, patience=config.patience,
-            seed=config.seed + k, shuffle=config.shuffle,
-        )
-        arch = (datamod.N_FEATURES, hidden, dense_sizes)
-        tasks.append((k, ckpt_path, method.value, train_s, val_s, config_k, grid, arch))
-
-    results: list = [None] * n
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for k, result, surface in pool.map(_transfer_one, tasks):
-                results[k] = (result, surface)
-    else:
-        for task in tasks:
-            k, result, surface = _transfer_one(task)
-            results[k] = (result, surface)
+        tasks.append((method, pretrained, train_s, val_s,
+                      replace(config, seed=config.seed + k), grid, arch))
+    results = _map(transfer.run_method, tasks, jobs)
 
     shift_rows = ["realization,alpha_f,alpha_i"]
-    for k, (result, surface) in enumerate(results):
-        extra = {"normalizer": normalizers[k].to_dict(),
-                 "target_scaler": scalers[k].to_dict(),
+    for k, ((_, normalizer, scaler), result) in enumerate(zip(sources, results)):
+        extra = {"normalizer": normalizer.to_dict(),
+                 "target_scaler": scaler.to_dict(),
                  "method": method.value,
                  "fuel_class": fuel_class}
         if result.shift is not None:
             extra["shift"] = {"alpha_f": result.shift.alpha_f, "alpha_i": result.shift.alpha_i}
             shift_rows.append(f"{k},{repr(result.shift.alpha_f)},{repr(result.shift.alpha_i)}")
         nn.save_params(result.params, out / f"ckpt_{k:04d}.json", extra=extra)
-        if surface is not None:
+        if result.surface is not None:
             # surface objective back in percent units for plotting
-            surface = surface.copy()
-            surface[:, 2] *= scalers[k].std
+            surface = result.surface.copy()
+            surface[:, 2] *= scaler.std
             transfer.write_surface_csv(surface, out / f"surface_{k:04d}.csv")
     if len(shift_rows) > 1:
         (out / "shifts.csv").write_text("\n".join(shift_rows) + "\n")
@@ -408,7 +371,7 @@ def cmd_transfer(
         "command": "transfer",
         "method": method.value,
         "fuel_class": fuel_class,
-        "realizations": n,
+        "realizations": len(sources),
         "config": cfg.manifest_echo(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")

@@ -160,9 +160,9 @@ def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSerie
     """Parse a dataset CSV into a weather frame and per-class observation series.
 
     ``fill="hold"`` forward-fills weather across gaps of up to 3 hours;
-    any other gap, a duplicate or backward timestamp, a malformed cell,
-    or a header mismatch raises :class:`ParseError` with the 1-based file
-    row number.
+    any other gap, a duplicate or backward timestamp, a malformed or
+    non-finite cell, or a header mismatch raises :class:`ParseError` with
+    the 1-based file row number.
     """
     if fill not in (None, "hold"):
         raise InvalidInputError(f"unknown fill mode {fill!r}")
@@ -212,6 +212,8 @@ def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSerie
                 wx = [float(cell) for cell in row[1 : 1 + n_weather]]
             except ValueError:
                 raise ParseError("malformed weather value", row=rownum) from None
+            if not all(map(math.isfinite, wx)):
+                raise ParseError("non-finite weather value", row=rownum)
             times.append(t)
             weather_rows.append(wx)
             for ci, cls in enumerate(FUEL_CLASSES):
@@ -222,6 +224,8 @@ def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSerie
                     value = float(cell)
                 except ValueError:
                     raise ParseError(f"malformed {cls} value {cell!r}", row=rownum) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite {cls} value {cell!r}", row=rownum)
                 fmc_obs[cls].append((t, value))
     if not times:
         raise ParseError("no data rows", row=2)

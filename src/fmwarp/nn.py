@@ -50,6 +50,9 @@ CHECKPOINT_FORMAT = "fmwarp-tensors-v1"
 # Steps per batched input projection in ``lstm_steps``: one (T, 4H) block
 # for a whole series is 36 MB at H=64 over two years of hours.
 PROJECTION_BLOCK = 1024
+# Initial forget-gate bias: the usual trick to favor remembering early in
+# training.
+FORGET_BIAS = 1.0
 
 
 def sigmoid(z):
@@ -347,13 +350,11 @@ def init_params(
     hidden_size: int,
     dense_sizes: tuple[int, int] = (32, 16),
     rng: np.random.Generator | None = None,
-    forget_bias: float = 1.0,
 ) -> RnnParams:
     """Glorot-uniform initialization of the full network.
 
-    The forget-gate bias starts at ``forget_bias`` (default 1.0, the
-    usual trick to favor remembering early in training); all other
-    biases start at zero.
+    The forget-gate bias starts at ``FORGET_BIAS``; all other biases start
+    at zero.
     """
     rng = rng if rng is not None else np.random.default_rng()
 
@@ -366,7 +367,7 @@ def init_params(
     lstm = LstmParams(
         w_xf=glorot((h, d)), w_xi=glorot((h, d)), w_xg=glorot((h, d)), w_xo=glorot((h, d)),
         w_hf=glorot((h, h)), w_hi=glorot((h, h)), w_hg=glorot((h, h)), w_ho=glorot((h, h)),
-        b_f=np.full(h, float(forget_bias)), b_i=np.zeros(h), b_g=np.zeros(h), b_o=np.zeros(h),
+        b_f=np.full(h, FORGET_BIAS), b_i=np.zeros(h), b_g=np.zeros(h), b_o=np.zeros(h),
     )
     sizes = [hidden_size, *dense_sizes, 1]
     activations = ["relu"] * len(dense_sizes) + ["identity"]
@@ -397,22 +398,30 @@ def save_params(params: RnnParams, path, extra: dict | None = None) -> None:
 
 
 def load_params(path) -> tuple[RnnParams, dict]:
-    """Read a named-tensor container; returns (params, extra metadata)."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise InvalidInputError(f"unrecognized checkpoint format in {path}")
-    arrays = {
-        rec["name"]: np.asarray(rec["data"], dtype=float).reshape(rec["shape"])
-        for rec in doc["tensors"]
-    }
-    meta = doc["meta"]
-    lstm = LstmParams(
-        **{k.removeprefix("lstm."): v for k, v in arrays.items() if k.startswith("lstm.")},
-        linear_gates=bool(meta["linear_gates"]),
-    )
-    dense = tuple(
-        DenseParams(arrays[f"dense{k}.w"], arrays[f"dense{k}.b"], meta["dense_activations"][k])
-        for k in range(3)
-    )
-    params = RnnParams(lstm=lstm, dense=dense, freeze_mask=dict(meta["freeze_mask"]))
-    return params, meta.get("extra", {})
+    """Read a named-tensor container; returns (params, extra metadata).
+
+    A file that is not JSON, lacks a field, or holds tensors whose data
+    or shapes do not fit together raises :class:`InvalidInputError` that
+    names the path.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+        if doc.get("format") != CHECKPOINT_FORMAT:
+            raise InvalidInputError(f"unrecognized checkpoint format in {path}")
+        arrays = {
+            rec["name"]: np.asarray(rec["data"], dtype=float).reshape(rec["shape"])
+            for rec in doc["tensors"]
+        }
+        meta = doc["meta"]
+        lstm = LstmParams(
+            **{k.removeprefix("lstm."): v for k, v in arrays.items() if k.startswith("lstm.")},
+            linear_gates=bool(meta["linear_gates"]),
+        )
+        dense = tuple(
+            DenseParams(arrays[f"dense{k}.w"], arrays[f"dense{k}.b"], meta["dense_activations"][k])
+            for k in range(3)
+        )
+        params = RnnParams(lstm=lstm, dense=dense, freeze_mask=dict(meta["freeze_mask"]))
+        return params, meta.get("extra", {})
+    except (ValueError, LookupError, TypeError, AttributeError, DimensionError) as exc:
+        raise InvalidInputError(f"corrupt checkpoint {path}: {exc!r}") from exc

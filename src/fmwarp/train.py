@@ -47,8 +47,7 @@ STREAM_INIT = 0x1A17
 STREAM_SHUFFLE = 0x5F1E
 STREAM_VALSPLIT = 0x7A15
 
-# Fraction of validation observations kept when replicate varies the
-# validation selection.
+# Fraction of validation observations each replicated realization keeps.
 VAL_KEEP_FRACTION = 0.9
 
 
@@ -256,18 +255,18 @@ def fit(
     val: SupervisedSeries,
     config: TrainConfig,
     val_selection_id: str = "full",
-    shuffle_seed: int | None = None,
 ) -> Realization:
     """Truncated-BPTT training with validation-controlled early stopping.
 
     Returns the snapshot with the best validation loss; stops after
     ``patience`` epochs without improvement. Frozen tensors come back
-    bit-identical to their initial values.
+    bit-identical to their initial values. On divergence the raised
+    :class:`TrainingDivergedError` carries that snapshot as ``last_good``.
     """
     if len(train) == 0 or len(val) == 0:
         raise InvalidInputError("training and validation series must be non-empty")
     params = params.copy()
-    shuffle_rng = substream(config.seed if shuffle_seed is None else shuffle_seed, STREAM_SHUFFLE)
+    shuffle_rng = substream(config.seed, STREAM_SHUFFLE)
     adam = AdamState(params)
     bounds = _segment_bounds(len(train), config.batch_length)
     seg_mask_counts = [train.mask[s:e].sum() for s, e in bounds]
@@ -277,6 +276,13 @@ def fit(
     best_val = math.inf
     best_snapshot = params.copy()
     best_epoch = 0
+
+    def best() -> Realization:
+        return Realization(
+            seed=config.seed, validation_selection=val_selection_id,
+            trained=best_snapshot, history=history, best_epoch=best_epoch,
+        )
+
     since_improve = 0
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(bounds)) if config.shuffle else range(len(bounds))
@@ -293,11 +299,7 @@ def fit(
                 )
             except NumericOverflowError as exc:
                 raise TrainingDivergedError(
-                    f"training diverged at epoch {epoch}: {exc}",
-                    last_good=Realization(
-                        seed=config.seed, validation_selection=val_selection_id,
-                        trained=best_snapshot, history=history, best_epoch=best_epoch,
-                    ),
+                    f"training diverged at epoch {epoch}: {exc}", last_good=best()
                 ) from exc
             adam.step(params, grads, config.learning_rate)
             if k + 1 < len(bounds):
@@ -309,21 +311,11 @@ def fit(
             val_loss = validation_loss(params, train, val)
         except NumericOverflowError as exc:
             raise TrainingDivergedError(
-                f"validation diverged at epoch {epoch}: {exc}",
-                last_good=Realization(
-                    seed=config.seed, validation_selection=val_selection_id,
-                    trained=best_snapshot, history=history, best_epoch=best_epoch,
-                ),
+                f"validation diverged at epoch {epoch}: {exc}", last_good=best()
             ) from exc
         history.append((epoch, float(train_loss), float(val_loss)))
         if not math.isfinite(val_loss) or not math.isfinite(train_loss):
-            raise TrainingDivergedError(
-                f"non-finite loss at epoch {epoch}",
-                last_good=Realization(
-                    seed=config.seed, validation_selection=val_selection_id,
-                    trained=best_snapshot, history=history, best_epoch=best_epoch,
-                ),
-            )
+            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", last_good=best())
         if val_loss < best_val:
             best_val = val_loss
             best_snapshot = params.copy()
@@ -333,10 +325,7 @@ def fit(
             since_improve += 1
             if since_improve >= config.patience:
                 break
-    return Realization(
-        seed=config.seed, validation_selection=val_selection_id,
-        trained=best_snapshot, history=history, best_epoch=best_epoch,
-    )
+    return best()
 
 
 def subsample_validation(val: SupervisedSeries, seed: int) -> tuple[SupervisedSeries, str]:
@@ -359,39 +348,23 @@ def replicate(
     val: SupervisedSeries,
     base_config: TrainConfig,
     n: int,
-    vary: frozenset[str] = frozenset({"init", "order", "valsplit"}),
-    forget_bias: float = 1.0,
 ) -> list[Realization]:
     """Train n independently seeded realizations (seeds seed0 .. seed0+n-1).
 
-    ``vary`` selects which factors get a per-realization substream:
-    "init" (initial weights), "order" (segment order), "valsplit"
-    (random subset of validation observations). Factors not listed stay
-    fixed at the base seed's stream.
+    Realization k draws every factor from seed ``seed0 + k``: its initial
+    weights, its segment order and its random subset of the validation
+    observations.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    unknown = set(vary) - {"init", "order", "valsplit"}
-    if unknown:
-        raise InvalidInputError(f"unknown vary factors {sorted(unknown)}")
     out = []
     for k in range(n):
-        seed_k = base_config.seed + k
-        init_seed = seed_k if "init" in vary else base_config.seed
+        config_k = replace(base_config, seed=base_config.seed + k)
         params = nn.init_params(
-            input_size, hidden_size, dense_sizes,
-            rng=substream(init_seed, STREAM_INIT), forget_bias=forget_bias,
+            input_size, hidden_size, dense_sizes, rng=substream(config_k.seed, STREAM_INIT)
         )
-        if "valsplit" in vary:
-            val_k, selection = subsample_validation(val, seed_k)
-        else:
-            val_k, selection = val, "full"
-        config_k = replace(base_config, seed=seed_k)
-        shuffle_seed = seed_k if "order" in vary else base_config.seed
-        out.append(
-            fit(params, train, val_k, config_k,
-                val_selection_id=selection, shuffle_seed=shuffle_seed)
-        )
+        val_k, selection = subsample_validation(val, config_k.seed)
+        out.append(fit(params, train, val_k, config_k, val_selection_id=selection))
     return out
 
 

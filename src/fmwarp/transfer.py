@@ -167,8 +167,12 @@ FREEZE_PREFIX = {
 
 @dataclass(frozen=True)
 class TransferResult:
+    """Adapted parameters; for a searched warp also the picked shift and
+    the objective surface of the search that picked it."""
+
     params: nn.RnnParams
     shift: BiasShift | None
+    surface: np.ndarray | None = None
 
 
 def run_method(
@@ -186,7 +190,7 @@ def run_method(
     ``arch`` (input_size, hidden_size, dense_sizes) sizes the fresh
     network for NoTransfer when no pretrained model is given.
     ``forced_shift`` bypasses the grid search in the warp methods, for
-    diagnostics and contract tests.
+    diagnostics and contract tests; the result then has no surface.
     """
     if method is not TransferMethod.NO_TRANSFER and pretrained is None:
         raise ConfigError(f"{method.value} requires a pretrained model")
@@ -219,12 +223,11 @@ def run_method(
         return TransferResult(params=fit(start, train, val, config).trained, shift=None)
 
     # Warp methods: grid search on the training observations only.
-    shift = forced_shift
-    if shift is None:
-        shift, _ = grid_search(start, train, grid)
+    if forced_shift is None:
+        shift, surface = grid_search(start, train, grid)
+    else:
+        shift, surface = forced_shift, None
     warped = apply_shift(start, shift)
-    if method is TransferMethod.TIME_WARP:
-        return TransferResult(params=warped, shift=shift)
     if method is TransferMethod.TIME_WARP_FINE_TUNE:
-        return TransferResult(params=fit(warped, train, val, config).trained, shift=shift)
-    raise ConfigError(f"unhandled method {method}")
+        warped = fit(warped, train, val, config).trained
+    return TransferResult(params=warped, shift=shift, surface=surface)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fmwarp import cli, data, nn
+from fmwarp import cli, data, nn, transfer
 from fmwarp.errors import ConfigError
 
 BASE_CFG = """
@@ -271,3 +271,60 @@ def test_write_cfg_paths_need_parents(tmp_path):
     cfg = cli.Config.load(str(cfg_path), {"data.path": str(tmp_path / "deep" / "d.csv")})
     path = cli.cmd_synth(cfg)
     assert path.exists()
+
+
+def test_config_rejects_unknown_keys(tmp_path, monkeypatch):
+    with pytest.raises(ConfigError, match="train.max_epoch"):
+        cli.Config({"train.max_epoch": "1"})
+    cfg_path, _, _ = write_cfg(tmp_path, train__max_epoch=1)
+    with pytest.raises(ConfigError, match="train.max_epoch"):
+        cli.Config.load(str(cfg_path))
+    monkeypatch.setattr("sys.argv", ["fmwarp", "synth", "--config", str(cfg_path)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+
+
+def test_corrupt_checkpoint_exits_with_data_error(tmp_path, monkeypatch, capsys):
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1)
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+    ckpt = out / "pretrain" / "ckpt_0000.json"
+    ckpt.parent.mkdir(parents=True)
+    params = nn.init_params(data.N_FEATURES, 4, (4, 3), rng=np.random.default_rng(0))
+    nn.save_params(params, ckpt)
+    text = ckpt.read_text()
+    doc = json.loads(text)
+    no_tensors = json.dumps({k: v for k, v in doc.items() if k != "tensors"})
+    doc["tensors"][0]["shape"].reverse()  # (hidden, input) -> (input, hidden)
+    bad_shape = json.dumps(doc)
+    for corrupt in (text[: len(text) // 2], no_tensors, bad_shape):
+        ckpt.write_text(corrupt)
+        monkeypatch.setattr(
+            "sys.argv", ["fmwarp", "transfer", "--config", str(cfg_path), "--class", "fm1"]
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 3
+        assert str(ckpt) in capsys.readouterr().err
+
+
+def test_transfer_searches_and_reads_once_per_realization(tmp_path, monkeypatch):
+    cfg_path, _, _ = write_cfg(tmp_path, realizations=2, grid__n_per_axis=5)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    calls = {"grid_search": 0, "load_params": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(transfer, "grid_search")
+    counting(nn, "load_params")
+    cli.cmd_transfer(cfg, "TimeWarp", "fm1")
+    assert calls == {"grid_search": 2, "load_params": 2}

@@ -67,6 +67,31 @@ def test_load_csv_malformed_timestamp(tmp_path):
     assert err.value.row == 3
 
 
+def test_load_csv_rejects_nan_weather_cell(tmp_path):
+    rows = [r + ",,,," for r in make_rows(3)]
+    cells = rows[1].split(",")
+    cells[1 + data.WEATHER_COLUMNS.index("rain")] = "nan"
+    rows[1] = ",".join(cells)
+    path = tmp_path / "d.csv"
+    write_fixture(path, rows)
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert err.value.row == 3
+
+
+def test_load_csv_rejects_infinite_observation(tmp_path):
+    rows = make_rows(3)
+    rows[0] += ",,14.5,,"
+    rows[1] += ",,,,"
+    rows[2] += ",,inf,,"
+    path = tmp_path / "d.csv"
+    write_fixture(path, rows)
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert err.value.row == 4
+    assert "fm10" in str(err.value)
+
+
 def test_load_csv_gap_rejected_and_hold_filled(tmp_path):
     rows = make_rows(6)
     gapped = [r + ",,,," for r in (rows[0], rows[1], rows[4], rows[5])]

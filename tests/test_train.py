@@ -275,8 +275,6 @@ def test_replicate_valsplit_selection_recorded():
     cfg = train.TrainConfig(learning_rate=0.03, batch_length=30, max_epochs=2, patience=2, seed=30)
     reals = train.replicate(3, 3, (3, 2), train_s, val_s, cfg, n=2)
     assert all(r.validation_selection.startswith("val-keep") for r in reals)
-    fixed = train.replicate(3, 3, (3, 2), train_s, val_s, cfg, n=1, vary=frozenset({"init"}))
-    assert fixed[0].validation_selection == "full"
 
 
 def test_replicate_reporting_mean_std():

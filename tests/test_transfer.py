@@ -223,6 +223,8 @@ def test_run_method_time_warp_touches_only_gate_biases():
         int(np.sum(result.params.tensors()[n] != pretrained.tensors()[n])) for n in changed
     )
     assert n_diff == 2 * hidden
+    # The surface is the one from the search that picked the shift.
+    assert_array_equal(result.surface, transfer.grid_search(pretrained, train_s)[1])
 
 
 def test_run_method_warp_finetune_equals_full_finetune_at_zero_shift():
@@ -235,6 +237,7 @@ def test_run_method_warp_finetune_equals_full_finetune_at_zero_shift():
     )
     for name, arr in full.params.tensors().items():
         assert_array_equal(arr, forced.params.tensors()[name])
+    assert forced.surface is None
 
 
 def test_run_method_interface_never_sees_test_data():
