@@ -156,9 +156,10 @@ class Config:
         )
 
     def arch(self) -> tuple[int, tuple[int, ...]]:
-        sizes = tuple(
-            int(s) for s in self.get("arch.dense_sizes").split(",") if s.strip()
-        )
+        try:
+            sizes = tuple(int(s) for s in self.get("arch.dense_sizes").split(",") if s.strip())
+        except ValueError:
+            raise ConfigError("arch.dense_sizes must be comma-separated integers") from None
         if len(sizes) != 2:
             raise ConfigError("arch.dense_sizes must list the two hidden dense widths")
         return self.get_int("arch.hidden_size"), sizes
@@ -225,6 +226,20 @@ def cmd_synth(cfg: Config, out_override: str | None = None) -> Path:
     out.parent.mkdir(parents=True, exist_ok=True)
     datamod.write_csv(out, frame, series)
     return out
+
+
+def load_checkpoint(path) -> tuple[nn.RnnParams, datamod.Normalizer, datamod.TargetScaler]:
+    """A checkpoint with the input normalizer and target scaler stored in
+    its extra metadata; a missing or invalid one raises
+    :class:`InvalidInputError` that names the path."""
+    params, extra = nn.load_params(path)
+    try:
+        return (params, datamod.Normalizer.from_dict(extra["normalizer"]),
+                datamod.TargetScaler.from_dict(extra["target_scaler"]))
+    except (LookupError, TypeError, ValueError, InvalidInputError) as exc:
+        raise InvalidInputError(
+            f"no valid normalizer and target scaler in {path}: {exc!r}"
+        ) from exc
 
 
 def _map(fn, tasks, jobs: int) -> list:
@@ -334,11 +349,7 @@ def cmd_transfer(
                   datamod.TargetScaler.fit(target_obs.values))
         sources = [fitted] * cfg.get_int("realizations")
     else:
-        sources = []
-        for path in ckpts:
-            params, extra = nn.load_params(path)
-            sources.append((params, datamod.Normalizer.from_dict(extra["normalizer"]),
-                            datamod.TargetScaler.from_dict(extra["target_scaler"])))
+        sources = [load_checkpoint(path) for path in ckpts]
 
     tasks = []
     for k, (pretrained, normalizer, scaler) in enumerate(sources):
@@ -420,9 +431,7 @@ def cmd_evaluate(
                 filters.append(evaluation.FILTER_LE30)
             per_filter: dict[str, list[evaluation.MetricSet]] = {f: [] for f in filters}
             for ckpt in ckpts:
-                params, extra = nn.load_params(ckpt)
-                normalizer = datamod.Normalizer.from_dict(extra["normalizer"])
-                scaler = datamod.TargetScaler.from_dict(extra["target_scaler"])
+                params, normalizer, scaler = load_checkpoint(ckpt)
                 preds, _ = nn.forward(params, normalizer.transform(frame))
                 preds = scaler.unscale(preds)
                 test_sel = frame.times > parts.val.weather.times[-1]

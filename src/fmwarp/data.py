@@ -390,11 +390,19 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
-        return cls(mean=np.asarray(d["mean"], dtype=float), std=np.asarray(d["std"], dtype=float))
+        mean = np.asarray(d["mean"], dtype=float)
+        std = np.asarray(d["std"], dtype=float)
+        width = len(cls.CONTINUOUS)
+        if mean.shape != (width,) or std.shape != (width,):
+            raise InvalidInputError(
+                f"normalizer mean and std need {width} entries, got {mean.shape} and {std.shape}"
+            )
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise InvalidInputError("normalizer needs a finite mean and a finite, positive std")
+        return cls(mean=mean, std=std)
 
 
 N_FEATURES = len(Normalizer.FEATURE_NAMES)
-DRYING_EQ_FEATURE = Normalizer.FEATURE_NAMES.index("drying_eq")
 
 
 @dataclass(frozen=True)
@@ -428,7 +436,10 @@ class TargetScaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TargetScaler":
-        return cls(mean=float(d["mean"]), std=float(d["std"]))
+        mean, std = float(d["mean"]), float(d["std"])
+        if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
+            raise InvalidInputError("target scaler needs a finite mean and a finite, positive std")
+        return cls(mean=mean, std=std)
 
 
 @dataclass(frozen=True)

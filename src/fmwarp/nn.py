@@ -14,13 +14,13 @@ The hidden state feeds a stack of three dense layers whose final output
 is a single scalar (fuel moisture, percent).
 
 One kernel, ``lstm_steps``, runs the cell for inference, training and
-the bias-shift search. It stacks the per-gate tensors into (4H, input),
-(4H, H) and (4H,) arrays with rows in ``GATE_NAMES`` order (f, i, o, g),
-so one product gives every gate pre-activation, one sigmoid covers the
-contiguous f, i, o block and one tanh the cell candidate g. Given B
-bias-shift candidates, the candidate axis trails: states are (H, B) and
-gates (4H, B). The stacking happens per call; parameters, the freeze
-mask and checkpoints keep their per-gate tensors (``lstm.b_f`` ...).
+the bias-shift search. ``LstmParams`` stores the gates stacked: (4H,
+input), (4H, H) and (4H,) arrays with rows in ``GATE_NAMES`` order (f,
+i, o, g), so one product gives every gate pre-activation, one sigmoid
+covers the contiguous f, i, o block and one tanh the cell candidate g.
+Given B bias-shift candidates, the candidate axis trails: states are
+(H, B) and gates (4H, B). The per-gate tensors of the freeze mask, the
+optimizer and checkpoints (``lstm.b_f`` ...) are ``gate_blocks`` views.
 
 ``LstmParams.linear_gates`` switches every sigma/tanh above to the
 identity. In that mode a single-unit cell with zero gate weights,
@@ -34,6 +34,7 @@ and the CLI.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +47,10 @@ from fmwarp.timelag import TimeLagParams
 # Row order of the stacked gate tensors: the three sigmoid gates, then the
 # tanh candidate.
 GATE_NAMES = ("f", "i", "o", "g")
+# A per-gate tensor name is the prefix of its stacked tensor plus a gate
+# tag; ``tensors()`` and checkpoints list them in CHECKPOINT_NAMES order.
+BLOCK_PREFIXES = ("w_x", "w_h", "b_")
+CHECKPOINT_NAMES = tuple(prefix + tag for prefix in BLOCK_PREFIXES for tag in ("f", "i", "g", "o"))
 CHECKPOINT_FORMAT = "fmwarp-tensors-v1"
 # Steps per batched input projection in ``lstm_steps``: one (T, 4H) block
 # for a whole series is 36 MB at H=64 over two years of hours.
@@ -60,70 +65,53 @@ def sigmoid(z):
     return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
+def gate_blocks(w_x, w_h, b) -> dict[str, np.ndarray]:
+    """Views of the per-gate row blocks ``w_xf`` ... ``b_g`` of stacked
+    (4H, ...) arrays, in row order."""
+    return {
+        prefix + tag: block
+        for prefix, stacked in zip(BLOCK_PREFIXES, (w_x, w_h, b))
+        for tag, block in zip(GATE_NAMES, np.split(stacked, 4))
+    }
+
+
 @dataclass
 class LstmParams:
-    """Weights and biases of one LSTM layer.
-
-    Input-to-gate matrices are (hidden, input), recurrent matrices are
-    (hidden, hidden), biases are (hidden,). ``linear_gates`` replaces all
-    gate and candidate activations (and the cell-output tanh) with the
-    identity, the mode used by the constructed time-lag unit.
+    """Weights (4H, input) and (4H, H) and biases (4H,) of one LSTM layer,
+    in H-row gate blocks in ``GATE_NAMES`` order. ``linear_gates``
+    replaces all gate and candidate activations (and the cell-output tanh)
+    with the identity, the mode used by the constructed time-lag unit.
     """
 
-    w_xf: np.ndarray
-    w_xi: np.ndarray
-    w_xg: np.ndarray
-    w_xo: np.ndarray
-    w_hf: np.ndarray
-    w_hi: np.ndarray
-    w_hg: np.ndarray
-    w_ho: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_g: np.ndarray
-    b_o: np.ndarray
+    w_x: np.ndarray
+    w_h: np.ndarray
+    b: np.ndarray
     linear_gates: bool = False
 
     def __post_init__(self):
-        h, d = self.w_xf.shape
-        for name in ("w_xf", "w_xi", "w_xg", "w_xo"):
-            if getattr(self, name).shape != (h, d):
-                raise DimensionError(f"{name} must have shape {(h, d)}")
-        for name in ("w_hf", "w_hi", "w_hg", "w_ho"):
-            if getattr(self, name).shape != (h, h):
-                raise DimensionError(f"{name} must have shape {(h, h)}")
-        for name in ("b_f", "b_i", "b_g", "b_o"):
-            if getattr(self, name).shape != (h,):
-                raise DimensionError(f"{name} must have shape {(h,)}")
+        h = self.b.size // 4
+        if (self.w_x.ndim != 2 or self.w_x.shape[0] != 4 * h
+                or self.w_h.shape != (4 * h, h) or self.b.shape != (4 * h,)):
+            raise DimensionError(
+                f"LSTM tensors must be w_x (4H, input), w_h (4H, H) and b (4H,), got "
+                f"{self.w_x.shape}, {self.w_h.shape} and {self.b.shape}"
+            )
         for name, arr in self.tensors().items():
             if not np.isfinite(arr).all():
                 raise InvalidInputError(f"non-finite entries in lstm.{name}")
 
     @property
     def hidden_size(self) -> int:
-        return self.w_xf.shape[0]
+        return self.w_h.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.w_xf.shape[1]
+        return self.w_x.shape[1]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            name: getattr(self, name)
-            for name in (
-                "w_xf", "w_xi", "w_xg", "w_xo",
-                "w_hf", "w_hi", "w_hg", "w_ho",
-                "b_f", "b_i", "b_g", "b_o",
-            )
-        }
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Input weights (4H, input), recurrent weights (4H, H) and biases
-        (4H,), gate blocks stacked in ``GATE_NAMES`` order."""
-        return tuple(
-            np.concatenate([getattr(self, f"{kind}{tag}") for tag in GATE_NAMES])
-            for kind in ("w_x", "w_h", "b_")
-        )
+        """Live per-gate views, keyed ``w_xf`` ... ``b_o``."""
+        blocks = gate_blocks(self.w_x, self.w_h, self.b)
+        return {name: blocks[name] for name in CHECKPOINT_NAMES}
 
 
 @dataclass
@@ -174,10 +162,7 @@ class RnnParams:
         self.freeze_mask = full
 
     def tensor_names(self) -> list[str]:
-        names = [f"lstm.{k}" for k in self.lstm.tensors()]
-        for k in range(len(self.dense)):
-            names += [f"dense{k}.w", f"dense{k}.b"]
-        return names
+        return list(self.tensors())
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Live views of every tensor, keyed by name."""
@@ -188,17 +173,7 @@ class RnnParams:
         return out
 
     def copy(self) -> "RnnParams":
-        return RnnParams(
-            lstm=LstmParams(
-                **{k: v.copy() for k, v in self.lstm.tensors().items()},
-                linear_gates=self.lstm.linear_gates,
-            ),
-            dense=tuple(
-                DenseParams(layer.weights.copy(), layer.bias.copy(), layer.activation)
-                for layer in self.dense
-            ),
-            freeze_mask=dict(self.freeze_mask),
-        )
+        return copy.deepcopy(self)
 
     def parameter_count(self) -> int:
         return sum(v.size for v in self.tensors().values())
@@ -235,7 +210,6 @@ def lstm_steps(
     out of the recurrent loop, one block of ``PROJECTION_BLOCK`` steps at a
     time. Each yielded array is new, never reused.
     """
-    w_x, w_h, b = lstm.stacked()
     size = lstm.hidden_size
     split = 3 * size
     c, h = initial.c, initial.h
@@ -245,11 +219,11 @@ def lstm_steps(
         c = np.repeat(c[:, None], len(shifts), axis=1)
         h = np.repeat(h[:, None], len(shifts), axis=1)
     for start in range(0, inputs.shape[0], PROJECTION_BLOCK):
-        z_in = inputs[start : start + PROJECTION_BLOCK] @ w_x.T + b
+        z_in = inputs[start : start + PROJECTION_BLOCK] @ lstm.w_x.T + lstm.b
         if bias_shift is not None:
             z_in = z_in[:, :, None]
         for z_t in z_in:
-            z = w_h @ h
+            z = lstm.w_h @ h
             z += z_t
             if bias_shift is not None:
                 z[: 2 * size] += bias_shift
@@ -331,16 +305,11 @@ def construct_timelag_lstm(tau: float, eq_input_index: int, input_size: int | No
             f"eq_input_index {eq_input_index} out of range for input_size {input_size}"
         )
     a = TimeLagParams.from_tau(tau).a
-    zeros_x = np.zeros((1, input_size))
-    zeros_h = np.zeros((1, 1))
-    w_xg = np.zeros((1, input_size))
-    w_xg[0, eq_input_index] = 1.0
-    lstm = LstmParams(
-        w_xf=zeros_x.copy(), w_xi=zeros_x.copy(), w_xg=w_xg, w_xo=zeros_x.copy(),
-        w_hf=zeros_h.copy(), w_hi=zeros_h.copy(), w_hg=zeros_h.copy(), w_ho=zeros_h.copy(),
-        b_f=np.array([a]), b_i=np.array([1.0 - a]), b_g=np.zeros(1), b_o=np.ones(1),
-        linear_gates=True,
-    )
+    # One row per gate, in GATE_NAMES order (f, i, o, g).
+    w_x = np.zeros((4, input_size))
+    w_x[3, eq_input_index] = 1.0
+    b = np.array([a, 1.0 - a, 1.0, 0.0])
+    lstm = LstmParams(w_x=w_x, w_h=np.zeros((4, 1)), b=b, linear_gates=True)
     passthrough = lambda: DenseParams(np.ones((1, 1)), np.zeros(1), "identity")
     return RnnParams(lstm=lstm, dense=(passthrough(), passthrough(), passthrough()))
 
@@ -364,11 +333,12 @@ def init_params(
         return rng.uniform(-limit, limit, size=shape)
 
     h, d = hidden_size, input_size
-    lstm = LstmParams(
-        w_xf=glorot((h, d)), w_xi=glorot((h, d)), w_xg=glorot((h, d)), w_xo=glorot((h, d)),
-        w_hf=glorot((h, h)), w_hi=glorot((h, h)), w_hg=glorot((h, h)), w_ho=glorot((h, h)),
-        b_f=np.full(h, FORGET_BIAS), b_i=np.zeros(h), b_g=np.zeros(h), b_o=np.zeros(h),
-    )
+    lstm = LstmParams(np.zeros((4 * h, d)), np.zeros((4 * h, h)), np.zeros(4 * h))
+    blocks = lstm.tensors()  # weights are drawn block by block, in checkpoint order
+    for name, block in blocks.items():
+        if name.startswith("w_"):
+            block[:] = glorot(block.shape)
+    blocks["b_f"][:] = FORGET_BIAS
     sizes = [hidden_size, *dense_sizes, 1]
     activations = ["relu"] * len(dense_sizes) + ["identity"]
     dense = tuple(
@@ -400,9 +370,10 @@ def save_params(params: RnnParams, path, extra: dict | None = None) -> None:
 def load_params(path) -> tuple[RnnParams, dict]:
     """Read a named-tensor container; returns (params, extra metadata).
 
-    A file that is not JSON, lacks a field, or holds tensors whose data
-    or shapes do not fit together raises :class:`InvalidInputError` that
-    names the path.
+    The per-gate LSTM records are stacked once, here. A file that is not
+    JSON, lacks a field, or holds tensors whose names, data or shapes do
+    not fit together raises :class:`InvalidInputError` that names the
+    path.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -414,7 +385,8 @@ def load_params(path) -> tuple[RnnParams, dict]:
         }
         meta = doc["meta"]
         lstm = LstmParams(
-            **{k.removeprefix("lstm."): v for k, v in arrays.items() if k.startswith("lstm.")},
+            *(np.concatenate([arrays[f"lstm.{prefix}{tag}"] for tag in GATE_NAMES])
+              for prefix in BLOCK_PREFIXES),
             linear_gates=bool(meta["linear_gates"]),
         )
         dense = tuple(
@@ -422,6 +394,9 @@ def load_params(path) -> tuple[RnnParams, dict]:
             for k in range(3)
         )
         params = RnnParams(lstm=lstm, dense=dense, freeze_mask=dict(meta["freeze_mask"]))
+        shapes = {name: arr.shape for name, arr in arrays.items()}
+        if {name: arr.shape for name, arr in params.tensors().items()} != shapes:
+            raise InvalidInputError(f"corrupt checkpoint {path}: tensor names or shapes do not fit")
         return params, meta.get("extra", {})
     except (ValueError, LookupError, TypeError, AttributeError, DimensionError) as exc:
         raise InvalidInputError(f"corrupt checkpoint {path}: {exc!r}") from exc

@@ -189,7 +189,6 @@ def backward(
         _by_gate(dact)[3][:] = 1.0 - g * g
     dz = np.empty((T, 4 * size))
     dz_f, dz_i, dz_o, dz_g = _by_gate(dz)
-    _, w_h, _ = lstm.stacked()
     dh_next = np.zeros(size)
     dc_next = np.zeros(size)
     for t in range(T - 1, -1, -1):
@@ -200,12 +199,12 @@ def backward(
         dz_o[t] = dh * phi[t]
         dz_g[t] = dc * i[t]
         dz[t] *= dact[t]
-        dh_next = dz[t] @ w_h
+        dh_next = dz[t] @ lstm.w_h
         dc_next = dc * f[t]
-    stacked_grads = {"w_x": dz.T @ inputs, "w_h": dz.T @ h_all[:-1], "b_": dz.sum(axis=0)}
-    for kind, grad in stacked_grads.items():
-        for tag, rows in zip(nn.GATE_NAMES, np.split(grad, 4)):
-            grads[f"lstm.{kind}{tag}"] = rows
+    # Row order (f, i, o, g): AdamState.step sums the clip norm in the
+    # order of ``grads``, so this order fixes its rounding.
+    lstm_grads = nn.gate_blocks(dz.T @ inputs, dz.T @ h_all[:-1], dz.sum(axis=0))
+    grads.update({f"lstm.{name}": grad for name, grad in lstm_grads.items()})
 
     for name, frozen in params.freeze_mask.items():
         if frozen:

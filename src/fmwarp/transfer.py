@@ -95,8 +95,9 @@ def apply_shift(params: nn.RnnParams, shift: BiasShift) -> nn.RnnParams:
     """Shift b_f and b_i uniformly across all hidden units; every other
     tensor is copied unchanged."""
     out = params.copy()
-    out.lstm.b_f += shift.alpha_f
-    out.lstm.b_i += shift.alpha_i
+    blocks = out.lstm.tensors()
+    blocks["b_f"] += shift.alpha_f
+    blocks["b_i"] += shift.alpha_i
     return out
 
 

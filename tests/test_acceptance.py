@@ -56,8 +56,8 @@ def test_criterion_2_constructed_lstm_exactness():
 
     gamma = 10.0
     a_warped = timelag.TimeLagParams.from_tau(10.0).a ** gamma
-    net.lstm.b_f[:] = a_warped
-    net.lstm.b_i[:] = 1.0 - a_warped
+    net.tensors()["lstm.b_f"][:] = a_warped
+    net.tensors()["lstm.b_i"][:] = 1.0 - a_warped
     preds_w, _ = nn.forward(net, x)
     ref1 = timelag.simulate(0.0, x[:, 0], timelag.TimeLagParams.from_tau(1.0))
     err1 = float(np.max(np.abs(preds_w - ref1)))

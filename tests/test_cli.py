@@ -297,7 +297,15 @@ def test_corrupt_checkpoint_exits_with_data_error(tmp_path, monkeypatch, capsys)
     no_tensors = json.dumps({k: v for k, v in doc.items() if k != "tensors"})
     doc["tensors"][0]["shape"].reverse()  # (hidden, input) -> (input, hidden)
     bad_shape = json.dumps(doc)
-    for corrupt in (text[: len(text) // 2], no_tensors, bad_shape):
+    # One more row in every f block and one fewer in every i block: the
+    # LSTM still stacks to (4H, ...) arrays, so per-gate shapes must be checked.
+    doc = json.loads(text)
+    for rec in doc["tensors"][:12]:
+        if rec["name"][-1] in "fi":
+            rec["shape"][0] += 1 if rec["name"][-1] == "f" else -1
+            rec["data"] = [0.0] * int(np.prod(rec["shape"]))
+    misshapen_gates = json.dumps(doc)
+    for corrupt in (text[: len(text) // 2], no_tensors, bad_shape, misshapen_gates):
         ckpt.write_text(corrupt)
         monkeypatch.setattr(
             "sys.argv", ["fmwarp", "transfer", "--config", str(cfg_path), "--class", "fm1"]
@@ -306,6 +314,44 @@ def test_corrupt_checkpoint_exits_with_data_error(tmp_path, monkeypatch, capsys)
             cli.main()
         assert exc.value.code == 3
         assert str(ckpt) in capsys.readouterr().err
+
+
+def test_checkpoint_without_valid_normalizer_exits_with_data_error(tmp_path, monkeypatch, capsys):
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1)
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+    params = nn.init_params(data.N_FEATURES, 4, (4, 3), rng=np.random.default_rng(0))
+    width = len(data.Normalizer.CONTINUOUS)
+    normalizer = {"mean": [0.0] * width, "std": [1.0] * width}
+    scaler = {"mean": 10.0, "std": 2.0}
+    extras = (
+        {},
+        {"normalizer": normalizer},
+        {"target_scaler": scaler},
+        {"normalizer": {"mean": [0.0] * 5, "std": [1.0] * 5}, "target_scaler": scaler},
+    )
+    for command, stage in (("transfer", "pretrain"), ("evaluate", "transfer/TimeWarp/fm1")):
+        ckpt = out / stage / "ckpt_0000.json"
+        ckpt.parent.mkdir(parents=True, exist_ok=True)  # transfer makes its output dir
+        for extra in extras:
+            nn.save_params(params, ckpt, extra=extra)
+            monkeypatch.setattr(
+                "sys.argv", ["fmwarp", command, "--config", str(cfg_path), "--class", "fm1"]
+            )
+            with pytest.raises(SystemExit) as exc:
+                cli.main()
+            assert exc.value.code == 3
+            assert str(ckpt) in capsys.readouterr().err
+        ckpt.unlink()
+
+
+def test_non_integer_dense_sizes_exit_with_config_error(tmp_path, monkeypatch, capsys):
+    cfg_path, _, _ = write_cfg(tmp_path, realizations=1, arch__dense_sizes="32,x")
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+    monkeypatch.setattr("sys.argv", ["fmwarp", "pretrain", "--config", str(cfg_path)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert "arch.dense_sizes" in capsys.readouterr().err
 
 
 def test_transfer_searches_and_reads_once_per_realization(tmp_path, monkeypatch):

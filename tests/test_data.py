@@ -287,6 +287,27 @@ def test_normalizer_train_only_and_roundtrip():
     assert_array_equal(again.transform(parts.test.weather), x_test)
 
 
+def test_normalizer_and_scaler_from_dict_reject_bad_values():
+    width = len(data.Normalizer.CONTINUOUS)
+    good = {"mean": [0.0] * width, "std": [1.0] * width}
+    assert data.Normalizer.from_dict(good).std.shape == (width,)
+    bad_normalizers = (
+        {"mean": [0.0] * 5, "std": [1.0] * 5},
+        {"mean": [0.0] * width, "std": [1.0] * (width - 1)},
+        {"mean": [0.0] * width, "std": [1.0] * (width - 1) + [float("nan")]},
+        {"mean": [0.0] * width, "std": [1.0] * (width - 1) + [0.0]},
+        {"mean": [0.0] * width, "std": [1.0] * (width - 1) + [-2.0]},
+        {"mean": [float("inf")] + [0.0] * (width - 1), "std": [1.0] * width},
+    )
+    for bad in bad_normalizers:
+        with pytest.raises(InvalidInputError):
+            data.Normalizer.from_dict(bad)
+    assert data.TargetScaler.from_dict({"mean": 10.0, "std": 2.0}).std == 2.0
+    for std in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidInputError):
+            data.TargetScaler.from_dict({"mean": 10.0, "std": std})
+
+
 def test_fmc_series_validation():
     t = np.array(["2000-01-01T00:00:00", "2000-01-01T01:00:00"], dtype="datetime64[s]")
     with pytest.raises(InvalidInputError):

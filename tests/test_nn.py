@@ -1,21 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fmwarp import nn, timelag
+from fmwarp import nn, timelag, transfer
 from fmwarp.errors import DimensionError, InvalidInputError
 
 
 def zero_lstm(hidden, inputs):
     z = np.zeros
     return nn.LstmParams(
-        w_xf=z((hidden, inputs)), w_xi=z((hidden, inputs)),
-        w_xg=z((hidden, inputs)), w_xo=z((hidden, inputs)),
-        w_hf=z((hidden, hidden)), w_hi=z((hidden, hidden)),
-        w_hg=z((hidden, hidden)), w_ho=z((hidden, hidden)),
-        b_f=z(hidden), b_i=z(hidden), b_g=z(hidden), b_o=z(hidden),
+        w_x=z((4 * hidden, inputs)), w_h=z((4 * hidden, hidden)), b=z(4 * hidden),
     )
 
 
@@ -45,10 +42,10 @@ def test_lstm_step_bias_determined_gates():
     # Zero weights, biases at logit(0.9)/logit(0.1), saturated g and o:
     # c1 = 0.9 * c0 + 0.1 * 1.
     params = zero_lstm(1, 1)
-    params.b_f[:] = math.log(9.0)
-    params.b_i[:] = -math.log(9.0)
-    params.b_g[:] = 100.0
-    params.b_o[:] = 100.0
+    params.tensors()["b_f"][:] = math.log(9.0)
+    params.tensors()["b_i"][:] = -math.log(9.0)
+    params.tensors()["b_g"][:] = 100.0
+    params.tensors()["b_o"][:] = 100.0
     gates, state = first_step(params, nn.LstmState(c=np.ones(1), h=np.zeros(1)), np.zeros(1))
     assert gates["f"][0] == pytest.approx(0.9, abs=1e-12)
     assert gates["i"][0] == pytest.approx(0.1, abs=1e-12)
@@ -165,8 +162,8 @@ def test_constructed_lstm_warp_via_bias_replacement():
     net = nn.construct_timelag_lstm(10.0, 0)
     gamma = 10.0
     a_warped = timelag.TimeLagParams.from_tau(10.0).a ** gamma
-    net.lstm.b_f[:] = a_warped
-    net.lstm.b_i[:] = 1.0 - a_warped
+    net.tensors()["lstm.b_f"][:] = a_warped
+    net.tensors()["lstm.b_i"][:] = 1.0 - a_warped
     preds, _ = nn.forward(net, x)
     ref = timelag.simulate(0.0, x[:, 0], timelag.TimeLagParams.from_tau(1.0))
     assert np.max(np.abs(preds - ref)) <= 1e-12
@@ -196,8 +193,43 @@ def test_default_architecture_parameter_budget():
 
     params = nn.init_params(N_FEATURES, 64, (32, 16), rng=np.random.default_rng(0))
     assert params.parameter_count() > 21_000
-    assert params.lstm.b_f.size + params.lstm.b_i.size == 128
+    assert params.tensors()["lstm.b_f"].size + params.tensors()["lstm.b_i"].size == 128
     assert params.trainable_count() == params.parameter_count()
+
+
+def test_per_gate_tensors_are_views_of_stacked_storage():
+    params = nn.init_params(5, 4, (4, 3), rng=np.random.default_rng(1))
+    lstm = params.lstm
+    for name, block in lstm.tensors().items():
+        assert any(np.shares_memory(block, whole) for whole in (lstm.w_x, lstm.w_h, lstm.b)), name
+    shifted = transfer.apply_shift(params, transfer.BiasShift(alpha_f=0.5, alpha_i=-0.25))
+    h = lstm.hidden_size
+    assert_array_equal(shifted.lstm.w_x, lstm.w_x)
+    assert_array_equal(shifted.lstm.w_h, lstm.w_h)
+    assert_array_equal(shifted.lstm.b[:h], lstm.b[:h] + 0.5)
+    assert_array_equal(shifted.lstm.b[h : 2 * h], lstm.b[h : 2 * h] - 0.25)
+    assert_array_equal(shifted.lstm.b[2 * h :], lstm.b[2 * h :])
+
+
+def test_save_params_records_follow_checkpoint_order(tmp_path):
+    params = nn.init_params(5, 4, (4, 3), rng=np.random.default_rng(2))
+    nn.save_params(params, tmp_path / "c.json")
+    records = json.loads((tmp_path / "c.json").read_text())["tensors"]
+    assert [rec["name"] for rec in records] == [
+        "lstm.w_xf", "lstm.w_xi", "lstm.w_xg", "lstm.w_xo",
+        "lstm.w_hf", "lstm.w_hi", "lstm.w_hg", "lstm.w_ho",
+        "lstm.b_f", "lstm.b_i", "lstm.b_g", "lstm.b_o",
+        "dense0.w", "dense0.b", "dense1.w", "dense1.b", "dense2.w", "dense2.b",
+    ]
+    # Each LSTM record holds the row block of its gate in the stacked tensor.
+    lstm = params.lstm
+    h = lstm.hidden_size
+    stacked = {"w_x": lstm.w_x, "w_h": lstm.w_h, "b_": lstm.b}
+    for rec in records[:12]:
+        name = rec["name"].removeprefix("lstm.")
+        row = nn.GATE_NAMES.index(name[-1]) * h
+        whole = stacked[name[:-1]]
+        assert_array_equal(np.reshape(rec["data"], rec["shape"]), whole[row : row + h])
 
 
 def test_freeze_mask_accounting():

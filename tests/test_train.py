@@ -240,7 +240,7 @@ def test_fit_divergence_carries_last_good():
     train_s, val_s = identity_task(seed=4, T=100)
     params = random_params(4, hidden=3)
     params.lstm.linear_gates = True
-    params.lstm.b_f[:] = 1e6
+    params.tensors()["lstm.b_f"][:] = 1e6
     cfg = train.TrainConfig(learning_rate=0.01, batch_length=80, max_epochs=20, patience=20, seed=0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError) as err:
         train.fit(params, train_s, val_s, cfg)

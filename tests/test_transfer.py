@@ -127,7 +127,7 @@ def test_grid_search_all_non_finite_fails():
     # Linear gates with f = 10 + alpha_f >= 5: the cell state overflows
     # within 500 steps for every candidate.
     net = nn.construct_timelag_lstm(10.0, 0)
-    net.lstm.b_f[:] = 10.0
+    net.tensors()["lstm.b_f"][:] = 10.0
     series = series_from(np.ones((500, 1)), np.ones(500))
     with pytest.raises(SearchFailedError):
         transfer.grid_search(net, series)
