@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -133,11 +136,6 @@ class Config:
         value = self.get(key).strip().lower()
         return None if value in ("", "none") else self.get_float(key)
 
-    def manifest_echo(self) -> dict[str, str]:
-        """Config as recorded in manifests; execution-only keys (jobs) are
-        dropped so outputs stay byte-identical regardless of parallelism."""
-        return {k: v for k, v in self.values.items() if k != "jobs"}
-
     def train_config(self) -> train.TrainConfig:
         return train.TrainConfig(
             learning_rate=self.get_float("train.learning_rate"),
@@ -165,12 +163,16 @@ class Config:
         return self.get_int("arch.hidden_size"), sizes
 
 
-def load_dataset(cfg: Config) -> tuple[datamod.WeatherFrame, list[datamod.FmcSeries]]:
+def _data_path(cfg: Config) -> Path:
     path = cfg.get("data.path")
     if not path:
         raise ConfigError("data.path is required")
+    return Path(path)
+
+
+def load_dataset(cfg: Config) -> tuple[datamod.WeatherFrame, list[datamod.FmcSeries]]:
     fill = cfg.get("data.fill") or None
-    return datamod.load_csv(path, fill=fill)
+    return datamod.load_csv(_data_path(cfg), fill=fill)
 
 
 def split_dataset(cfg: Config, frame, series) -> datamod.Split:
@@ -182,6 +184,15 @@ def split_dataset(cfg: Config, frame, series) -> datamod.Split:
     else:
         raise ConfigError(f"unknown split.rule {rule!r}")
     return datamod.split(frame, series, spec)
+
+
+def fit_scalers(parts: datamod.Split, fuel_class: str):
+    """The input normalizer and ``fuel_class`` target scaler of the training span."""
+    normalizer = datamod.Normalizer.fit(parts.train.weather)
+    obs = parts.train.observations.get(fuel_class)
+    if obs is None or len(obs) == 0:
+        raise ConfigError(f"no {fuel_class} observations in the training span")
+    return normalizer, datamod.TargetScaler.fit(obs.values)
 
 
 def build_series(
@@ -206,10 +217,51 @@ def build_series(
     )
 
 
-def cmd_synth(cfg: Config, out_override: str | None = None) -> Path:
-    """Generate a synthetic dataset CSV: weather plus dense hourly targets
-    for all four fuel classes, with the sensor cap applied to fm10."""
-    out = Path(out_override or cfg.get("data.path") or cfg.get("out"))
+def train_val_series(parts: datamod.Split, normalizer, fuel_class: str, scaler):
+    """The (train, validation) series pair; each must hold an observation."""
+    train_s = build_series(parts.train, normalizer, fuel_class, scaler)
+    val_s = build_series(parts.val, normalizer, fuel_class, scaler)
+    if train_s.mask.sum() == 0 or val_s.mask.sum() == 0:
+        raise ConfigError(f"no {fuel_class} observations in train or validation span")
+    return train_s, val_s
+
+
+@contextmanager
+def stage_dir(cfg: Config, *parts: str):
+    """A fresh directory under ``<out>/.partial/`` for one stage's files.
+    It replaces ``<out>/<parts>`` whole when the block ends, or is removed
+    if the block raises, leaving the old one as it was. No fsync: this
+    survives a killed process, not a power loss."""
+    out = Path(cfg.get("out"))
+    final = out.joinpath(*parts)
+    tmp = out / ".partial" / ".".join((*parts, str(os.getpid())))
+    old = tmp.with_name(tmp.name + ".old")
+    for stale in (tmp, old):  # left behind by a killed process with the same pid
+        shutil.rmtree(stale, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        yield tmp
+        final.parent.mkdir(parents=True, exist_ok=True)
+        if final.exists():  # a directory cannot be renamed over a full one
+            final.rename(old)
+        tmp.rename(final)
+        shutil.rmtree(old, ignore_errors=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def write_manifest(out: Path, cfg: Config, command: str, **fields) -> None:
+    """The stage's ``manifest.json``. The config echo drops the execution-only
+    ``jobs`` key, so outputs stay byte-identical regardless of parallelism."""
+    config = {k: v for k, v in cfg.values.items() if k != "jobs"}
+    manifest = {"command": command, **fields, "config": config}
+    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+
+
+def cmd_synth(cfg: Config) -> Path:
+    """Generate the ``data.path`` dataset CSV: weather plus dense hourly
+    targets for all four fuel classes, with the sensor cap applied to fm10."""
+    out = _data_path(cfg)
     seed = cfg.get_int("seed")
     profile = datamod.SynthProfile(rain_rate=cfg.get_float("synth.rain_rate"))
     frame = datamod.synth_weather(seed, cfg.get_int("synth.n_days"), profile)
@@ -224,8 +276,20 @@ def cmd_synth(cfg: Config, out_override: str | None = None) -> Path:
         for cls in datamod.FUEL_CLASSES
     ]
     out.parent.mkdir(parents=True, exist_ok=True)
-    datamod.write_csv(out, frame, series)
+    tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
+    try:
+        datamod.write_csv(tmp, frame, series)
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
     return out
+
+
+def save_checkpoint(path, params, normalizer, scaler, **extra) -> None:
+    """Write ``params`` with the normalizer and target scaler that
+    :func:`load_checkpoint` reads back, plus ``extra`` metadata."""
+    extra.update(normalizer=normalizer.to_dict(), target_scaler=scaler.to_dict())
+    nn.save_params(params, path, extra=extra)
 
 
 def load_checkpoint(path) -> tuple[nn.RnnParams, datamod.Normalizer, datamod.TargetScaler]:
@@ -261,60 +325,32 @@ def _pretrain_one(input_size, hidden, dense_sizes, train_s, val_s, config):
         return "diverged", exc.last_good
 
 
-def cmd_pretrain(cfg: Config, out_override: str | None = None, jobs: int | None = None) -> Path:
+def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     """Train per-realization source-task checkpoints plus manifest."""
-    out = Path(out_override or cfg.get("out")) / "pretrain"
-    out.mkdir(parents=True, exist_ok=True)
-    frame, series = load_dataset(cfg)
-    parts = split_dataset(cfg, frame, series)
-    normalizer = datamod.Normalizer.fit(parts.train.weather)
+    parts = split_dataset(cfg, *load_dataset(cfg))
     source_class = cfg.get("source.class")
-    train_obs = parts.train.observations.get(source_class)
-    if train_obs is None or len(train_obs) == 0:
-        raise ConfigError(f"no {source_class} observations in the training span")
-    scaler = datamod.TargetScaler.fit(train_obs.values)
-    train_s = build_series(parts.train, normalizer, source_class, scaler)
-    val_s = build_series(parts.val, normalizer, source_class, scaler)
-    if val_s.mask.sum() == 0:
-        raise ConfigError(f"no {source_class} observations in the validation span")
+    normalizer, scaler = fit_scalers(parts, source_class)
+    train_s, val_s = train_val_series(parts, normalizer, source_class, scaler)
     hidden, dense_sizes = cfg.arch()
     config = cfg.train_config()
-    n = cfg.get_int("realizations")
-    jobs = jobs if jobs is not None else cfg.get_int("jobs")
+    seeds = [config.seed + k for k in range(cfg.get_int("realizations"))]
     tasks = [
-        (datamod.N_FEATURES, hidden, dense_sizes, train_s, val_s,
-         replace(config, seed=config.seed + k))
-        for k in range(n)
+        (datamod.N_FEATURES, hidden, dense_sizes, train_s, val_s, replace(config, seed=seed))
+        for seed in seeds
     ]
-    results = _map(_pretrain_one, tasks, jobs)
-    for k, (_, real) in enumerate(results):
-        extra = {
-            "normalizer": normalizer.to_dict(),
-            "target_scaler": scaler.to_dict(),
-            "source_class": source_class,
-            "seed": real.seed,
-            "validation_selection": real.validation_selection,
-        }
-        nn.save_params(real.trained, out / f"ckpt_{k:04d}.json", extra=extra)
-        train.write_history_csv(real.history, out / f"history_{k:04d}.csv")
-    manifest = {
-        "command": "pretrain",
-        "source_class": source_class,
-        "seeds": [config.seed + k for k in range(n)],
-        "statuses": [status for status, _ in results],
-        "config": cfg.manifest_echo(),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    return out
+    results = _map(_pretrain_one, tasks, cfg.get_int("jobs") if jobs is None else jobs)
+    with stage_dir(cfg, "pretrain") as out:
+        for k, (_, real) in enumerate(results):
+            save_checkpoint(out / f"ckpt_{k:04d}.json", real.trained, normalizer, scaler,
+                            source_class=source_class, seed=real.seed,
+                            validation_selection=real.validation_selection)
+            train.write_history_csv(real.history, out / f"history_{k:04d}.csv")
+        write_manifest(out, cfg, "pretrain", source_class=source_class, seeds=seeds,
+                       statuses=[status for status, _ in results])
+    return Path(cfg.get("out"), "pretrain")
 
 
-def cmd_transfer(
-    cfg: Config,
-    method_name: str,
-    fuel_class: str,
-    out_override: str | None = None,
-    jobs: int | None = None,
-) -> Path:
+def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | None = None) -> Path:
     """Adapt every pretrained realization to a target fuel class.
 
     Each checkpoint is read once; each realization is one
@@ -324,69 +360,49 @@ def cmd_transfer(
         raise ConfigError(f"unknown fuel class {fuel_class!r}")
     method = transfer.TransferMethod.parse(method_name)
     no_transfer = method is transfer.TransferMethod.NO_TRANSFER
-    base_out = Path(out_override or cfg.get("out"))
-    out = base_out / "transfer" / method.value / fuel_class
-    out.mkdir(parents=True, exist_ok=True)
-    pretrain_dir = base_out / "pretrain"
+    pretrain_dir = Path(cfg.get("out"), "pretrain")
     ckpts = sorted(pretrain_dir.glob("ckpt_*.json"))
     if not no_transfer and not ckpts:
         raise ConfigError(f"no pretrained checkpoints under {pretrain_dir}")
 
-    frame, series = load_dataset(cfg)
-    parts = split_dataset(cfg, frame, series)
+    parts = split_dataset(cfg, *load_dataset(cfg))
     config = cfg.train_config()
     grid = cfg.grid_spec()
     hidden, dense_sizes = cfg.arch()
     arch = (datamod.N_FEATURES, hidden, dense_sizes)
-    jobs = jobs if jobs is not None else cfg.get_int("jobs")
 
     # (pretrained params, normalizer, target scaler) per realization.
     if no_transfer:
-        target_obs = parts.train.observations.get(fuel_class)
-        if target_obs is None or len(target_obs) == 0:
-            raise ConfigError(f"no {fuel_class} observations in the training span")
-        fitted = (None, datamod.Normalizer.fit(parts.train.weather),
-                  datamod.TargetScaler.fit(target_obs.values))
-        sources = [fitted] * cfg.get_int("realizations")
+        sources = [(None, *fit_scalers(parts, fuel_class))] * cfg.get_int("realizations")
     else:
         sources = [load_checkpoint(path) for path in ckpts]
-
-    tasks = []
-    for k, (pretrained, normalizer, scaler) in enumerate(sources):
-        train_s = build_series(parts.train, normalizer, fuel_class, scaler)
-        val_s = build_series(parts.val, normalizer, fuel_class, scaler)
-        if train_s.mask.sum() == 0 or val_s.mask.sum() == 0:
-            raise ConfigError(f"no {fuel_class} observations in train or validation span")
-        tasks.append((method, pretrained, train_s, val_s,
-                      replace(config, seed=config.seed + k), grid, arch))
-    results = _map(transfer.run_method, tasks, jobs)
+    tasks = [
+        (method, pretrained, *train_val_series(parts, normalizer, fuel_class, scaler),
+         replace(config, seed=config.seed + k), grid, arch)
+        for k, (pretrained, normalizer, scaler) in enumerate(sources)
+    ]
+    results = _map(transfer.run_method, tasks, cfg.get_int("jobs") if jobs is None else jobs)
 
     shift_rows = ["realization,alpha_f,alpha_i"]
-    for k, ((_, normalizer, scaler), result) in enumerate(zip(sources, results)):
-        extra = {"normalizer": normalizer.to_dict(),
-                 "target_scaler": scaler.to_dict(),
-                 "method": method.value,
-                 "fuel_class": fuel_class}
-        if result.shift is not None:
-            extra["shift"] = {"alpha_f": result.shift.alpha_f, "alpha_i": result.shift.alpha_i}
-            shift_rows.append(f"{k},{repr(result.shift.alpha_f)},{repr(result.shift.alpha_i)}")
-        nn.save_params(result.params, out / f"ckpt_{k:04d}.json", extra=extra)
-        if result.surface is not None:
-            # surface objective back in percent units for plotting
-            surface = result.surface.copy()
-            surface[:, 2] *= scaler.std
-            transfer.write_surface_csv(surface, out / f"surface_{k:04d}.csv")
-    if len(shift_rows) > 1:
-        (out / "shifts.csv").write_text("\n".join(shift_rows) + "\n")
-    manifest = {
-        "command": "transfer",
-        "method": method.value,
-        "fuel_class": fuel_class,
-        "realizations": len(sources),
-        "config": cfg.manifest_echo(),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    return out
+    with stage_dir(cfg, "transfer", method.value, fuel_class) as out:
+        for k, ((_, normalizer, scaler), result) in enumerate(zip(sources, results)):
+            extra = {"method": method.value, "fuel_class": fuel_class}
+            if result.shift is not None:
+                af, ai = result.shift.alpha_f, result.shift.alpha_i
+                extra["shift"] = {"alpha_f": af, "alpha_i": ai}
+                shift_rows.append(f"{k},{af!r},{ai!r}")
+            save_checkpoint(out / f"ckpt_{k:04d}.json", result.params, normalizer, scaler,
+                            **extra)
+            if result.surface is not None:
+                # surface objective back in percent units for plotting
+                surface = result.surface.copy()
+                surface[:, 2] *= scaler.std
+                transfer.write_surface_csv(surface, out / f"surface_{k:04d}.csv")
+        if len(shift_rows) > 1:
+            (out / "shifts.csv").write_text("\n".join(shift_rows) + "\n")
+        write_manifest(out, cfg, "transfer", method=method.value, fuel_class=fuel_class,
+                       realizations=len(sources))
+    return Path(cfg.get("out"), "transfer", method.value, fuel_class)
 
 
 def cmd_evaluate(
@@ -394,7 +410,6 @@ def cmd_evaluate(
     method_name: str | None = None,
     fuel_class: str | None = None,
     filter_name: str | None = None,
-    out_override: str | None = None,
 ) -> Path:
     """Evaluate adapted checkpoints on the test partition.
 
@@ -403,8 +418,7 @@ def cmd_evaluate(
     observation times, and scored per (method, class, filter) with the
     <=30% filter applied only to the fine fuel classes.
     """
-    base_out = Path(out_override or cfg.get("out"))
-    transfer_root = base_out / "transfer"
+    transfer_root = Path(cfg.get("out"), "transfer")
     if not transfer_root.is_dir():
         raise EvaluationError(f"no transfer outputs under {transfer_root}")
     frame, series = load_dataset(cfg)
@@ -452,23 +466,21 @@ def cmd_evaluate(
                 reports.append(evaluation.aggregate(per_filter[fname], mdir.name, cls, fname))
     if not reports:
         raise EvaluationError("nothing to evaluate (check --method/--class filters)")
-    eval_dir = base_out / "evaluate"
-    eval_dir.mkdir(parents=True, exist_ok=True)
-    evaluation.write_report_csv(reports, eval_dir / "report.csv")
-    evaluation.write_per_realization_csv(reports, eval_dir / "per_realization.csv")
-    (eval_dir / "report.txt").write_text(evaluation.format_report_table(reports) + "\n")
     medians = ["method,class,filter,median_realization"]
     medians += [
         f"{r.method},{r.fuel_class},{r.filter},{r.median_realization}" for r in reports
     ]
-    (eval_dir / "medians.csv").write_text("\n".join(medians) + "\n")
-    return eval_dir
+    with stage_dir(cfg, "evaluate") as eval_dir:
+        evaluation.write_report_csv(reports, eval_dir / "report.csv")
+        evaluation.write_per_realization_csv(reports, eval_dir / "per_realization.csv")
+        (eval_dir / "report.txt").write_text(evaluation.format_report_table(reports) + "\n")
+        (eval_dir / "medians.csv").write_text("\n".join(medians) + "\n")
+    return Path(cfg.get("out"), "evaluate")
 
 
-def cmd_report(cfg: Config, out_override: str | None = None) -> str:
+def cmd_report(cfg: Config) -> str:
     """Re-aggregate the per-realization table and print the text report."""
-    base_out = Path(out_override or cfg.get("out"))
-    path = base_out / "evaluate" / "per_realization.csv"
+    path = Path(cfg.get("out"), "evaluate", "per_realization.csv")
     if not path.exists():
         raise EvaluationError(f"no per-realization table at {path}; run evaluate first")
     groups: dict[tuple[str, str, str], list[evaluation.MetricSet]] = {}
@@ -496,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat dotted-key config file")
         p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.add_argument("--jobs", type=int, default=None, help="realization-level parallelism")
-        p.add_argument("--out", default=None, help="output directory (or file for synth)")
+        p.add_argument("--out", default=None, help="sets the out key (data.path for synth)")
         if name in ("transfer", "evaluate"):
             p.add_argument("--method", default=None, help="transfer method name")
             p.add_argument("--class", dest="fuel_class", default=None, help="target fuel class")
@@ -508,18 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    cfg = Config.load(args.config, overrides)
+    out_key = "data.path" if args.command == "synth" else "out"
+    cfg = Config.load(args.config, {"seed": args.seed, "jobs": args.jobs, out_key: args.out})
     if args.command == "synth":
-        path = cmd_synth(cfg, out_override=args.out)
-        print(f"wrote {path}")
+        print(f"wrote {cmd_synth(cfg)}")
     elif args.command == "pretrain":
-        out = cmd_pretrain(cfg, out_override=args.out, jobs=args.jobs)
-        print(f"wrote {out}")
+        print(f"wrote {cmd_pretrain(cfg)}")
     elif args.command == "transfer":
         if not args.fuel_class:
             raise ConfigError("transfer requires --class")
@@ -529,15 +535,11 @@ def run(argv: list[str]) -> int:
         if not methods:
             raise ConfigError("no transfer methods given (--method or the methods config key)")
         for method in methods:
-            out = cmd_transfer(cfg, method, args.fuel_class,
-                               out_override=args.out, jobs=args.jobs)
-            print(f"wrote {out}")
+            print(f"wrote {cmd_transfer(cfg, method, args.fuel_class)}")
     elif args.command == "evaluate":
-        out = cmd_evaluate(cfg, method_name=args.method, fuel_class=args.fuel_class,
-                           filter_name=args.filter_name, out_override=args.out)
-        print(f"wrote {out}")
+        print(f"wrote {cmd_evaluate(cfg, args.method, args.fuel_class, args.filter_name)}")
     elif args.command == "report":
-        print(cmd_report(cfg, out_override=args.out))
+        print(cmd_report(cfg))
     return 0
 
 

@@ -378,7 +378,7 @@ def load_params(path) -> tuple[RnnParams, dict]:
     try:
         doc = json.loads(Path(path).read_text())
         if doc.get("format") != CHECKPOINT_FORMAT:
-            raise InvalidInputError(f"unrecognized checkpoint format in {path}")
+            raise ValueError(f"unrecognized checkpoint format {doc.get('format')!r}")
         arrays = {
             rec["name"]: np.asarray(rec["data"], dtype=float).reshape(rec["shape"])
             for rec in doc["tensors"]
@@ -396,7 +396,8 @@ def load_params(path) -> tuple[RnnParams, dict]:
         params = RnnParams(lstm=lstm, dense=dense, freeze_mask=dict(meta["freeze_mask"]))
         shapes = {name: arr.shape for name, arr in arrays.items()}
         if {name: arr.shape for name, arr in params.tensors().items()} != shapes:
-            raise InvalidInputError(f"corrupt checkpoint {path}: tensor names or shapes do not fit")
+            raise ValueError("tensor names or shapes do not fit")
         return params, meta.get("extra", {})
-    except (ValueError, LookupError, TypeError, AttributeError, DimensionError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError, DimensionError,
+            InvalidInputError) as exc:
         raise InvalidInputError(f"corrupt checkpoint {path}: {exc!r}") from exc

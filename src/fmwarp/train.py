@@ -116,13 +116,6 @@ def masked_mse(pred, obs, mask) -> float:
     return float(np.sum(mask * (pred - obs) ** 2) / k)
 
 
-def _by_gate(stacked: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The (f, i, o, g) column views of a (T, 4H) array whose column blocks
-    are in ``nn.GATE_NAMES`` order."""
-    views = dict(zip(nn.GATE_NAMES, np.split(stacked, 4, axis=1)))
-    return views["f"], views["i"], views["o"], views["g"]
-
-
 def backward(
     params: nn.RnnParams,
     inputs: np.ndarray,
@@ -178,7 +171,8 @@ def backward(
 
     # LSTM backward: activation derivatives batched over time, then one
     # recurrent product dz[t] @ W_h per step.
-    f, i, o, g = _by_gate(gates)
+    # Column blocks in nn.GATE_NAMES order (f, i, o, g).
+    f, i, o, g = np.split(gates, 4, axis=1)
     if lstm.linear_gates:
         phi = c_all[1:]
         dphi, dact = np.ones_like(phi), np.ones_like(gates)
@@ -186,9 +180,9 @@ def backward(
         phi = np.tanh(c_all[1:])
         dphi = 1.0 - phi * phi
         dact = gates * (1.0 - gates)  # sigmoid rows; the candidate rows are tanh
-        _by_gate(dact)[3][:] = 1.0 - g * g
+        np.split(dact, 4, axis=1)[3][:] = 1.0 - g * g
     dz = np.empty((T, 4 * size))
-    dz_f, dz_i, dz_o, dz_g = _by_gate(dz)
+    dz_f, dz_i, dz_o, dz_g = np.split(dz, 4, axis=1)
     dh_next = np.zeros(size)
     dc_next = np.zeros(size)
     for t in range(T - 1, -1, -1):

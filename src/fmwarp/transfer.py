@@ -142,16 +142,10 @@ def grid_search(
     finite = np.isfinite(values)
     if not finite.any():
         raise SearchFailedError("every grid candidate produced a non-finite objective")
-    best = None
-    best_key = None
-    for (af, ai), val in zip(shifts, values):
-        if not np.isfinite(val):
-            continue
-        key = (val, abs(af) + abs(ai), af, ai)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = BiasShift(alpha_f=float(af), alpha_i=float(ai))
-    return best, surface
+    af, ai = shifts[finite].T
+    # lexsort is stable, so an exact tie on every key keeps the first candidate
+    k = np.lexsort((ai, af, np.abs(af) + np.abs(ai), values[finite]))[0]
+    return BiasShift(alpha_f=float(af[k]), alpha_i=float(ai[k])), surface
 
 
 def write_surface_csv(surface: np.ndarray, path) -> None:

@@ -305,7 +305,11 @@ def test_corrupt_checkpoint_exits_with_data_error(tmp_path, monkeypatch, capsys)
             rec["shape"][0] += 1 if rec["name"][-1] == "f" else -1
             rec["data"] = [0.0] * int(np.prod(rec["shape"]))
     misshapen_gates = json.dumps(doc)
-    for corrupt in (text[: len(text) // 2], no_tensors, bad_shape, misshapen_gates):
+    doc = json.loads(text)
+    w_xg = next(rec for rec in doc["tensors"] if rec["name"] == "lstm.w_xg")
+    w_xg["data"][0] = float("nan")
+    non_finite = json.dumps(doc)
+    for corrupt in (text[: len(text) // 2], no_tensors, bad_shape, misshapen_gates, non_finite):
         ckpt.write_text(corrupt)
         monkeypatch.setattr(
             "sys.argv", ["fmwarp", "transfer", "--config", str(cfg_path), "--class", "fm1"]
@@ -374,3 +378,81 @@ def test_transfer_searches_and_reads_once_per_realization(tmp_path, monkeypatch)
     counting(nn, "load_params")
     cli.cmd_transfer(cfg, "TimeWarp", "fm1")
     assert calls == {"grid_search": 2, "load_params": 2}
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def run_main(monkeypatch, *argv):
+    monkeypatch.setattr("sys.argv", ["fmwarp", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    return exc.value.code
+
+
+def test_pretrain_rerun_replaces_stage_directory_whole(tmp_path):
+    # Three realizations at seed 11, then one at seed 7 into the same out:
+    # the second run must not keep ckpt_0001/ckpt_0002 of the first.
+    cfg3, out, _ = write_cfg(tmp_path, "r3.cfg", realizations=3, train__max_epochs=1)
+    cfg1, _, _ = write_cfg(tmp_path, "r1.cfg", realizations=1, train__max_epochs=1,
+                           grid__n_per_axis=5)
+    assert cli.run(["synth", "--config", str(cfg3)]) == 0
+    assert cli.run(["pretrain", "--config", str(cfg3), "--seed", "11"]) == 0
+    assert len(list((out / "pretrain").glob("ckpt_*.json"))) == 3
+    assert cli.run(["pretrain", "--config", str(cfg1)]) == 0
+    assert sorted(snapshot(out / "pretrain")) == ["ckpt_0000.json", "history_0000.csv",
+                                                  "manifest.json"]
+    assert json.loads((out / "pretrain" / "manifest.json").read_text())["seeds"] == [7]
+    assert cli.run(["transfer", "--config", str(cfg1), "--class", "fm1"]) == 0
+    manifest = json.loads((out / "transfer" / "TimeWarp" / "fm1" / "manifest.json").read_text())
+    assert manifest["realizations"] == 1
+    assert not any(p.is_file() for p in (out / ".partial").rglob("*"))
+
+
+def test_failed_transfer_leaves_no_stage_directory(tmp_path, monkeypatch):
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, grid__n_per_axis=5)
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+    # No pretrain yet: FullFineTune fails and must not leave an empty
+    # directory behind for evaluate to trip over.
+    args = ("transfer", "--config", str(cfg_path), "--class", "fm1")
+    assert run_main(monkeypatch, *args, "--method", "FullFineTune") == 2
+    assert not (out / "transfer" / "FullFineTune").exists()
+    assert run_main(monkeypatch, *args, "--method", "NoTransfer") == 0
+    assert run_main(monkeypatch, "evaluate", "--config", str(cfg_path)) == 0
+
+
+def test_pretrain_failing_midway_keeps_previous_outputs(tmp_path, monkeypatch):
+    cfg_path, out, _ = write_cfg(tmp_path, train__max_epochs=1)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    before = snapshot(out / "pretrain")
+    real_save = nn.save_params
+    saved = []
+
+    def failing_save(*args, **kwargs):
+        saved.append(args[1])
+        if len(saved) == 2:
+            raise OSError("disk full")
+        return real_save(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "save_params", failing_save)
+    # A different seed, so the first checkpoint of the rerun differs.
+    with pytest.raises(OSError, match="disk full"):
+        cli.cmd_pretrain(cli.Config.load(str(cfg_path), {"seed": 11}))
+    assert snapshot(out / "pretrain") == before
+    assert not any(p.is_file() for p in (out / ".partial").rglob("*"))
+
+
+def test_synth_writes_data_path_or_out(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    cfg_path = tmp_path / "no_data.cfg"
+    cfg_path.write_text(f"out = {out}\nsynth.n_days = 12\n")
+    assert run_main(monkeypatch, "synth", "--config", str(cfg_path)) == 2
+    assert "data.path" in capsys.readouterr().err
+    assert not out.exists()
+    dataset = tmp_path / "given.csv"
+    assert run_main(monkeypatch, "synth", "--config", str(cfg_path), "--out", str(dataset)) == 0
+    assert dataset.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["given.csv", "no_data.cfg"]
