@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -226,18 +227,36 @@ def train_val_series(parts: datamod.Split, normalizer, fuel_class: str, scaler):
     return train_s, val_s
 
 
+def _pid_gone(pid: int) -> bool:
+    """Whether no process has id ``pid``. One we may not signal counts as
+    alive, and so does a number too large to be a pid."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):
+        return False
+    return False
+
+
 @contextmanager
 def stage_dir(cfg: Config, *parts: str):
     """A fresh directory under ``<out>/.partial/`` for one stage's files.
     It replaces ``<out>/<parts>`` whole when the block ends, or is removed
     if the block raises, leaving the old one as it was. No fsync: this
-    survives a killed process, not a power loss."""
+    survives a killed process, not a power loss. On entry it removes what
+    killed runs of the same stage left under ``.partial/``: the
+    directories of pids no longer alive, and of its own pid."""
     out = Path(cfg.get("out"))
     final = out.joinpath(*parts)
-    tmp = out / ".partial" / ".".join((*parts, str(os.getpid())))
+    stem = ".".join(parts)
+    tmp = out / ".partial" / f"{stem}.{os.getpid()}"
     old = tmp.with_name(tmp.name + ".old")
-    for stale in (tmp, old):  # left behind by a killed process with the same pid
-        shutil.rmtree(stale, ignore_errors=True)
+    leftover = re.compile(re.escape(stem) + r"\.(\d+)(\.old)?")
+    for stale in tmp.parent.iterdir() if tmp.parent.is_dir() else ():
+        match = leftover.fullmatch(stale.name)
+        if match and (int(match[1]) == os.getpid() or _pid_gone(int(match[1]))):
+            shutil.rmtree(stale, ignore_errors=True)
     tmp.mkdir(parents=True)
     try:
         yield tmp
@@ -315,16 +334,6 @@ def _map(fn, tasks, jobs: int) -> list:
         return list(pool.map(fn, *zip(*tasks)))
 
 
-def _pretrain_one(input_size, hidden, dense_sizes, train_s, val_s, config):
-    """One source realization: ("ok", realization), or ("diverged", its
-    last good snapshot)."""
-    try:
-        reals = train.replicate(input_size, hidden, dense_sizes, train_s, val_s, config, n=1)
-        return "ok", reals[0]
-    except TrainingDivergedError as exc:
-        return "diverged", exc.last_good
-
-
 def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     """Train per-realization source-task checkpoints plus manifest."""
     parts = split_dataset(cfg, *load_dataset(cfg))
@@ -333,12 +342,21 @@ def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     train_s, val_s = train_val_series(parts, normalizer, source_class, scaler)
     hidden, dense_sizes = cfg.arch()
     config = cfg.train_config()
-    seeds = [config.seed + k for k in range(cfg.get_int("realizations"))]
+    n = cfg.get_int("realizations")
+    seeds = [config.seed + k for k in range(n)]
+    # One contiguous chunk of realizations per worker, trained in lockstep.
+    jobs = cfg.get_int("jobs") if jobs is None else jobs
+    chunks = max(1, min(jobs, n))
+    cuts = [n * c // chunks for c in range(chunks + 1)]
     tasks = [
-        (datamod.N_FEATURES, hidden, dense_sizes, train_s, val_s, replace(config, seed=seed))
-        for seed in seeds
+        (datamod.N_FEATURES, hidden, dense_sizes, train_s, val_s,
+         replace(config, seed=config.seed + lo), hi - lo)
+        for lo, hi in zip(cuts, cuts[1:]) if hi > lo
     ]
-    results = _map(_pretrain_one, tasks, cfg.get_int("jobs") if jobs is None else jobs)
+    results = [
+        ("diverged", real.last_good) if isinstance(real, TrainingDivergedError) else ("ok", real)
+        for chunk in _map(train.replicate, tasks, jobs) for real in chunk
+    ]
     with stage_dir(cfg, "pretrain") as out:
         for k, (_, real) in enumerate(results):
             save_checkpoint(out / f"ckpt_{k:04d}.json", real.trained, normalizer, scaler,

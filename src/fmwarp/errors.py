@@ -43,7 +43,12 @@ class DegenerateMaskError(FmwarpError):
 
 
 class NumericOverflowError(FmwarpError):
-    """Forward or backward values became non-finite."""
+    """Forward or backward values became non-finite; for a stack of
+    networks, ``rows`` lists the realizations at fault."""
+
+    def __init__(self, message, rows=()):
+        super().__init__(message)
+        self.rows = rows
 
 
 class TrainingDivergedError(FmwarpError):

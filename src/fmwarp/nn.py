@@ -22,6 +22,14 @@ Given B bias-shift candidates, the candidate axis trails: states are
 (H, B) and gates (4H, B). The per-gate tensors of the freeze mask, the
 optimizer and checkpoints (``lstm.b_f`` ...) are ``gate_blocks`` views.
 
+A stack of R networks (``stack``) holds every tensor with a leading
+realization axis: (R, 4H, input), (R, 4H, H), (R, out, in) and so on.
+The kernel, the dense stack and ``forward`` take either layout. In the
+kernel a stack's states are (R, H, 1) columns, so every product runs per
+realization as one batched ``np.matmul`` making the call a single
+network makes, and each realization of a stack computes bit for bit
+what it computes alone.
+
 ``LstmParams.linear_gates`` switches every sigma/tanh above to the
 identity. In that mode a single-unit cell with zero gate weights,
 b_f = a and b_i = 1 - a reproduces the first-order time-lag recursion
@@ -65,22 +73,35 @@ def sigmoid(z):
     return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
+def split_gates(a: np.ndarray, axis: int) -> list[np.ndarray]:
+    """Views of the four gate blocks of ``a`` along ``axis``, in
+    ``GATE_NAMES`` order: ``np.split(a, 4, axis)`` without its overhead."""
+    size = a.shape[axis] // 4
+    index = [slice(None)] * a.ndim
+    blocks = []
+    for k in range(4):
+        index[axis] = slice(k * size, (k + 1) * size)
+        blocks.append(a[tuple(index)])
+    return blocks
+
+
 def gate_blocks(w_x, w_h, b) -> dict[str, np.ndarray]:
     """Views of the per-gate row blocks ``w_xf`` ... ``b_g`` of stacked
-    (4H, ...) arrays, in row order."""
+    (..., 4H, ·) weights and (..., 4H) biases, in row order."""
     return {
         prefix + tag: block
-        for prefix, stacked in zip(BLOCK_PREFIXES, (w_x, w_h, b))
-        for tag, block in zip(GATE_NAMES, np.split(stacked, 4))
+        for prefix, stacked, axis in zip(BLOCK_PREFIXES, (w_x, w_h, b), (-2, -2, -1))
+        for tag, block in zip(GATE_NAMES, split_gates(stacked, axis))
     }
 
 
 @dataclass
 class LstmParams:
     """Weights (4H, input) and (4H, H) and biases (4H,) of one LSTM layer,
-    in H-row gate blocks in ``GATE_NAMES`` order. ``linear_gates``
-    replaces all gate and candidate activations (and the cell-output tanh)
-    with the identity, the mode used by the constructed time-lag unit.
+    in H-row gate blocks in ``GATE_NAMES`` order, each with the same
+    leading realization axes in a stack. ``linear_gates`` replaces all
+    gate and candidate activations (and the cell-output tanh) with the
+    identity, the mode used by the constructed time-lag unit.
     """
 
     w_x: np.ndarray
@@ -89,9 +110,10 @@ class LstmParams:
     linear_gates: bool = False
 
     def __post_init__(self):
-        h = self.b.size // 4
-        if (self.w_x.ndim != 2 or self.w_x.shape[0] != 4 * h
-                or self.w_h.shape != (4 * h, h) or self.b.shape != (4 * h,)):
+        *lead, rows = self.b.shape
+        h = rows // 4
+        if (self.w_x.shape[:-1] != (*lead, 4 * h) or self.w_h.shape != (*lead, 4 * h, h)
+                or rows != 4 * h):
             raise DimensionError(
                 f"LSTM tensors must be w_x (4H, input), w_h (4H, H) and b (4H,), got "
                 f"{self.w_x.shape}, {self.w_h.shape} and {self.b.shape}"
@@ -102,11 +124,11 @@ class LstmParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.w_h.shape[1]
+        return self.w_h.shape[-1]
 
     @property
     def input_size(self) -> int:
-        return self.w_x.shape[1]
+        return self.w_x.shape[-1]
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Live per-gate views, keyed ``w_xf`` ... ``b_o``."""
@@ -116,14 +138,15 @@ class LstmParams:
 
 @dataclass
 class DenseParams:
-    """One dense layer: weights (out, in), bias (out,), activation name."""
+    """One dense layer: weights (out, in), bias (out,), activation name;
+    a stack adds leading realization axes to both."""
 
     weights: np.ndarray
     bias: np.ndarray
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
+        if self.weights.ndim < 2 or self.bias.shape != self.weights.shape[:-1]:
             raise DimensionError(
                 f"dense bias shape {self.bias.shape} inconsistent with weights {self.weights.shape}"
             )
@@ -150,16 +173,22 @@ class RnnParams:
             raise DimensionError(f"expected 3 dense layers, got {len(self.dense)}")
         size = self.lstm.hidden_size
         for k, layer in enumerate(self.dense):
-            if layer.weights.shape[1] != size:
+            if (*layer.weights.shape[:-2], layer.weights.shape[-1]) != (*self.stack_shape, size):
                 raise DimensionError(
-                    f"dense{k} expects input {layer.weights.shape[1]}, got {size}"
+                    f"dense{k} weights {layer.weights.shape} do not take input "
+                    f"{(*self.stack_shape, size)}"
                 )
-            size = layer.weights.shape[0]
+            size = layer.weights.shape[-2]
         if size != 1:
             raise DimensionError(f"final dense layer must output a scalar, got {size}")
         full = {name: False for name in self.tensor_names()}
         full.update(self.freeze_mask)
         self.freeze_mask = full
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """The leading realization axes: () for one network, (R,) for a stack."""
+        return self.lstm.b.shape[:-1]
 
     def tensor_names(self) -> list[str]:
         return list(self.tensors())
@@ -174,6 +203,15 @@ class RnnParams:
 
     def copy(self) -> "RnnParams":
         return copy.deepcopy(self)
+
+    def take(self, rows) -> "RnnParams":
+        """A copy of realization ``rows`` of a stack (an int index), or of the
+        sub-stack of realizations ``rows`` (an index array)."""
+        lstm = LstmParams(self.lstm.w_x[rows].copy(), self.lstm.w_h[rows].copy(),
+                          self.lstm.b[rows].copy(), self.lstm.linear_gates)
+        dense = tuple(DenseParams(layer.weights[rows].copy(), layer.bias[rows].copy(),
+                                  layer.activation) for layer in self.dense)
+        return RnnParams(lstm=lstm, dense=dense, freeze_mask=dict(self.freeze_mask))
 
     def parameter_count(self) -> int:
         return sum(v.size for v in self.tensors().values())
@@ -190,8 +228,26 @@ class LstmState:
     h: np.ndarray
 
     @classmethod
-    def zeros(cls, hidden_size: int) -> "LstmState":
-        return cls(c=np.zeros(hidden_size), h=np.zeros(hidden_size))
+    def zeros(cls, shape) -> "LstmState":
+        """Zero states of ``shape``: the hidden size, or (R, hidden size)."""
+        return cls(c=np.zeros(shape), h=np.zeros(shape))
+
+
+def stack(nets: list[RnnParams]) -> RnnParams:
+    """One network whose tensors stack those of ``nets`` on a leading
+    realization axis. The nets share sizes, gate mode, activations and
+    freeze mask (those of the first are used)."""
+    first = nets[0]
+    lstm = LstmParams(
+        *(np.stack([getattr(net.lstm, name) for net in nets]) for name in ("w_x", "w_h", "b")),
+        linear_gates=first.lstm.linear_gates,
+    )
+    dense = tuple(
+        DenseParams(np.stack([net.dense[k].weights for net in nets]),
+                    np.stack([net.dense[k].bias for net in nets]), layer.activation)
+        for k, layer in enumerate(first.dense)
+    )
+    return RnnParams(lstm=lstm, dense=dense, freeze_mask=dict(first.freeze_mask))
 
 
 def lstm_steps(
@@ -203,34 +259,53 @@ def lstm_steps(
     """Run the cell over a (T, input) series, yielding (gates, c, h) after
     each step.
 
-    ``gates`` holds the activated gates, rows in ``GATE_NAMES`` order. With
-    ``shifts`` (B, 2), candidate b adds shifts[b] to (b_f, b_i) and the
-    candidate axis trails: gates are (4H, B), c and h are (H, B). Without
-    it gates are (4H,) and c, h are (H,). Input projections are hoisted
-    out of the recurrent loop, one block of ``PROJECTION_BLOCK`` steps at a
-    time. Each yielded array is new, never reused.
+    ``gates`` holds the activated gates, rows in ``GATE_NAMES`` order:
+    gates are (4H,) and c, h are (H,). With ``shifts`` (B, 2), candidate b
+    adds shifts[b] to (b_f, b_i) and a candidate axis trails: gates are
+    (4H, B), c and h are (H, B). A stack of R networks takes (R, H)
+    initial states and shared (T, input) or per-realization (R, T, input)
+    inputs, and yields (R, 4H, 1) gates and (R, H, 1) states: the trailing
+    column makes each recurrent product the one a single network runs. A
+    stack cannot take shifts. Input projections are hoisted out of the
+    recurrent loop, one block of ``PROJECTION_BLOCK`` steps at a time.
+    Each yielded array is new, never reused.
     """
     size = lstm.hidden_size
-    split = 3 * size
-    c, h = initial.c, initial.h
+    stacked = lstm.b.ndim > 1
+    # Row blocks of the gate axis, which follows the realization axis:
+    # sigmoid gates, candidate, b_f and b_i, then f, i, o and g alone.
+    # Built once, as plain slices: an Ellipsis index costs more per step.
+    sigmoid_rows, tanh_rows, shifted_rows, *gate_rows = (
+        (slice(None), slice(lo, hi)) if stacked else slice(lo, hi)
+        for lo, hi in ((0, 3 * size), (3 * size, None), (0, 2 * size),
+                       *((k * size, (k + 1) * size) for k in range(4)))
+    )
+    column = (..., None) if stacked or shifts is not None else (...,)
+    c, h = initial.c[column], initial.h[column]
     bias_shift = None
     if shifts is not None:
         bias_shift = np.repeat(shifts.T, size, axis=0)  # (2H, B): b_f rows, then b_i
-        c = np.repeat(c[:, None], len(shifts), axis=1)
-        h = np.repeat(h[:, None], len(shifts), axis=1)
-    for start in range(0, inputs.shape[0], PROJECTION_BLOCK):
-        z_in = inputs[start : start + PROJECTION_BLOCK] @ lstm.w_x.T + lstm.b
-        if bias_shift is not None:
-            z_in = z_in[:, :, None]
-        for z_t in z_in:
+        c = np.repeat(c, len(shifts), axis=-1)
+        h = np.repeat(h, len(shifts), axis=-1)
+    w_x_t = lstm.w_x.swapaxes(-1, -2)
+    bias = lstm.b[..., None, :]
+    # One projection buffer, reused block after block, so a stack's R-fold
+    # larger block is never allocated twice at once.
+    lead = np.broadcast_shapes(inputs.shape[:-2], lstm.b.shape[:-1])
+    buffer = np.empty((*lead, min(inputs.shape[-2], PROJECTION_BLOCK), 4 * size))
+    for start in range(0, inputs.shape[-2], PROJECTION_BLOCK):
+        block = inputs[..., start : start + PROJECTION_BLOCK, :]
+        z_in = np.matmul(block, w_x_t, out=buffer[..., : block.shape[-2], :])
+        z_in += bias
+        for z_t in z_in.swapaxes(0, -2)[column]:  # time-major
             z = lstm.w_h @ h
             z += z_t
             if bias_shift is not None:
-                z[: 2 * size] += bias_shift
+                z[shifted_rows] += bias_shift
             if not lstm.linear_gates:
-                z[:split] = sigmoid(z[:split])
-                z[split:] = np.tanh(z[split:])
-            f, i, o, g = z[:size], z[size : 2 * size], z[2 * size : split], z[split:]
+                z[sigmoid_rows] = sigmoid(z[sigmoid_rows])
+                z[tanh_rows] = np.tanh(z[tanh_rows])
+            f, i, o, g = map(z.__getitem__, gate_rows)
             c = f * c + i * g
             h = o * (c if lstm.linear_gates else np.tanh(c))
             yield z, c, h
@@ -239,14 +314,15 @@ def lstm_steps(
 def dense_forward(
     dense: tuple[DenseParams, ...], h: np.ndarray, cache: list | None = None
 ) -> np.ndarray:
-    """Dense stack applied to a single hidden vector or a (rows, hidden) batch.
+    """Dense stack applied to a (rows, hidden) batch, or (R, rows, hidden)
+    for a stack.
 
     With a ``cache`` list, each layer appends its (input, pre-activation)
     pair for the backward pass.
     """
     v = h
     for layer in dense:
-        z = v @ layer.weights.T + layer.bias
+        z = v @ layer.weights.swapaxes(-1, -2) + layer.bias[..., None, :]
         if cache is not None:
             cache.append((v, z))
         v = np.maximum(z, 0.0) if layer.activation == "relu" else z
@@ -257,12 +333,29 @@ def lstm_scan(
     lstm: LstmParams, inputs: np.ndarray, initial: LstmState
 ) -> tuple[np.ndarray, LstmState]:
     """Run the cell over a (T, input) series; returns (T, hidden) hidden
-    states and the final state."""
-    h_all = np.empty((inputs.shape[0], lstm.hidden_size))
+    states and the final state, or (R, T, hidden) and (R, hidden) states
+    for a stack."""
+    h_all = np.empty((inputs.shape[-2], *kernel_shape(lstm, lstm.hidden_size)))
     c, h = initial.c, initial.h
     for t, (_, c, h) in enumerate(lstm_steps(lstm, inputs, initial)):
         h_all[t] = h
-    return h_all, LstmState(c=c, h=h)
+    shape = initial.h.shape
+    return (by_realization(h_all.reshape(-1, *shape)),
+            LstmState(c=c.reshape(shape), h=h.reshape(shape)))
+
+
+def kernel_shape(lstm: LstmParams, rows: int) -> tuple[int, ...]:
+    """Shape of a ``rows``-row array of ``lstm_steps`` without shifts: (rows,)
+    for one network, (R, rows, 1) for a stack."""
+    lead = lstm.b.shape[:-1]
+    return (*lead, rows, *(1,) * len(lead))
+
+
+def by_realization(a: np.ndarray) -> np.ndarray:
+    """A time-major (T, n) or (T, R, n) array as a contiguous (T, n) or
+    (R, T, n) one: per realization the layout a single network's array
+    has. A single network's array comes back as it is."""
+    return np.ascontiguousarray(a.swapaxes(0, -2))
 
 
 def forward(
@@ -271,7 +364,9 @@ def forward(
     """Map a (T, input_size) series to T scalar predictions.
 
     The prediction at step t depends only on inputs[0..t]; the final
-    state is returned so a long series can be processed in chunks.
+    state is returned so a long series can be processed in chunks. A stack
+    of R networks maps the shared series to (R, T) predictions from (R, H)
+    initial states.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[0] < 1:
@@ -280,12 +375,12 @@ def forward(
         raise DimensionError(
             f"inputs have {inputs.shape[1]} features, network expects {params.lstm.input_size}"
         )
-    size = params.lstm.hidden_size
-    state = initial if initial is not None else LstmState.zeros(size)
-    if state.c.shape != (size,) or state.h.shape != (size,):
-        raise DimensionError(f"initial state must have shape {(size,)}")
+    shape = (*params.stack_shape, params.lstm.hidden_size)
+    state = initial if initial is not None else LstmState.zeros(shape)
+    if state.c.shape != shape or state.h.shape != shape:
+        raise DimensionError(f"initial state must have shape {shape}")
     h_all, state = lstm_scan(params.lstm, inputs, state)
-    preds = dense_forward(params.dense, h_all)[:, 0]
+    preds = dense_forward(params.dense, h_all)[..., 0]
     return preds, state
 
 
@@ -397,6 +492,8 @@ def load_params(path) -> tuple[RnnParams, dict]:
         shapes = {name: arr.shape for name, arr in arrays.items()}
         if {name: arr.shape for name, arr in params.tensors().items()} != shapes:
             raise ValueError("tensor names or shapes do not fit")
+        if params.stack_shape:
+            raise ValueError("a checkpoint holds one network, not a stack")
         return params, meta.get("extra", {})
     except (ValueError, LookupError, TypeError, AttributeError, DimensionError,
             InvalidInputError) as exc:

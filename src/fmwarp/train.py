@@ -13,6 +13,12 @@ clean stateful pass over the training span followed by the validation
 span, and is used only for early stopping: the returned snapshot is the
 one with the best validation loss.
 
+Realizations train in lockstep (``fit_lockstep``): their networks are
+stacked on a leading realization axis (``nn.stack``), and each lockstep
+step runs one batched ``backward`` and Adam update. Every reduction (loss
+sums, the clip norm) stays per realization and in the order a lone run
+uses, so a realization comes out bit for bit as ``fit`` trains it alone.
+
 All randomness flows from integer seeds through named substreams
 (init / shuffle / valsplit), so a realization is a pure function of
 (seed, data, config).
@@ -21,7 +27,7 @@ All randomness flows from integer seeds through named substreams
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -103,17 +109,25 @@ class Realization:
     best_epoch: int
 
 
-def masked_mse(pred, obs, mask) -> float:
-    """Mean squared error over masked positions only."""
+def masked_mse(pred, obs, mask):
+    """Mean squared error over masked positions only, along the last axis:
+    a float for 1-D arrays, one loss per row for (R, T) ones."""
     pred = np.asarray(pred, dtype=float)
     obs = np.asarray(obs, dtype=float)
     mask = np.asarray(mask, dtype=float)
     if not (pred.shape == obs.shape == mask.shape):
         raise InvalidInputError("pred/obs/mask must have equal lengths")
-    k = mask.sum()
-    if k == 0:
+    k = mask.sum(axis=-1)
+    if np.any(k == 0):
         raise DegenerateMaskError("loss mask selects no observations")
-    return float(np.sum(mask * (pred - obs) ** 2) / k)
+    loss = np.sum(mask * (pred - obs) ** 2, axis=-1) / k
+    return float(loss) if loss.ndim == 0 else loss
+
+
+def _rows_at_fault(arr: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of the realizations (the ``lead`` axes) whose slice of
+    ``arr`` holds a non-finite value; [0] for a single network."""
+    return np.flatnonzero(~np.isfinite(arr).all(axis=tuple(range(len(lead), arr.ndim))))
 
 
 def backward(
@@ -129,50 +143,59 @@ def backward(
     Frozen tensors get zero gradient; gradients do not flow into the
     initial state (truncation boundary). The forward pass is the
     inference kernel itself, so loss and final state match ``nn.forward``
-    bit for bit.
+    bit for bit. A stack of R networks takes (R, T, input) inputs, (R, T)
+    targets and masks and (R, H) initial states, and returns stacked
+    gradients, R losses and (R, H) final states. Non-finite values raise
+    :class:`NumericOverflowError`, whose ``rows`` name the realizations
+    at fault.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     mask = np.asarray(mask, dtype=float)
     lstm = params.lstm
     size = lstm.hidden_size
+    lead = params.stack_shape
     if initial is None:
-        initial = nn.LstmState.zeros(size)
+        initial = nn.LstmState.zeros((*lead, size))
 
     # Forward: the recurrence is sequential; the dense stack is batched
-    # over time. Row 0 of c_all/h_all is the initial state.
-    T = inputs.shape[0]
-    gates = np.empty((T, 4 * size))
-    c_all = np.empty((T + 1, size))
-    h_all = np.empty((T + 1, size))
-    c_all[0], h_all[0] = c, h = initial.c, initial.h
+    # over time. The per-step arrays are time-major, shaped like the
+    # kernel's. Row 0 of c_all/h_all is the initial state.
+    T = inputs.shape[-2]
+    gates = np.empty((T, *nn.kernel_shape(lstm, 4 * size)))
+    c_all = np.empty((T + 1, *nn.kernel_shape(lstm, size)))
+    h_all = np.empty_like(c_all)
+    c_all[0], h_all[0] = initial.c.reshape(c_all[0].shape), initial.h.reshape(h_all[0].shape)
     for t, (z, c, h) in enumerate(nn.lstm_steps(lstm, inputs, initial)):
         gates[t], c_all[t + 1], h_all[t + 1] = z, c, h
     dense_cache = []
-    preds = nn.dense_forward(params.dense, h_all[1:], dense_cache)[:, 0]
+    h_seq = nn.by_realization(h_all[1:].reshape(T, *lead, size))
+    preds = nn.dense_forward(params.dense, h_seq, dense_cache)[..., 0]
     if not np.isfinite(preds).all():
-        raise NumericOverflowError("forward pass produced non-finite predictions")
+        raise NumericOverflowError("forward pass produced non-finite predictions",
+                                   rows=_rows_at_fault(preds, lead))
     loss = masked_mse(preds, targets, mask)
 
     grads = {}
-    k = mask.sum()
+    k = mask.sum(axis=-1, keepdims=True)
     dpred = 2.0 * mask * (preds - targets) / k
 
     # Dense stack backward, batched over time (no cross-step coupling).
-    dv = dpred[:, None]
+    dv = dpred[..., None]
     for j in range(len(params.dense) - 1, -1, -1):
         layer = params.dense[j]
         v, z = dense_cache[j]
         dz = dv * (z > 0.0) if layer.activation == "relu" else dv
-        grads[f"dense{j}.w"] = dz.T @ v
-        grads[f"dense{j}.b"] = dz.sum(axis=0)
+        grads[f"dense{j}.w"] = dz.swapaxes(-1, -2) @ v
+        grads[f"dense{j}.b"] = dz.sum(axis=-2)
         dv = dz @ layer.weights
-    dh_dense = dv  # (T, hidden)
+    dh_dense = dv.swapaxes(0, -2).reshape(h_all[1:].shape)  # time-major, like h_all
 
     # LSTM backward: activation derivatives batched over time, then one
-    # recurrent product dz[t] @ W_h per step.
-    # Column blocks in nn.GATE_NAMES order (f, i, o, g).
-    f, i, o, g = np.split(gates, 4, axis=1)
+    # recurrent product W_h^T dz[t] per step.
+    # Row blocks in nn.GATE_NAMES order (f, i, o, g).
+    gate_axis = 1 + len(lead)
+    f, i, o, g = nn.split_gates(gates, gate_axis)
     if lstm.linear_gates:
         phi = c_all[1:]
         dphi, dact = np.ones_like(phi), np.ones_like(gates)
@@ -180,11 +203,12 @@ def backward(
         phi = np.tanh(c_all[1:])
         dphi = 1.0 - phi * phi
         dact = gates * (1.0 - gates)  # sigmoid rows; the candidate rows are tanh
-        np.split(dact, 4, axis=1)[3][:] = 1.0 - g * g
-    dz = np.empty((T, 4 * size))
-    dz_f, dz_i, dz_o, dz_g = np.split(dz, 4, axis=1)
-    dh_next = np.zeros(size)
-    dc_next = np.zeros(size)
+        nn.split_gates(dact, gate_axis)[3][:] = 1.0 - g * g
+    dz = np.empty_like(gates)
+    dz_f, dz_i, dz_o, dz_g = nn.split_gates(dz, gate_axis)
+    w_h_t = lstm.w_h.swapaxes(-1, -2)
+    dh_next = np.zeros_like(h_all[0])
+    dc_next = np.zeros_like(c_all[0])
     for t in range(T - 1, -1, -1):
         dh = dh_dense[t] + dh_next
         dc = dc_next + dh * o[t] * dphi[t]
@@ -193,11 +217,14 @@ def backward(
         dz_o[t] = dh * phi[t]
         dz_g[t] = dc * i[t]
         dz[t] *= dact[t]
-        dh_next = dz[t] @ lstm.w_h
+        dh_next = w_h_t @ dz[t]
         dc_next = dc * f[t]
     # Row order (f, i, o, g): AdamState.step sums the clip norm in the
     # order of ``grads``, so this order fixes its rounding.
-    lstm_grads = nn.gate_blocks(dz.T @ inputs, dz.T @ h_all[:-1], dz.sum(axis=0))
+    dz = nn.by_realization(dz.reshape(T, *lead, 4 * size))
+    dz_t = dz.swapaxes(-1, -2)
+    h_prev = nn.by_realization(h_all[:-1].reshape(T, *lead, size))
+    lstm_grads = nn.gate_blocks(dz_t @ inputs, dz_t @ h_prev, dz.sum(axis=-2))
     grads.update({f"lstm.{name}": grad for name, grad in lstm_grads.items()})
 
     for name, frozen in params.freeze_mask.items():
@@ -205,41 +232,76 @@ def backward(
             grads[name] = np.zeros_like(grads[name])
     for name, arr in grads.items():
         if not np.isfinite(arr).all():
-            raise NumericOverflowError(f"non-finite gradient in {name}")
-    return grads, loss, nn.LstmState(c=c, h=h)
+            raise NumericOverflowError(f"non-finite gradient in {name}",
+                                       rows=_rows_at_fault(arr, lead))
+    return grads, loss, nn.LstmState(c=c_all[-1].reshape(initial.c.shape),
+                                     h=h_all[-1].reshape(initial.h.shape))
 
 
 class AdamState:
-    """Per-tensor Adam moments; frozen tensors are never touched."""
+    """Per-tensor Adam moments; frozen tensors are never touched. In a stack
+    each realization keeps its own step count, bias correction and clip
+    norm."""
 
     def __init__(self, params: nn.RnnParams):
         self.m = {k: np.zeros_like(v) for k, v in params.tensors().items()}
         self.v = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-        self.t = 0
+        self.t = np.zeros(params.stack_shape, dtype=int)
 
-    def step(self, params: nn.RnnParams, grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(
+        self, params: nn.RnnParams, grads: dict[str, np.ndarray], lr: float, rows=None
+    ) -> None:
+        """One update. For a stack, ``grads`` may cover only the realizations
+        ``rows`` (an index array); the others stay as they are."""
+        sel = Ellipsis if rows is None else rows
         live = {k: g for k, g in grads.items() if not params.freeze_mask[k]}
-        norm = math.sqrt(sum(float(np.sum(g * g)) for g in live.values()))
-        scale = GRAD_CLIP_NORM / norm if norm > GRAD_CLIP_NORM else 1.0
-        self.t += 1
-        correction = math.sqrt(1.0 - ADAM_BETA2**self.t) / (1.0 - ADAM_BETA1**self.t)
+        self.t[sel] += 1
+        counts = np.atleast_1d(self.t[sel]).tolist()
+        lead = self.t[sel].shape
+        # Per realization, the norm sums the tensors in the order of
+        # ``grads``; that order fixes its rounding.
+        squares = [(g * g).reshape(len(counts), -1).sum(axis=1) for g in live.values()]
+        norms = [math.sqrt(sum(float(sq[r]) for sq in squares)) for r in range(len(counts))]
+        scale = np.array([GRAD_CLIP_NORM / norm if norm > GRAD_CLIP_NORM else 1.0
+                          for norm in norms])
+        step_size = np.array([lr * (math.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t))
+                              for t in counts])
+        # (scale, step size) shaped to broadcast over tensors of each rank
+        per_row = {
+            ndim: (scale.reshape(shape), step_size.reshape(shape))
+            for ndim in {g.ndim for g in live.values()}
+            for shape in [lead + (1,) * (ndim - len(lead))]
+        }
         tensors = params.tensors()
         for name, g in live.items():
-            g = g * scale
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
-            tensors[name] -= lr * correction * self.m[name] / (np.sqrt(self.v[name]) + ADAM_EPS)
+            row_scale, row_step = per_row[g.ndim]
+            g = g * row_scale
+            m = ADAM_BETA1 * self.m[name][sel] + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * self.v[name][sel] + (1.0 - ADAM_BETA2) * g * g
+            self.m[name][sel], self.v[name][sel] = m, v
+            tensors[name][sel] -= row_step * m / (np.sqrt(v) + ADAM_EPS)
 
 
 def _segment_bounds(n: int, batch_length: int) -> list[tuple[int, int]]:
     return [(s, min(s + batch_length, n)) for s in range(0, n, batch_length)]
 
 
-def validation_loss(params: nn.RnnParams, train: SupervisedSeries, val: SupervisedSeries) -> float:
-    """Masked validation MSE after a stateful spin-up over the training span."""
-    _, state = nn.forward(params, train.inputs)
-    preds, _ = nn.forward(params, val.inputs, initial=state)
-    return masked_mse(preds, val.targets, val.mask)
+def validation_loss(params: nn.RnnParams, train: SupervisedSeries, val):
+    """Masked validation MSE after a stateful spin-up over the training span.
+
+    For a stack of R networks, ``val`` is a list of R series with the same
+    inputs, and the result holds one loss per realization.
+    """
+    series = val if isinstance(val, list) else [val]
+    initial = nn.LstmState.zeros((*params.stack_shape, params.lstm.hidden_size))
+    c, h = initial.c, initial.h
+    for _, c, h in nn.lstm_steps(params.lstm, train.inputs, initial):
+        pass  # the spin-up needs only the state at the end of the training span
+    state = nn.LstmState(c=c.reshape(initial.c.shape), h=h.reshape(initial.h.shape))
+    preds, _ = nn.forward(params, series[0].inputs, initial=state)
+    targets = np.array([s.targets for s in series]).reshape(preds.shape)
+    mask = np.array([s.mask for s in series]).reshape(preds.shape)
+    return masked_mse(preds, targets, mask)
 
 
 def fit(
@@ -255,70 +317,145 @@ def fit(
     ``patience`` epochs without improvement. Frozen tensors come back
     bit-identical to their initial values. On divergence the raised
     :class:`TrainingDivergedError` carries that snapshot as ``last_good``.
+    This is the one-realization case of :func:`fit_lockstep`.
     """
-    if len(train) == 0 or len(val) == 0:
+    [outcome] = fit_lockstep([params], train, [val], config, [config.seed], [val_selection_id])
+    if isinstance(outcome, TrainingDivergedError):
+        raise outcome
+    return outcome
+
+
+def fit_lockstep(
+    params: list[nn.RnnParams],
+    train: SupervisedSeries,
+    vals: list[SupervisedSeries],
+    config: TrainConfig,
+    seeds: list[int],
+    selections: list[str],
+) -> list[Realization | TrainingDivergedError]:
+    """Train networks of equal shape and freeze mask in lockstep.
+
+    Realization r trains ``params[r]`` under ``config`` with seed
+    ``seeds[r]`` (its segment order) and validation series ``vals[r]``
+    (all with the same inputs), and comes back as ``fit`` would return it
+    alone, bit for bit. Each keeps its own segment order, Adam state and
+    early stopping. One whose values become non-finite comes back as the
+    :class:`TrainingDivergedError` ``fit`` would raise, carrying its
+    ``last_good`` snapshot, and the others go on. At each lockstep step the
+    realizations whose segments have the same length share one
+    ``backward`` and Adam update; one whose segment holds no observations
+    sits the step out, and its next segment's start state is not
+    refreshed. A lone network is not stacked: it runs the plain layout,
+    whose per-step arrays are smaller.
+    """
+    if len(train) == 0 or any(len(val) == 0 for val in vals):
         raise InvalidInputError("training and validation series must be non-empty")
-    params = params.copy()
-    shuffle_rng = substream(config.seed, STREAM_SHUFFLE)
-    adam = AdamState(params)
+    n = len(params)
+    stack = nn.stack(params) if n > 1 else params[0].copy()
+
+    def snapshot(r) -> nn.RnnParams:
+        return stack.take(r) if n > 1 else stack.copy()
+
+    shuffle_rngs = [substream(seed, STREAM_SHUFFLE) for seed in seeds]
+    adam = AdamState(stack)
     bounds = _segment_bounds(len(train), config.batch_length)
     seg_mask_counts = [train.mask[s:e].sum() for s, e in bounds]
-    start_states = [nn.LstmState.zeros(params.lstm.hidden_size) for _ in bounds]
+    # The cached state at each segment start, per realization.
+    start_c = np.zeros((n, len(bounds), stack.lstm.hidden_size))
+    start_h = np.zeros_like(start_c)
 
-    history: list[tuple[int, float, float]] = []
-    best_val = math.inf
-    best_snapshot = params.copy()
-    best_epoch = 0
+    histories: list[list[tuple[int, float, float]]] = [[] for _ in range(n)]
+    best_val = [math.inf] * n
+    best_snapshot = [snapshot(r) for r in range(n)]
+    best_epoch = [0] * n
+    since_improve = [0] * n
+    outcome: list = [None] * n  # set when a realization stops early or diverges
 
-    def best() -> Realization:
+    def best(r) -> Realization:
         return Realization(
-            seed=config.seed, validation_selection=val_selection_id,
-            trained=best_snapshot, history=history, best_epoch=best_epoch,
+            seed=seeds[r], validation_selection=selections[r], trained=best_snapshot[r],
+            history=histories[r], best_epoch=best_epoch[r],
         )
 
-    since_improve = 0
-    for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(len(bounds)) if config.shuffle else range(len(bounds))
-        sq_sum = 0.0
-        n_obs = 0.0
-        for k in order:
-            s, e = bounds[k]
-            if seg_mask_counts[k] == 0:
-                continue  # no observations to learn from in this segment
+    def diverge(r, message):
+        outcome[r] = TrainingDivergedError(message, last_good=best(r))
+
+    def train_step(members, length, epoch):
+        """One backward and Adam update for the (realization, segment) pairs
+        ``members``, all segments ``length`` long; returns the per-member
+        losses, or drops the diverged members and tries again."""
+        while members:
+            rows = np.array([r for r, _ in members])
+            segs = np.array([k for _, k in members])
+            whole = len(members) == n  # then rows are 0 .. n-1 in order
+            sub = stack if whole else stack.take(rows)
+            steps = np.array([bounds[k][0] for k in segs])[:, None] + np.arange(length)
+
+            def per_row(a):  # one row per member, in the layout of ``sub``
+                return a.reshape(*sub.stack_shape, *a.shape[1:])
+
             try:
-                grads, seg_loss, final = backward(
-                    params, train.inputs[s:e], train.targets[s:e], train.mask[s:e],
-                    initial=start_states[k],
+                grads, losses, final = backward(
+                    sub, per_row(train.inputs[steps]), per_row(train.targets[steps]),
+                    per_row(train.mask[steps]),
+                    initial=nn.LstmState(c=per_row(start_c[rows, segs]),
+                                         h=per_row(start_h[rows, segs])),
                 )
             except NumericOverflowError as exc:
-                raise TrainingDivergedError(
-                    f"training diverged at epoch {epoch}: {exc}", last_good=best()
-                ) from exc
-            adam.step(params, grads, config.learning_rate)
-            if k + 1 < len(bounds):
-                start_states[k + 1] = final
-            sq_sum += seg_loss * seg_mask_counts[k]
-            n_obs += seg_mask_counts[k]
-        train_loss = sq_sum / n_obs if n_obs else math.nan
-        try:
-            val_loss = validation_loss(params, train, val)
-        except NumericOverflowError as exc:
-            raise TrainingDivergedError(
-                f"validation diverged at epoch {epoch}: {exc}", last_good=best()
-            ) from exc
-        history.append((epoch, float(train_loss), float(val_loss)))
-        if not math.isfinite(val_loss) or not math.isfinite(train_loss):
-            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", last_good=best())
-        if val_loss < best_val:
-            best_val = val_loss
-            best_snapshot = params.copy()
-            best_epoch = epoch
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= config.patience:
-                break
-    return best()
+                for q in exc.rows:
+                    diverge(rows[q], f"training diverged at epoch {epoch}: {exc}")
+                members = [m for m in members if outcome[m[0]] is None]
+                continue
+            adam.step(stack, grads, config.learning_rate, rows=None if whole else rows)
+            more = segs + 1 < len(bounds)
+            start_c[rows[more], segs[more] + 1] = final.c.reshape(len(rows), -1)[more]
+            start_h[rows[more], segs[more] + 1] = final.h.reshape(len(rows), -1)[more]
+            return zip(members, np.atleast_1d(losses))
+        return ()
+
+    for epoch in range(1, config.max_epochs + 1):
+        live = [r for r in range(n) if outcome[r] is None]
+        if not live:
+            break
+        orders = {
+            r: shuffle_rngs[r].permutation(len(bounds)) if config.shuffle else range(len(bounds))
+            for r in live
+        }
+        sq_sum = dict.fromkeys(live, 0.0)
+        n_obs = dict.fromkeys(live, 0.0)
+        for j in range(len(bounds)):
+            by_length: dict[int, list[tuple[int, int]]] = {}
+            for r in live:
+                k = orders[r][j]
+                if outcome[r] is None and seg_mask_counts[k] > 0:
+                    s, e = bounds[k]
+                    by_length.setdefault(e - s, []).append((r, k))
+            for length, members in by_length.items():
+                for (r, k), seg_loss in train_step(members, length, epoch):
+                    sq_sum[r] += seg_loss * seg_mask_counts[k]
+                    n_obs[r] += seg_mask_counts[k]
+        live = [r for r in live if outcome[r] is None]
+        if not live:
+            continue
+        val_losses = validation_loss(
+            stack if len(live) == n else stack.take(np.array(live)), train,
+            [vals[r] for r in live],
+        )
+        for r, val_loss in zip(live, np.atleast_1d(val_losses).tolist()):
+            train_loss = sq_sum[r] / n_obs[r] if n_obs[r] else math.nan
+            histories[r].append((epoch, float(train_loss), val_loss))
+            if not math.isfinite(val_loss) or not math.isfinite(train_loss):
+                diverge(r, f"non-finite loss at epoch {epoch}")
+            elif val_loss < best_val[r]:
+                best_val[r] = val_loss
+                best_snapshot[r] = snapshot(r)
+                best_epoch[r] = epoch
+                since_improve[r] = 0
+            else:
+                since_improve[r] += 1
+                if since_improve[r] >= config.patience:
+                    outcome[r] = best(r)
+    return [best(r) if done is None else done for r, done in enumerate(outcome)]
 
 
 def subsample_validation(val: SupervisedSeries, seed: int) -> tuple[SupervisedSeries, str]:
@@ -341,24 +478,24 @@ def replicate(
     val: SupervisedSeries,
     base_config: TrainConfig,
     n: int,
-) -> list[Realization]:
-    """Train n independently seeded realizations (seeds seed0 .. seed0+n-1).
+) -> list[Realization | TrainingDivergedError]:
+    """Train n independently seeded realizations (seeds seed0 .. seed0+n-1)
+    in lockstep.
 
     Realization k draws every factor from seed ``seed0 + k``: its initial
     weights, its segment order and its random subset of the validation
-    observations.
+    observations. One that diverges comes back as its
+    :class:`TrainingDivergedError`, carrying its last good snapshot.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    out = []
-    for k in range(n):
-        config_k = replace(base_config, seed=base_config.seed + k)
-        params = nn.init_params(
-            input_size, hidden_size, dense_sizes, rng=substream(config_k.seed, STREAM_INIT)
-        )
-        val_k, selection = subsample_validation(val, config_k.seed)
-        out.append(fit(params, train, val_k, config_k, val_selection_id=selection))
-    return out
+    seeds = [base_config.seed + k for k in range(n)]
+    params = [
+        nn.init_params(input_size, hidden_size, dense_sizes, rng=substream(seed, STREAM_INIT))
+        for seed in seeds
+    ]
+    vals, selections = zip(*(subsample_validation(val, seed) for seed in seeds))
+    return fit_lockstep(params, train, list(vals), base_config, seeds, list(selections))
 
 
 def write_history_csv(history: list[tuple[int, float, float]], path) -> None:

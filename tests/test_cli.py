@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -456,3 +457,20 @@ def test_synth_writes_data_path_or_out(tmp_path, monkeypatch, capsys):
     assert run_main(monkeypatch, "synth", "--config", str(cfg_path), "--out", str(dataset)) == 0
     assert dataset.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["given.csv", "no_data.cfg"]
+
+
+def test_pretrain_sweeps_partial_directories_of_dead_runs(tmp_path):
+    # Leftovers of killed pretrain runs (a pid that cannot be alive) are
+    # removed; another stage's partial directory of a live pid is kept.
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, train__max_epochs=1)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    partial = out / ".partial"
+    planted = ["pretrain.2147483647", "pretrain.2147483647.old",
+               f"transfer.TimeWarp.fm1.{os.getpid()}"]
+    for name in planted:
+        (partial / name).mkdir(parents=True)
+        (partial / name / "ckpt_0000.json").write_text("{}")
+    cli.cmd_pretrain(cfg)
+    assert sorted(p.name for p in partial.iterdir()) == [planted[2]]
+    assert (partial / planted[2] / "ckpt_0000.json").exists()

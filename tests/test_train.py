@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -246,6 +248,148 @@ def test_fit_divergence_carries_last_good():
         train.fit(params, train_s, val_s, cfg)
     assert err.value.last_good is not None
     assert isinstance(err.value.last_good.trained, nn.RnnParams)
+
+
+def assert_same_realization(a, b):
+    assert (a.seed, a.validation_selection, a.best_epoch) == (b.seed, b.validation_selection,
+                                                              b.best_epoch)
+    assert_array_equal(np.array(a.history), np.array(b.history))  # nan rows compare equal
+    assert a.trained.freeze_mask == b.trained.freeze_mask
+    for name, arr in a.trained.tensors().items():
+        assert_array_equal(arr, b.trained.tensors()[name])
+
+
+@pytest.mark.parametrize("linear_gates", [False, True])
+def test_fit_lockstep_matches_solo_fits_bitwise(linear_gates):
+    # T = 263 is not a multiple of batch_length 40, so the last segment is
+    # short; segment 2 holds no observation; lstm.w_hi is frozen. With
+    # sigmoid gates the realizations stop early at different epochs. With
+    # linear gates, realization 1 (b_f = 1e6) diverges at once and
+    # realization 0 later, while realization 2 stops early.
+    T, batch_length = 263, 40
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(T + 60, 3)) * 0.5
+    y = 0.8 * x[:, 0] - 0.4 * np.roll(x[:, 1], 3) + 0.2 * rng.normal(size=T + 60)
+    mask = (rng.random(T + 60) < 0.6).astype(float)
+    mask[2 * batch_length : 3 * batch_length] = 0.0
+    y = np.where(mask > 0, y, 0.0)
+    train_s = train.SupervisedSeries(x[:T], y[:T], mask[:T])
+    val_s = train.SupervisedSeries(x[T:], y[T:], mask[T:])
+    cfg = train.TrainConfig(learning_rate=0.005 if linear_gates else 0.05,
+                            batch_length=batch_length, max_epochs=12,
+                            patience=1 if linear_gates else 2, seed=0)
+    nets = []
+    for k in range(3):
+        params = random_params(40 + k, hidden=3)
+        if linear_gates:
+            for arr in params.tensors().values():
+                arr *= 0.2
+            params.lstm.linear_gates = True
+        params.freeze_mask["lstm.w_hi"] = True
+        nets.append(params)
+    if linear_gates:
+        nets[1].tensors()["lstm.b_f"][:] = 1e6
+    seeds = [5, 6, 7]
+    vals, selections = zip(*(train.subsample_validation(val_s, seed) for seed in seeds))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lockstep = train.fit_lockstep(nets, train_s, list(vals), cfg, seeds, list(selections))
+        solo = []
+        for k, seed in enumerate(seeds):
+            try:
+                solo.append(train.fit(nets[k], train_s, vals[k], replace(cfg, seed=seed),
+                                      val_selection_id=selections[k]))
+            except TrainingDivergedError as exc:
+                solo.append(exc)
+    diverged = [isinstance(r, TrainingDivergedError) for r in lockstep]
+    assert diverged == [isinstance(r, TrainingDivergedError) for r in solo]
+    if linear_gates:
+        assert diverged == [True, True, False]
+        assert lockstep[1].last_good.history == [] and len(lockstep[0].last_good.history) > 1
+        assert str(lockstep[1]) == str(solo[1])
+    else:
+        assert not any(diverged)
+        assert len({len(r.history) for r in lockstep}) == 3
+    for k, (a, b) in enumerate(zip(lockstep, solo)):
+        if isinstance(a, TrainingDivergedError):
+            a, b = a.last_good, b.last_good
+        assert_same_realization(a, b)
+        assert_array_equal(a.trained.tensors()["lstm.w_hi"], nets[k].tensors()["lstm.w_hi"])
+
+
+def reference_fit(params, train_s, val_s, config, selection):
+    """One realization trained by a plain loop on the unstacked network:
+    the reference that lockstep training must match bit for bit."""
+    params = params.copy()
+    shuffle_rng = train.substream(config.seed, train.STREAM_SHUFFLE)
+    m = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+    v = {k: np.zeros_like(a) for k, a in params.tensors().items()}
+    t = 0
+    bounds = [(s, min(s + config.batch_length, len(train_s)))
+              for s in range(0, len(train_s), config.batch_length)]
+    states = [nn.LstmState.zeros(params.lstm.hidden_size) for _ in bounds]
+    history, best_val, best, best_epoch, since = [], np.inf, params.copy(), 0, 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = shuffle_rng.permutation(len(bounds)) if config.shuffle else range(len(bounds))
+        sq_sum = n_obs = 0.0
+        for k in order:
+            s, e = bounds[k]
+            count = train_s.mask[s:e].sum()
+            if count == 0:
+                continue
+            grads, loss, final = train.backward(params, train_s.inputs[s:e], train_s.targets[s:e],
+                                                train_s.mask[s:e], initial=states[k])
+            live = {n: g for n, g in grads.items() if not params.freeze_mask[n]}
+            norm = np.sqrt(sum(float(np.sum(g * g)) for g in live.values()))
+            scale = train.GRAD_CLIP_NORM / norm if norm > train.GRAD_CLIP_NORM else 1.0
+            t += 1
+            correction = (np.sqrt(1.0 - train.ADAM_BETA2**t) / (1.0 - train.ADAM_BETA1**t))
+            for name, g in live.items():
+                g = g * scale
+                m[name] = train.ADAM_BETA1 * m[name] + (1.0 - train.ADAM_BETA1) * g
+                v[name] = train.ADAM_BETA2 * v[name] + (1.0 - train.ADAM_BETA2) * g * g
+                params.tensors()[name] -= (config.learning_rate * correction * m[name]
+                                           / (np.sqrt(v[name]) + train.ADAM_EPS))
+            if k + 1 < len(bounds):
+                states[k + 1] = final
+            sq_sum += loss * count
+            n_obs += count
+        _, state = nn.forward(params, train_s.inputs)
+        preds, _ = nn.forward(params, val_s.inputs, initial=state)
+        val_loss = train.masked_mse(preds, val_s.targets, val_s.mask)
+        history.append((epoch, float(sq_sum / n_obs), float(val_loss)))
+        if val_loss < best_val:
+            best_val, best, best_epoch, since = val_loss, params.copy(), epoch, 0
+        else:
+            since += 1
+            if since >= config.patience:
+                break
+    return train.Realization(config.seed, selection, best, history, best_epoch)
+
+
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_lockstep_training_matches_plain_reference_loop(shuffle):
+    # Realizations stop at different epochs; dense1.b is frozen.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(230, 3))
+    y = np.tanh(x[:, 0]) - 0.3 * x[:, 2]
+    mask = (rng.random(230) < 0.5).astype(float)
+    mask[40:70] = 0.0  # one training segment without observations
+    y = np.where(mask > 0, y, 0.0)
+    train_s = train.SupervisedSeries(x[:170], y[:170], mask[:170])
+    val_s = train.SupervisedSeries(x[170:], y[170:], mask[170:])
+    cfg = train.TrainConfig(learning_rate=0.05, batch_length=30, max_epochs=10, patience=2,
+                            seed=21, shuffle=shuffle)
+    nets = [nn.init_params(3, 4, (3, 2), rng=train.substream(21 + k, train.STREAM_INIT))
+            for k in range(3)]
+    for net in nets:
+        net.freeze_mask["dense1.b"] = True
+    vals, selections = zip(*(train.subsample_validation(val_s, 21 + k) for k in range(3)))
+    lockstep = train.fit_lockstep(nets, train_s, list(vals), cfg, [21, 22, 23], list(selections))
+    for k, real in enumerate(lockstep):
+        reference = reference_fit(nets[k], train_s, vals[k], replace(cfg, seed=21 + k),
+                                  selections[k])
+        assert_same_realization(real, reference)
+    assert len({len(r.history) for r in lockstep}) > 1
 
 
 def test_replicate_determinism_and_seed_range():
