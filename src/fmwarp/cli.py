@@ -316,6 +316,11 @@ def load_checkpoint(path) -> tuple[nn.RnnParams, datamod.Normalizer, datamod.Tar
     its extra metadata; a missing or invalid one raises
     :class:`InvalidInputError` that names the path."""
     params, extra = nn.load_params(path)
+    if params.lstm.input_size != datamod.N_FEATURES:
+        raise InvalidInputError(
+            f"{path}: network takes {params.lstm.input_size} inputs, "
+            f"the data have {datamod.N_FEATURES} features"
+        )
     try:
         return (params, datamod.Normalizer.from_dict(extra["normalizer"]),
                 datamod.TargetScaler.from_dict(extra["target_scaler"]))
@@ -401,23 +406,23 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     ]
     results = _map(transfer.run_method, tasks, cfg.get_int("jobs") if jobs is None else jobs)
 
-    shift_rows = ["realization,alpha_f,alpha_i"]
+    shift_rows = []
     with stage_dir(cfg, "transfer", method.value, fuel_class) as out:
         for k, ((_, normalizer, scaler), result) in enumerate(zip(sources, results)):
             extra = {"method": method.value, "fuel_class": fuel_class}
             if result.shift is not None:
                 af, ai = result.shift.alpha_f, result.shift.alpha_i
                 extra["shift"] = {"alpha_f": af, "alpha_i": ai}
-                shift_rows.append(f"{k},{af!r},{ai!r}")
+                shift_rows.append((k, af, ai))
             save_checkpoint(out / f"ckpt_{k:04d}.json", result.params, normalizer, scaler,
                             **extra)
             if result.surface is not None:
                 # surface objective back in percent units for plotting
-                surface = result.surface.copy()
-                surface[:, 2] *= scaler.std
-                transfer.write_surface_csv(surface, out / f"surface_{k:04d}.csv")
-        if len(shift_rows) > 1:
-            (out / "shifts.csv").write_text("\n".join(shift_rows) + "\n")
+                transfer.write_surface_csv(result.surface * [1.0, 1.0, scaler.std],
+                                           out / f"surface_{k:04d}.csv")
+        if shift_rows:
+            datamod.write_table(out / "shifts.csv", ("realization", "alpha_f", "alpha_i"),
+                                shift_rows)
         write_manifest(out, cfg, "transfer", method=method.value, fuel_class=fuel_class,
                        realizations=len(sources))
     return Path(cfg.get("out"), "transfer", method.value, fuel_class)
@@ -443,56 +448,46 @@ def cmd_evaluate(
     parts = split_dataset(cfg, frame, series)
     threshold = cfg.get_float("filter.threshold")
 
-    method_dirs = sorted(p for p in transfer_root.iterdir() if p.is_dir())
-    reports: list[evaluation.EvalReport] = []
-    for mdir in method_dirs:
-        if method_name and mdir.name.lower() != method_name.lower():
+    test_sel = frame.times > parts.val.weather.times[-1]
+    metric_rows = []  # (method, class, filter, MetricSet), realizations in order
+    for cdir in sorted(p for p in transfer_root.glob("*/*") if p.is_dir()):
+        method, cls = cdir.parent.name, cdir.name
+        if method_name and method.lower() != method_name.lower():
             continue
-        for cdir in sorted(p for p in mdir.iterdir() if p.is_dir()):
-            cls = cdir.name
-            if fuel_class and cls != fuel_class:
-                continue
-            obs = parts.test.observations.get(cls)
-            if obs is None or len(obs) == 0:
-                raise EvaluationError(f"no {cls} observations in the test span")
-            ckpts = sorted(cdir.glob("ckpt_*.json"))
-            if not ckpts:
-                raise EvaluationError(f"no checkpoints under {cdir}")
-            filters = [evaluation.FILTER_ALL]
+        if fuel_class and cls != fuel_class:
+            continue
+        obs = parts.test.observations.get(cls)
+        if obs is None or len(obs) == 0:
+            raise EvaluationError(f"no {cls} observations in the test span")
+        ckpts = sorted(cdir.glob("ckpt_*.json"))
+        if not ckpts:
+            raise EvaluationError(f"no checkpoints under {cdir}")
+        for ckpt in ckpts:
+            params, normalizer, scaler = load_checkpoint(ckpt)
+            preds, _ = nn.forward(params, normalizer.transform(frame))
+            preds = scaler.unscale(preds)
+            pred_pairs, obs_pairs = datamod.align_for_eval(
+                frame.times[test_sel], preds[test_sel], obs.times, obs.values
+            )
+            filtered = [(evaluation.FILTER_ALL, pred_pairs, obs_pairs)]
             if cls in ("fm1", "fm10"):
-                filters.append(evaluation.FILTER_LE30)
-            per_filter: dict[str, list[evaluation.MetricSet]] = {f: [] for f in filters}
-            for ckpt in ckpts:
-                params, normalizer, scaler = load_checkpoint(ckpt)
-                preds, _ = nn.forward(params, normalizer.transform(frame))
-                preds = scaler.unscale(preds)
-                test_sel = frame.times > parts.val.weather.times[-1]
-                pred_pairs, obs_pairs = datamod.align_for_eval(
-                    frame.times[test_sel], preds[test_sel], obs.times, obs.values
-                )
-                if pred_pairs.size == 0:
-                    raise EvaluationError(f"empty test pairing for {cls}")
-                for fname in filters:
-                    if fname == evaluation.FILTER_LE30:
-                        p, m = evaluation.filter_le(pred_pairs, obs_pairs, threshold)
-                    else:
-                        p, m = pred_pairs, obs_pairs
-                    per_filter[fname].append(evaluation.metrics(p, m))
-            for fname in filters:
-                if filter_name and fname != filter_name:
-                    continue
-                reports.append(evaluation.aggregate(per_filter[fname], mdir.name, cls, fname))
+                filtered.append((evaluation.FILTER_LE30,
+                                 *evaluation.filter_le(pred_pairs, obs_pairs, threshold)))
+            metric_rows += [(method, cls, fname, evaluation.metrics(p, m))
+                            for fname, p, m in filtered]
+    reports = evaluation.group_reports(
+        row for row in metric_rows if not filter_name or row[2] == filter_name
+    )
     if not reports:
         raise EvaluationError("nothing to evaluate (check --method/--class filters)")
-    medians = ["method,class,filter,median_realization"]
-    medians += [
-        f"{r.method},{r.fuel_class},{r.filter},{r.median_realization}" for r in reports
-    ]
     with stage_dir(cfg, "evaluate") as eval_dir:
         evaluation.write_report_csv(reports, eval_dir / "report.csv")
         evaluation.write_per_realization_csv(reports, eval_dir / "per_realization.csv")
         (eval_dir / "report.txt").write_text(evaluation.format_report_table(reports) + "\n")
-        (eval_dir / "medians.csv").write_text("\n".join(medians) + "\n")
+        datamod.write_table(
+            eval_dir / "medians.csv", ("method", "class", "filter", "median_realization"),
+            ((r.method, r.fuel_class, r.filter, r.median_realization) for r in reports),
+        )
     return Path(cfg.get("out"), "evaluate")
 
 
@@ -501,18 +496,12 @@ def cmd_report(cfg: Config) -> str:
     path = Path(cfg.get("out"), "evaluate", "per_realization.csv")
     if not path.exists():
         raise EvaluationError(f"no per-realization table at {path}; run evaluate first")
-    groups: dict[tuple[str, str, str], list[evaluation.MetricSet]] = {}
-    lines = path.read_text().splitlines()
-    for line in lines[1:]:
-        method, cls, fname, _, r2, bias, rmse, n = line.split(",")
-        groups.setdefault((method, cls, fname), []).append(
-            evaluation.MetricSet(r2=float(r2), bias=float(bias), rmse=float(rmse), n=int(n))
-        )
-    reports = [
-        evaluation.aggregate(ms, method, cls, fname)
-        for (method, cls, fname), ms in sorted(groups.items())
-    ]
-    return evaluation.format_report_table(reports)
+    rows = datamod.read_table(path, evaluation.PER_REALIZATION_COLUMNS,
+                              (str, str, str, int, float, float, float, int))
+    return evaluation.format_report_table(evaluation.group_reports(
+        (method, cls, fname, evaluation.MetricSet(*metrics))
+        for method, cls, fname, _, *metrics in rows
+    ))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,15 +553,12 @@ def run(argv: list[str]) -> int:
 def main() -> None:
     try:
         sys.exit(run(sys.argv[1:]))
-    except FmwarpError as exc:
+    except (FmwarpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for types, code in EXIT_CODES:
             if isinstance(exc, types):
                 sys.exit(code)
         sys.exit(1)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(6)
 
 
 if __name__ == "__main__":

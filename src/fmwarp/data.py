@@ -243,21 +243,53 @@ def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSerie
     return frame, series
 
 
-def write_csv(path, frame: WeatherFrame, series: list[FmcSeries]) -> None:
-    """Write a schema-conformant CSV; floats use repr for exact round trips."""
-    by_class: dict[str, dict[np.datetime64, float]] = {c: {} for c in FUEL_CLASSES}
-    for s in series:
-        by_class[s.fuel_class] = {t: v for t, v in zip(s.times, s.values)}
-    cols = frame.columns()
-    lines = [",".join(CSV_HEADER)]
-    for k, t in enumerate(frame.times):
-        cells = [format_timestamp(t)]
-        cells += [repr(float(cols[name][k])) for name in WEATHER_COLUMNS]
-        for cls in FUEL_CLASSES:
-            v = by_class[cls].get(t)
-            cells.append("" if v is None else repr(float(v)))
-        lines.append(",".join(cells))
+def write_table(path, header, rows) -> None:
+    """Write a table in the one CSV layout of fmwarp: a header line, then a
+    line per row. ``None`` is an empty cell, a float its ``repr`` (exact
+    round trips), anything else its ``str``; cells must not hold commas."""
+
+    def cell(x) -> str:
+        if x is None:
+            return ""
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+    lines = [",".join(header)]
+    lines += [",".join(map(cell, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_table(path, header, types) -> list[list]:
+    """The rows of a :func:`write_table` table, each cell converted by its
+    column's entry in ``types``; a bad header, cell count or cell raises
+    :class:`ParseError` with the 1-based row."""
+    lines = Path(path).read_text().splitlines()
+    if lines[:1] != [",".join(header)]:
+        raise ParseError(f"header mismatch; expected {','.join(header)}", row=1)
+    rows = []
+    for rownum, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} cells, got {len(cells)}", row=rownum)
+        try:
+            rows.append([convert(cell) for convert, cell in zip(types, cells)])
+        except ValueError as exc:
+            raise ParseError(f"malformed cell: {exc}", row=rownum) from None
+    return rows
+
+
+def write_csv(path, frame: WeatherFrame, series: list[FmcSeries]) -> None:
+    """Write a schema-conformant CSV; floats use repr for exact round trips.
+    Observations off the hourly rows of ``frame`` are not written."""
+    cells = {name: col.astype(float).tolist() for name, col in frame.columns().items()}
+    cells.update({c: [None] * len(frame) for c in FUEL_CLASSES})
+    for s in series:
+        rows = np.minimum(np.searchsorted(frame.times, s.times), len(frame) - 1)
+        on_grid = frame.times[rows] == s.times
+        cells[s.fuel_class] = column = [None] * len(frame)
+        for k, v in zip(rows[on_grid].tolist(), s.values[on_grid].astype(float).tolist()):
+            column[k] = v
+    cells["timestamp"] = map(format_timestamp, frame.times)
+    write_table(path, CSV_HEADER, zip(*(cells[name] for name in CSV_HEADER)))
 
 
 def default_split_spec(frame: WeatherFrame, train_rows: int = TRAIN_ROWS_ONE_YEAR) -> SplitSpec:
@@ -291,25 +323,21 @@ def split(frame: WeatherFrame, series: list[FmcSeries], spec: SplitSpec) -> Spli
     """
     if not (frame.times[0] <= spec.train_end < spec.val_end <= frame.times[-1]):
         raise SplitError("split boundaries outside the data span")
-    masks = {
-        "train": frame.times <= spec.train_end,
-        "val": (frame.times > spec.train_end) & (frame.times <= spec.val_end),
-        "test": frame.times > spec.val_end,
-    }
+
+    def masks(times: np.ndarray) -> dict[str, np.ndarray]:
+        return {"train": times <= spec.train_end,
+                "val": (times > spec.train_end) & (times <= spec.val_end),
+                "test": times > spec.val_end}
+
+    obs_masks = [(s, masks(s.times)) for s in series]
     parts = {}
-    for name, mask in masks.items():
+    for name, mask in masks(frame.times).items():
         if not mask.any():
             raise SplitError(f"{name} partition is empty")
-        obs = {}
-        for s in series:
-            sel = (
-                (s.times <= spec.train_end)
-                if name == "train"
-                else (s.times > spec.train_end) & (s.times <= spec.val_end)
-                if name == "val"
-                else s.times > spec.val_end
-            )
-            obs[s.fuel_class] = FmcSeries(s.fuel_class, s.times[sel], s.values[sel])
+        obs = {
+            s.fuel_class: FmcSeries(s.fuel_class, s.times[sel[name]], s.values[sel[name]])
+            for s, sel in obs_masks
+        }
         parts[name] = Partition(weather=frame.slice(mask), observations=obs)
     return Split(**parts)
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from fmwarp import data as datamod
 from fmwarp.errors import EvaluationError, InvalidInputError, ZeroVarianceError
 
 FILTER_ALL = "all"
@@ -94,8 +94,12 @@ class CorrelogramResult:
     band: float  # 95% significance band half-width, 1.96/sqrt(n)
 
 
-def _autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
-    x = series - series.mean()
+def acf(series, max_lag: int) -> CorrelogramResult:
+    """Autocorrelation function with the biased covariance estimator."""
+    x = np.asarray(series, dtype=float)
+    if x.size <= max_lag + 2:
+        raise InvalidInputError(f"series of length {x.size} too short for max_lag {max_lag}")
+    x = x - x.mean()
     c0 = float(np.dot(x, x)) / x.size
     if c0 == 0.0:
         raise EvaluationError("autocorrelation undefined for a constant series")
@@ -103,29 +107,13 @@ def _autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
     out[0] = 1.0
     for k in range(1, max_lag + 1):
         out[k] = float(np.dot(x[k:], x[:-k])) / x.size / c0
-    return out
-
-
-def acf(series, max_lag: int) -> CorrelogramResult:
-    """Autocorrelation function with the biased covariance estimator."""
-    series = np.asarray(series, dtype=float)
-    if series.size <= max_lag + 2:
-        raise InvalidInputError(
-            f"series of length {series.size} too short for max_lag {max_lag}"
-        )
-    return CorrelogramResult(
-        values=_autocorrelation(series, max_lag), band=1.96 / math.sqrt(series.size)
-    )
+    return CorrelogramResult(values=out, band=1.96 / math.sqrt(x.size))
 
 
 def pacf(series, max_lag: int) -> CorrelogramResult:
     """Partial autocorrelation by the Durbin-Levinson recursion."""
-    series = np.asarray(series, dtype=float)
-    if series.size <= max_lag + 2:
-        raise InvalidInputError(
-            f"series of length {series.size} too short for max_lag {max_lag}"
-        )
-    rho = _autocorrelation(series, max_lag)
+    correlogram = acf(series, max_lag)
+    rho = correlogram.values
     out = np.empty(max_lag + 1)
     out[0] = 1.0
     if max_lag >= 1:
@@ -139,15 +127,12 @@ def pacf(series, max_lag: int) -> CorrelogramResult:
             phi[k, k] = num / den
             phi[k, 1:k] = prev - phi[k, k] * prev[::-1]
             out[k] = phi[k, k]
-    return CorrelogramResult(values=out, band=1.96 / math.sqrt(series.size))
+    return CorrelogramResult(values=out, band=correlogram.band)
 
 
 def write_correlogram_csv(result: CorrelogramResult, path) -> None:
-    lines = ["lag,value,band"]
-    lines += [
-        f"{k},{repr(float(v))},{repr(float(result.band))}" for k, v in enumerate(result.values)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ((k, v, result.band) for k, v in enumerate(result.values.tolist()))
+    datamod.write_table(path, ("lag", "value", "band"), rows)
 
 
 def aggregate(
@@ -186,17 +171,15 @@ REPORT_COLUMNS = (
     "method", "class", "filter",
     "r2_mean", "r2_std", "bias_mean", "bias_std", "rmse_mean", "rmse_std", "n",
 )
+PER_REALIZATION_COLUMNS = ("method", "class", "filter", "realization", "r2", "bias", "rmse", "n")
 
 
 def write_report_csv(reports: list[EvalReport], path) -> None:
-    lines = [",".join(REPORT_COLUMNS)]
-    for r in reports:
-        cells = [r.method, r.fuel_class, r.filter]
-        for name in METRIC_NAMES:
-            cells += [repr(r.mean[name]), repr(r.std[name])]
-        cells.append(str(r.n))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    datamod.write_table(path, REPORT_COLUMNS, (
+        (r.method, r.fuel_class, r.filter,
+         *(s[name] for name in METRIC_NAMES for s in (r.mean, r.std)), r.n)
+        for r in reports
+    ))
 
 
 def format_report_table(reports: list[EvalReport]) -> str:
@@ -214,11 +197,16 @@ def format_report_table(reports: list[EvalReport]) -> str:
 
 
 def write_per_realization_csv(reports: list[EvalReport], path) -> None:
-    lines = ["method,class,filter,realization,r2,bias,rmse,n"]
-    for r in reports:
-        for k, m in enumerate(r.per_realization):
-            lines.append(
-                f"{r.method},{r.fuel_class},{r.filter},{k},"
-                f"{repr(m.r2)},{repr(m.bias)},{repr(m.rmse)},{m.n}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    datamod.write_table(path, PER_REALIZATION_COLUMNS, (
+        (r.method, r.fuel_class, r.filter, k, m.r2, m.bias, m.rmse, m.n)
+        for r in reports for k, m in enumerate(r.per_realization)
+    ))
+
+
+def group_reports(rows) -> list[EvalReport]:
+    """One :func:`aggregate` report per cell of (method, class, filter,
+    MetricSet) rows, cells sorted, realizations in row order."""
+    groups: dict[tuple[str, str, str], list[MetricSet]] = {}
+    for method, fuel_class, filter_label, m in rows:
+        groups.setdefault((method, fuel_class, filter_label), []).append(m)
+    return [aggregate(ms, *cell) for cell, ms in sorted(groups.items())]

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from fmwarp import data as datamod
 from fmwarp import nn
 from fmwarp.errors import (
     DegenerateMaskError,
@@ -499,6 +499,4 @@ def replicate(
 
 
 def write_history_csv(history: list[tuple[int, float, float]], path) -> None:
-    lines = ["epoch,train_loss,val_loss"]
-    lines += [f"{e},{repr(tr)},{repr(vl)}" for e, tr, vl in history]
-    Path(path).write_text("\n".join(lines) + "\n")
+    datamod.write_table(path, ("epoch", "train_loss", "val_loss"), history)

@@ -24,10 +24,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from fmwarp import data as datamod
 from fmwarp import nn
 from fmwarp.errors import ConfigError, InvalidInputError, SearchFailedError
 from fmwarp.train import STREAM_INIT, SupervisedSeries, TrainConfig, fit, substream
@@ -149,9 +149,7 @@ def grid_search(
 
 
 def write_surface_csv(surface: np.ndarray, path) -> None:
-    lines = ["alpha_f,alpha_i,rmse"]
-    lines += [f"{repr(float(af))},{repr(float(ai))},{repr(float(v))}" for af, ai, v in surface]
-    Path(path).write_text("\n".join(lines) + "\n")
+    datamod.write_table(path, ("alpha_f", "alpha_i", "rmse"), surface.tolist())
 
 
 FREEZE_PREFIX = {

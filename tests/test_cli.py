@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fmwarp import cli, data, nn, transfer
+from fmwarp import cli, data, evaluation, nn, transfer
 from fmwarp.errors import ConfigError
 
 BASE_CFG = """
@@ -474,3 +474,51 @@ def test_pretrain_sweeps_partial_directories_of_dead_runs(tmp_path):
     cli.cmd_pretrain(cfg)
     assert sorted(p.name for p in partial.iterdir()) == [planted[2]]
     assert (partial / planted[2] / "ckpt_0000.json").exists()
+
+
+def test_checkpoint_of_wrong_input_width_exits_with_data_error(tmp_path, monkeypatch, capsys):
+    # A network built for 11 inputs cannot run on the 12 features of the data.
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, grid__n_per_axis=5)
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+    params = nn.init_params(data.N_FEATURES - 1, 4, (4, 3), rng=np.random.default_rng(0))
+    width = len(data.Normalizer.CONTINUOUS)
+    extra = {"normalizer": {"mean": [0.0] * width, "std": [1.0] * width},
+             "target_scaler": {"mean": 10.0, "std": 2.0}}
+    pretrained = out / "pretrain" / "ckpt_0000.json"
+    pretrained.parent.mkdir(parents=True)
+    nn.save_params(params, pretrained, extra=extra)
+    for method in ("TimeWarp", "FullFineTune"):
+        code = run_main(monkeypatch, "transfer", "--config", str(cfg_path), "--class", "fm1",
+                        "--method", method)
+        assert code == 3
+        assert str(pretrained) in capsys.readouterr().err
+    adapted = out / "transfer" / "TimeWarp" / "fm1" / "ckpt_0000.json"
+    adapted.parent.mkdir(parents=True)
+    nn.save_params(params, adapted, extra=extra)
+    assert run_main(monkeypatch, "evaluate", "--config", str(cfg_path)) == 3
+    assert str(adapted) in capsys.readouterr().err
+
+
+def test_report_rejects_malformed_per_realization_table(tmp_path, monkeypatch, capsys):
+    cfg_path, out, _ = write_cfg(tmp_path)
+    table = out / "evaluate" / "per_realization.csv"
+    table.parent.mkdir(parents=True)
+    per_realization = [evaluation.MetricSet(r2=0.5, bias=0.25, rmse=1.5, n=40),
+                       evaluation.MetricSet(r2=0.75, bias=-0.125, rmse=1.25, n=40)]
+    report = evaluation.aggregate(per_realization, "TimeWarp", "fm1", "all")
+    evaluation.write_per_realization_csv([report], table)
+    good = table.read_text()
+    assert run_main(monkeypatch, "report", "--config", str(cfg_path)) == 0
+    assert capsys.readouterr().out == evaluation.format_report_table([report]) + "\n"
+    header, first, last = good.splitlines()
+    cells = first.split(",")
+    cells[6] = "n/a"  # the rmse column
+    corrupt = {
+        "truncated last row": (good[: good.rindex(",")] + "\n", 3),
+        "wrong header": (good.replace("rmse", "rms", 1), 1),
+        "non-numeric rmse": ("\n".join([header, ",".join(cells), last]) + "\n", 2),
+    }
+    for case, (text, row) in corrupt.items():
+        table.write_text(text)
+        assert run_main(monkeypatch, "report", "--config", str(cfg_path)) == 3, case
+        assert f"row {row}:" in capsys.readouterr().err, case

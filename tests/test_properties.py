@@ -1,5 +1,6 @@
 """Property tests (Hypothesis) over random small shapes."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fmwarp import nn, train  # noqa: E402
+from fmwarp import data, nn, train  # noqa: E402
+from fmwarp.errors import SplitError  # noqa: E402
 
 
 @settings(max_examples=20, deadline=None)
@@ -48,3 +50,106 @@ def test_replicate_equals_solo_fits_bitwise(n, length, batch_length, hidden, epo
         assert (real.history, real.best_epoch) == (solo.history, solo.best_epoch)
         for name, arr in real.trained.tensors().items():
             assert_array_equal(arr, solo.trained.tensors()[name])
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), n_days=st.integers(1, 5), draw=st.data())
+def test_write_csv_load_csv_round_trip(tmp_path_factory, seed, n_days, draw):
+    frame = data.synth_weather(seed, n_days)
+    n = len(frame)
+    series = []
+    for cls in data.FUEL_CLASSES:
+        obs = draw.draw(st.dictionaries(st.integers(0, n - 1), st.floats(0.0, 100.0),
+                                        max_size=12), label=cls)
+        rows = np.array(sorted(obs), dtype=int)
+        series.append(data.FmcSeries(cls, frame.times[rows],
+                                     np.array([obs[k] for k in sorted(obs)], dtype=float)))
+    path = tmp_path_factory.mktemp("roundtrip") / "d.csv"
+    data.write_csv(path, frame, series)
+    frame2, series2 = data.load_csv(path)
+    assert_array_equal(frame2.times, frame.times)
+    for name, column in frame.columns().items():
+        assert_array_equal(getattr(frame2, name), column)
+    observed = {s.fuel_class: s for s in series if len(s)}
+    assert [s.fuel_class for s in series2] == list(observed)
+    for s in series2:
+        assert_array_equal(s.times, observed[s.fuel_class].times)
+        assert_array_equal(s.values, observed[s.fuel_class].values)
+
+
+# Cells of one table: comma-free single-line text, ints, finite floats
+# (with -0.0 and subnormals always in reach) and None.
+table_cells = st.one_of(
+    st.none(),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=",")),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.5e-310, -1.0e-320]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(width=st.integers(1, 6), draw=st.data())
+def test_write_table_read_table_round_trip(tmp_path_factory, width, draw):
+    header = [f"c{k}" for k in range(width)]
+    rows = draw.draw(st.lists(st.lists(table_cells, min_size=width, max_size=width),
+                              max_size=10))
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    data.write_table(path, header, rows)
+    back = data.read_table(path, header, [str] * width)
+    assert len(back) == len(rows)
+    for row, cells in zip(rows, back):
+        for x, cell in zip(row, cells):
+            if x is None:
+                assert cell == ""
+            elif isinstance(x, float):
+                assert bits(float(cell)) == bits(x)
+            elif isinstance(x, int):
+                assert int(cell) == x
+            else:
+                assert cell == x
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), n_days=st.integers(1, 3), draw=st.data())
+def test_split_partition_laws(seed, n_days, draw):
+    frame = data.synth_weather(seed, n_days)
+    t0 = frame.times[0]
+    span = int((frame.times[-1] - t0) / np.timedelta64(1, "s"))
+    a, b = sorted(draw.draw(st.lists(st.integers(0, span), min_size=2, max_size=2,
+                                     unique=True), label="boundaries"))
+    spec = data.SplitSpec(train_end=t0 + np.timedelta64(a, "s"),
+                          val_end=t0 + np.timedelta64(b, "s"))
+    series = []
+    for cls in data.FUEL_CLASSES:
+        offsets = sorted(draw.draw(st.sets(st.integers(0, span), max_size=15), label=cls))
+        times = t0 + np.array(offsets, dtype="timedelta64[s]")
+        series.append(data.FmcSeries(cls, times, np.full(len(offsets), 12.5)))
+    t_last = frame.times[-1]
+    bounds = {"train": (t0 - np.timedelta64(1, "s"), spec.train_end),
+              "val": (spec.train_end, spec.val_end), "test": (spec.val_end, t_last)}
+
+    def within(times, name):
+        lo, hi = bounds[name]
+        return (times > lo) & (times <= hi)
+
+    names = ("train", "val", "test")
+    if not all(within(frame.times, name).any() for name in names):
+        with pytest.raises(SplitError):
+            data.split(frame, series, spec)
+        return
+    parts = data.split(frame, series, spec)
+    weather = [getattr(parts, name).weather.times for name in names]
+    # Disjoint, covering and in order: the partitions concatenate to the frame.
+    assert_array_equal(np.concatenate(weather), frame.times)
+    for name, times in zip(names, weather):
+        assert within(times, name).all()
+    for s in series:
+        obs = [getattr(parts, name).observations[s.fuel_class] for name in names]
+        assert_array_equal(np.concatenate([o.times for o in obs]), s.times)
+        for name, o in zip(names, obs):
+            assert within(o.times, name).all()
