@@ -22,7 +22,6 @@ hours, optionally clipped at a sensor-saturation cap.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -159,112 +158,80 @@ def format_timestamp(t: np.datetime64) -> str:
 def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSeries]]:
     """Parse a dataset CSV into a weather frame and per-class observation series.
 
-    ``fill="hold"`` forward-fills weather across gaps of up to 3 hours;
-    any other gap, a duplicate or backward timestamp, a malformed or
-    non-finite cell, or a header mismatch raises :class:`ParseError` with
-    the 1-based file row number.
+    The file goes through :func:`read_table` (no quoting; CRLF accepted),
+    whose header, cell-count and cell errors come first. Then the earliest
+    duplicate or backward timestamp, gap that ``fill`` does not cover, or
+    non-finite cell raises :class:`ParseError` with its 1-based file row.
+    A held row repeats the weather row before it, with its own hour;
+    observations are never held.
     """
     if fill not in (None, "hold"):
         raise InvalidInputError(f"unknown fill mode {fill!r}")
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", row=1) from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            unknown = [h for h in header if h.strip() not in CSV_HEADER]
-            raise ParseError(
-                f"header mismatch; unknown or misplaced columns {unknown}", row=1
-            )
-        times: list[np.datetime64] = []
-        weather_rows: list[list[float]] = []
-        fmc_obs: dict[str, list[tuple[np.datetime64, float]]] = {c: [] for c in FUEL_CLASSES}
-        n_weather = len(WEATHER_COLUMNS)
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                raise ParseError(f"expected {len(CSV_HEADER)} cells, got {len(row)}", row=rownum)
-            try:
-                t = parse_timestamp(row[0])
-            except ValueError as exc:
-                raise ParseError(str(exc), row=rownum) from None
-            if times:
-                delta = t - times[-1]
-                if delta <= np.timedelta64(0, "s"):
-                    raise ParseError(f"non-monotone or duplicate timestamp {row[0]}", row=rownum)
-                if delta != HOUR:
-                    gap_hours = delta // HOUR
-                    if fill == "hold" and delta % HOUR == np.timedelta64(0, "s") and gap_hours <= 4:
-                        for k in range(1, int(gap_hours)):
-                            held_t = times[-1] + HOUR
-                            held = list(weather_rows[-1])
-                            held[WEATHER_COLUMNS.index("hour")] = float(
-                                (held_t - held_t.astype("datetime64[D]")) // HOUR
-                            )
-                            times.append(held_t)
-                            weather_rows.append(held)
-                    else:
-                        raise ParseError(
-                            f"gap of {delta} before {row[0]} (expected 1 hour)", row=rownum
-                        )
-            try:
-                wx = [float(cell) for cell in row[1 : 1 + n_weather]]
-            except ValueError:
-                raise ParseError("malformed weather value", row=rownum) from None
-            if not all(map(math.isfinite, wx)):
-                raise ParseError("non-finite weather value", row=rownum)
-            times.append(t)
-            weather_rows.append(wx)
-            for ci, cls in enumerate(FUEL_CLASSES):
-                cell = row[1 + n_weather + ci].strip()
-                if cell == "":
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(f"malformed {cls} value {cell!r}", row=rownum) from None
-                if not math.isfinite(value):
-                    raise ParseError(f"non-finite {cls} value {cell!r}", row=rownum)
-                fmc_obs[cls].append((t, value))
-    if not times:
+    n_weather, optional_float = len(WEATHER_COLUMNS), lambda x: float(x) if x.strip() else None
+    types = (parse_timestamp,) + (float,) * n_weather + (optional_float,) * len(FUEL_CLASSES)
+    columns = list(zip(*read_table(path, CSV_HEADER, types)))
+    if not columns:
         raise ParseError("no data rows", row=2)
-    wx_arr = np.asarray(weather_rows, dtype=float)
-    frame = WeatherFrame(
-        times=np.asarray(times, dtype="datetime64[s]"),
-        **{name: wx_arr[:, k] for k, name in enumerate(WEATHER_COLUMNS)},
-    )
-    series = []
-    for cls in FUEL_CLASSES:
-        if fmc_obs[cls]:
-            obs_t = np.asarray([t for t, _ in fmc_obs[cls]], dtype="datetime64[s]")
-            obs_v = np.asarray([v for _, v in fmc_obs[cls]], dtype=float)
-            series.append(FmcSeries(fuel_class=cls, times=obs_t, values=obs_v))
-    return frame, series
+    times = np.array(columns[0], dtype="datetime64[s]")
+    weather = np.array(columns[1 : 1 + n_weather], dtype=float)
+    fmc = np.array(columns[1 + n_weather :], dtype=float)  # an empty cell is nan here
+    observed = np.array([[v is not None for v in col] for col in columns[1 + n_weather :]])
+    deltas, zero = np.diff(times), np.timedelta64(0, "s")
+    held = (fill == "hold") & (deltas % HOUR == zero) & (deltas <= 4 * HOUR)
+    defects = {  # data-row indices, in the order the checks rank within one row
+        "non-monotone or duplicate timestamp": np.flatnonzero(deltas <= zero) + 1,
+        "gap (expected 1 hour) before": np.flatnonzero((deltas != HOUR) & ~held) + 1,
+        "non-finite weather value at": np.flatnonzero(~np.isfinite(weather).all(axis=0)),
+        **{f"non-finite {cls} value at": np.flatnonzero(observed[c] & ~np.isfinite(fmc[c]))
+           for c, cls in enumerate(FUEL_CLASSES)},
+    }
+    found = [(rows[0], k, what) for k, (what, rows) in enumerate(defects.items()) if rows.size]
+    if found:
+        i, _, what = min(found)
+        raise ParseError(f"{what} {format_timestamp(times[i])}", row=int(i) + 2)
+    hourly = times
+    if held.any():  # every delta is now 1 to 4 hours: repeat each row over its gap
+        weather = np.repeat(weather, np.append(deltas // HOUR, 1), axis=1)
+        hourly = times[0] + np.arange(weather.shape[1]) * HOUR
+        filled = ~np.isin(hourly, times)
+        weather[WEATHER_COLUMNS.index("hour"), filled] = _calendar_columns(hourly[filled])[0]
+    frame = WeatherFrame(times=hourly, **dict(zip(WEATHER_COLUMNS, weather)))
+    return frame, [FmcSeries(cls, times[observed[c]], fmc[c, observed[c]])
+                   for c, cls in enumerate(FUEL_CLASSES) if observed[c].any()]
 
 
 def write_table(path, header, rows) -> None:
     """Write a table in the one CSV layout of fmwarp: a header line, then a
     line per row. ``None`` is an empty cell, a float its ``repr`` (exact
-    round trips), anything else its ``str``; cells must not hold commas."""
+    round trips), anything else its ``str``. A line that :func:`read_table`
+    would not read back (a cell holding a comma or a line break, or a row of
+    the wrong length) raises :class:`InvalidInputError` with its 1-based row."""
 
     def cell(x) -> str:
         if x is None:
             return ""
         return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
-    lines = [",".join(header)]
-    lines += [",".join(map(cell, row)) for row in rows]
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    for rownum, line in enumerate(lines, start=1):  # splitlines drops every line break
+        if line.count(",") != len(header) - 1 or "".join(line.splitlines()) != line:
+            raise InvalidInputError(f"{path}: row {rownum} would not read back as "
+                                    f"{len(header)} cells on one line")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_table(path, header, types) -> list[list]:
     """The rows of a :func:`write_table` table, each cell converted by its
-    column's entry in ``types``; a bad header, cell count or cell raises
-    :class:`ParseError` with the 1-based row."""
+    column's entry in ``types``. Header cells are compared after stripping
+    spaces; cells are split at every comma (no quoting). A bad header, cell
+    count or cell raises :class:`ParseError` with the 1-based row, and a
+    malformed cell's message names its column."""
     lines = Path(path).read_text().splitlines()
-    if lines[:1] != [",".join(header)]:
-        raise ParseError(f"header mismatch; expected {','.join(header)}", row=1)
+    names = [name.strip() for name in lines[0].split(",")] if lines else []
+    if names != list(header):
+        wrong = [name for k, name in enumerate(names) if name not in header[k : k + 1]]
+        raise ParseError(f"header mismatch; unknown or misplaced columns {wrong}, "
+                         f"expected {','.join(header)}", row=1)
     rows = []
     for rownum, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -272,14 +239,17 @@ def read_table(path, header, types) -> list[list]:
             raise ParseError(f"expected {len(header)} cells, got {len(cells)}", row=rownum)
         try:
             rows.append([convert(cell) for convert, cell in zip(types, cells)])
-        except ValueError as exc:
-            raise ParseError(f"malformed cell: {exc}", row=rownum) from None
+        except ValueError:
+            for name, convert, cell in zip(header, types, cells):
+                try:
+                    convert(cell)
+                except ValueError as exc:
+                    raise ParseError(f"malformed {name} cell: {exc}", row=rownum) from None
     return rows
 
 
 def write_csv(path, frame: WeatherFrame, series: list[FmcSeries]) -> None:
-    """Write a schema-conformant CSV; floats use repr for exact round trips.
-    Observations off the hourly rows of ``frame`` are not written."""
+    """Write the dataset CSV; observations off the hourly rows of ``frame`` are not written."""
     cells = {name: col.astype(float).tolist() for name, col in frame.columns().items()}
     cells.update({c: [None] * len(frame) for c in FUEL_CLASSES})
     for s in series:

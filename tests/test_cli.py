@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -522,3 +523,18 @@ def test_report_rejects_malformed_per_realization_table(tmp_path, monkeypatch, c
         table.write_text(text)
         assert run_main(monkeypatch, "report", "--config", str(cfg_path)) == 3, case
         assert f"row {row}:" in capsys.readouterr().err, case
+
+
+def test_evaluate_refuses_a_method_name_its_tables_cannot_hold(tmp_path, monkeypatch, capsys):
+    # The method name comes from the directory name; a comma in it would
+    # give every table row one cell too many, which report cannot read.
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, grid__n_per_axis=5)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    tdir = cli.cmd_transfer(cfg, "TimeWarp", "fm1")
+    shutil.copytree(tdir, out / "transfer" / "Time,Warp" / "fm1")
+    assert run_main(monkeypatch, "evaluate", "--config", str(cfg_path)) == 3
+    assert "row 2 " in capsys.readouterr().err
+    assert not (out / "evaluate").exists()
+    assert not any((out / ".partial").iterdir())

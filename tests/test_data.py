@@ -130,6 +130,44 @@ def test_write_then_load_roundtrip(tmp_path):
     assert_array_equal(by_class["fm100"].values, sparse.values)
 
 
+def assert_loads_equal(a, b):
+    (frame_a, series_a), (frame_b, series_b) = a, b
+    assert frame_a.times.tobytes() == frame_b.times.tobytes()
+    for name, column in frame_a.columns().items():
+        assert column.tobytes() == getattr(frame_b, name).tobytes()
+    assert [(s.fuel_class, s.times.tobytes(), s.values.tobytes()) for s in series_a] == [
+        (s.fuel_class, s.times.tobytes(), s.values.tobytes()) for s in series_b
+    ]
+
+
+def test_load_csv_accepts_crlf_and_spaced_header_cells(tmp_path):
+    frame = data.synth_weather(seed=4, n_days=2)
+    targets = data.synth_targets(frame, tau=1.0, fuel_class="fm1")
+    path = tmp_path / "lf.csv"
+    data.write_csv(path, frame, [data.FmcSeries("fm1", targets.times[::5], targets.values[::5])])
+    text = path.read_text()
+    header, body = text.split("\n", 1)
+    crlf, spaced = tmp_path / "crlf.csv", tmp_path / "spaced.csv"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    spaced.write_text(" " + header.replace(",", " , ") + "  \n" + body)
+    original = data.load_csv(path)
+    assert_loads_equal(data.load_csv(crlf), original)
+    assert_loads_equal(data.load_csv(spaced), original)
+
+
+def test_load_csv_rejects_quoted_cell(tmp_path):
+    rows = [r + ",,,," for r in make_rows(3)]
+    cells = rows[1].split(",")
+    cells[1 + data.WEATHER_COLUMNS.index("wind")] = '"2.5"'
+    rows[1] = ",".join(cells)
+    path = tmp_path / "d.csv"
+    write_fixture(path, rows)
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert err.value.row == 3
+    assert "wind" in str(err.value)
+
+
 def test_split_ten_day_example():
     # 10-day frame, train ends with day 6, val ends with day 8: 144/48/48.
     frame = data.synth_weather(seed=1, n_days=10)

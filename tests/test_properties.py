@@ -12,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fmwarp import data, nn, train  # noqa: E402
-from fmwarp.errors import SplitError  # noqa: E402
+from fmwarp.errors import ParseError, SplitError  # noqa: E402
 
 
 @settings(max_examples=20, deadline=None)
@@ -112,6 +112,47 @@ def test_write_table_read_table_round_trip(tmp_path_factory, width, draw):
                 assert int(cell) == x
             else:
                 assert cell == x
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       runs=st.lists(st.tuples(st.integers(1, 46), st.integers(1, 5)), min_size=1, max_size=3))
+def test_load_csv_hold_fills_gaps_of_up_to_three_hours(tmp_path_factory, seed, runs):
+    frame = data.synth_weather(seed, 2)
+    targets = data.synth_targets(frame, tau=10.0)  # an fm10 observation every hour
+    path = tmp_path_factory.mktemp("gaps") / "d.csv"
+    data.write_csv(path, frame, [targets])
+    header, *lines = path.read_text().splitlines()
+    n = len(lines)
+    kept = np.ones(n, dtype=bool)
+    for start, length in runs:  # never the first or last row
+        kept[start : min(start + length, n - 1)] = False
+    path.write_text("\n".join([header] + [line for line, k in zip(lines, kept) if k]) + "\n")
+    # Length of the run of deleted rows that ends before each row.
+    run_before = np.zeros(n, dtype=int)
+    for i in range(1, n):
+        run_before[i] = 0 if kept[i - 1] else run_before[i - 1] + 1
+    first_gap = np.flatnonzero(kept & (run_before > 0))[0]
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert err.value.row == kept[:first_gap].sum() + 2
+    if run_before.max() > 3:
+        first_long = np.flatnonzero(run_before > 3)[0]
+        with pytest.raises(ParseError) as err:
+            data.load_csv(path, fill="hold")
+        assert err.value.row == kept[:first_long].sum() + 2
+        return
+    held, series = data.load_csv(path, fill="hold")
+    assert held.times.tobytes() == frame.times.tobytes()
+    # Each row is the last kept row at or before it, with its own hour
+    # (a synth hour is the hour of its timestamp).
+    previous = np.maximum.accumulate(np.where(kept, np.arange(n), 0))
+    for name, column in frame.columns().items():
+        expected = column if name == "hour" else column[previous]
+        assert getattr(held, name).tobytes() == expected.tobytes(), name
+    assert [s.fuel_class for s in series] == ["fm10"]
+    assert series[0].times.tobytes() == frame.times[kept].tobytes()
+    assert series[0].values.tobytes() == targets.values[kept].tobytes()
 
 
 @settings(max_examples=25, deadline=None)
