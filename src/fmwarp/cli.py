@@ -69,6 +69,11 @@ DEFAULTS = {
     "filter.threshold": "30",
 }
 
+# Checkpoints per stacked forward in ``cmd_evaluate``: bounds the networks
+# and block buffers held at once (at H=64, 8 x ~3.4 MB); past 8 the
+# per-step overhead is already spread thin.
+LOCKSTEP_MAX = 8
+
 EXIT_CODES = (
     (ConfigError, 2),
     ((ParseError, SplitError, AlignmentError, InvalidInputError, DegenerateMaskError), 3),
@@ -428,6 +433,13 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     return Path(cfg.get("out"), "transfer", method.value, fuel_class)
 
 
+def _lockstep_key(params: nn.RnnParams, normalizer: datamod.Normalizer):
+    """What checkpoints must share to run in one stacked forward: tensor
+    shapes, gate mode, dense activations and input normalizer."""
+    return ([arr.shape for arr in params.tensors().values()], params.lstm.linear_gates,
+            [layer.activation for layer in params.dense], normalizer.to_dict())
+
+
 def cmd_evaluate(
     cfg: Config,
     method_name: str | None = None,
@@ -440,6 +452,11 @@ def cmd_evaluate(
     through train and validation), are interpolated to the exact test
     observation times, and scored per (method, class, filter) with the
     <=30% filter applied only to the fine fuel classes.
+
+    Checkpoints are read in directory, then file order. Each run of up to
+    ``LOCKSTEP_MAX`` consecutive checkpoints that share a ``_lockstep_key``
+    goes through one stacked forward, then is scored row by row and
+    dropped; every row is bit for bit the checkpoint's solo forward.
     """
     transfer_root = Path(cfg.get("out"), "transfer")
     if not transfer_root.is_dir():
@@ -450,6 +467,24 @@ def cmd_evaluate(
 
     test_sel = frame.times > parts.val.weather.times[-1]
     metric_rows = []  # (method, class, filter, MetricSet), realizations in order
+
+    def score(run):
+        """Append the metric rows of a run of checkpoints, each given as
+        (method, class, observations, params, normalizer, scaler)."""
+        methods, classes, observations, nets, normalizers, scalers = zip(*run)
+        preds, _ = nn.forward(nn.stack(nets), normalizers[0].transform(frame))
+        for method, cls, obs, scaler, row in zip(methods, classes, observations, scalers, preds):
+            pred_pairs, obs_pairs = datamod.align_for_eval(
+                frame.times[test_sel], scaler.unscale(row)[test_sel], obs.times, obs.values
+            )
+            filtered = [(evaluation.FILTER_ALL, pred_pairs, obs_pairs)]
+            if cls in ("fm1", "fm10"):
+                filtered.append((evaluation.FILTER_LE30,
+                                 *evaluation.filter_le(pred_pairs, obs_pairs, threshold)))
+            metric_rows.extend((method, cls, fname, evaluation.metrics(p, m))
+                               for fname, p, m in filtered)
+
+    run, key = [], None
     for cdir in sorted(p for p in transfer_root.glob("*/*") if p.is_dir()):
         method, cls = cdir.parent.name, cdir.name
         if method_name and method.lower() != method_name.lower():
@@ -464,17 +499,14 @@ def cmd_evaluate(
             raise EvaluationError(f"no checkpoints under {cdir}")
         for ckpt in ckpts:
             params, normalizer, scaler = load_checkpoint(ckpt)
-            preds, _ = nn.forward(params, normalizer.transform(frame))
-            preds = scaler.unscale(preds)
-            pred_pairs, obs_pairs = datamod.align_for_eval(
-                frame.times[test_sel], preds[test_sel], obs.times, obs.values
-            )
-            filtered = [(evaluation.FILTER_ALL, pred_pairs, obs_pairs)]
-            if cls in ("fm1", "fm10"):
-                filtered.append((evaluation.FILTER_LE30,
-                                 *evaluation.filter_le(pred_pairs, obs_pairs, threshold)))
-            metric_rows += [(method, cls, fname, evaluation.metrics(p, m))
-                            for fname, p, m in filtered]
+            ckpt_key = _lockstep_key(params, normalizer)
+            if run and (len(run) == LOCKSTEP_MAX or ckpt_key != key):
+                score(run)
+                run = []
+            run.append((method, cls, obs, params, normalizer, scaler))
+            key = ckpt_key
+    if run:
+        score(run)
     reports = evaluation.group_reports(
         row for row in metric_rows if not filter_name or row[2] == filter_name
     )

@@ -148,6 +148,9 @@ def parse_timestamp(text: str) -> np.datetime64:
     text = text.strip()
     if not text.endswith("Z"):
         raise ValueError(f"timestamp {text!r} is not RFC 3339 UTC (missing Z)")
+    # numpy reads an empty or "NaT" body as not-a-time; a date starts with a digit.
+    if not text[:1].isdigit():
+        raise ValueError(f"timestamp {text!r} is not RFC 3339 UTC (no date)")
     return np.datetime64(text[:-1], "s")
 
 

@@ -16,11 +16,18 @@ is a single scalar (fuel moisture, percent).
 One kernel, ``lstm_steps``, runs the cell for inference, training and
 the bias-shift search. ``LstmParams`` stores the gates stacked: (4H,
 input), (4H, H) and (4H,) arrays with rows in ``GATE_NAMES`` order (f,
-i, o, g), so one product gives every gate pre-activation, one sigmoid
-covers the contiguous f, i, o block and one tanh the cell candidate g.
-Given B bias-shift candidates, the candidate axis trails: states are
-(H, B) and gates (4H, B). The per-gate tensors of the freeze mask, the
-optimizer and checkpoints (``lstm.b_f`` ...) are ``gate_blocks`` views.
+i, o, g), so one product gives every gate pre-activation. The kernel
+halves the f, i, o rows of its weights once per call, so that one tanh
+per step covers all four gates: sigma(z) = 0.5 + 0.5 tanh(z / 2), and
+halving is exact. Given B bias-shift candidates, the candidate axis
+trails: states are (H, B) and gates (4H, B). The per-gate tensors of the
+freeze mask, the optimizer and checkpoints (``lstm.b_f`` ...) are
+``gate_blocks`` views.
+
+``forward`` streams the dense stack: it collects the hidden states of
+``PROJECTION_BLOCK`` steps in one buffer and runs ``dense_forward`` on
+each full block and on the last, partial one, so it allocates nothing
+as long as the series but the predictions.
 
 A stack of R networks (``stack``) holds every tensor with a leading
 realization axis: (R, 4H, input), (R, 4H, H), (R, out, in) and so on.
@@ -60,17 +67,14 @@ GATE_NAMES = ("f", "i", "o", "g")
 BLOCK_PREFIXES = ("w_x", "w_h", "b_")
 CHECKPOINT_NAMES = tuple(prefix + tag for prefix in BLOCK_PREFIXES for tag in ("f", "i", "g", "o"))
 CHECKPOINT_FORMAT = "fmwarp-tensors-v1"
-# Steps per batched input projection in ``lstm_steps``: one (T, 4H) block
-# for a whole series is 36 MB at H=64 over two years of hours.
+# Steps per batched input projection in ``lstm_steps`` and per dense-stack
+# block in ``forward``: one (T, 4H) block for a whole series is 36 MB at
+# H=64 over two years of hours. Fixed, never sized from R or T: a BLAS
+# product's rounding can depend on its row count.
 PROJECTION_BLOCK = 1024
 # Initial forget-gate bias: the usual trick to favor remembering early in
 # training.
 FORGET_BIAS = 1.0
-
-
-def sigmoid(z):
-    # The tanh form is finite for every finite z, so no clip is needed.
-    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 def split_gates(a: np.ndarray, axis: int) -> list[np.ndarray]:
@@ -273,22 +277,31 @@ def lstm_steps(
     size = lstm.hidden_size
     stacked = lstm.b.ndim > 1
     # Row blocks of the gate axis, which follows the realization axis:
-    # sigmoid gates, candidate, b_f and b_i, then f, i, o and g alone.
-    # Built once, as plain slices: an Ellipsis index costs more per step.
-    sigmoid_rows, tanh_rows, shifted_rows, *gate_rows = (
+    # sigmoid gates, b_f and b_i, then f, i, o and g alone. Built once, as
+    # plain slices: an Ellipsis index costs more per step.
+    sigmoid_rows, shifted_rows, *gate_rows = (
         (slice(None), slice(lo, hi)) if stacked else slice(lo, hi)
-        for lo, hi in ((0, 3 * size), (3 * size, None), (0, 2 * size),
+        for lo, hi in ((0, 3 * size), (0, 2 * size),
                        *((k * size, (k + 1) * size) for k in range(4)))
     )
     column = (..., None) if stacked or shifts is not None else (...,)
     c, h = initial.c[column], initial.h[column]
+    w_x, w_h, bias = lstm.w_x, lstm.w_h, lstm.b
     bias_shift = None
     if shifts is not None:
         bias_shift = np.repeat(shifts.T, size, axis=0)  # (2H, B): b_f rows, then b_i
         c = np.repeat(c, len(shifts), axis=-1)
         h = np.repeat(h, len(shifts), axis=-1)
-    w_x_t = lstm.w_x.swapaxes(-1, -2)
-    bias = lstm.b[..., None, :]
+    if not lstm.linear_gates:
+        # sigma(z) = 0.5 + 0.5 tanh(z / 2): with the f, i, o rows halved
+        # here, one tanh per step activates every gate. Halving is exact,
+        # so every pre-activation is half the unscaled one, bit for bit.
+        half = np.where(np.arange(4 * size) < 3 * size, 0.5, 1.0)
+        w_x, w_h, bias = w_x * half[:, None], w_h * half[:, None], bias * half
+        if bias_shift is not None:
+            bias_shift *= 0.5
+    w_x_t = w_x.swapaxes(-1, -2)
+    bias = bias[..., None, :]
     # One projection buffer, reused block after block, so a stack's R-fold
     # larger block is never allocated twice at once.
     lead = np.broadcast_shapes(inputs.shape[:-2], lstm.b.shape[:-1])
@@ -298,13 +311,15 @@ def lstm_steps(
         z_in = np.matmul(block, w_x_t, out=buffer[..., : block.shape[-2], :])
         z_in += bias
         for z_t in z_in.swapaxes(0, -2)[column]:  # time-major
-            z = lstm.w_h @ h
+            z = w_h @ h
             z += z_t
             if bias_shift is not None:
                 z[shifted_rows] += bias_shift
             if not lstm.linear_gates:
-                z[sigmoid_rows] = sigmoid(z[sigmoid_rows])
-                z[tanh_rows] = np.tanh(z[tanh_rows])
+                np.tanh(z, out=z)
+                fio = z[sigmoid_rows]
+                fio *= 0.5
+                fio += 0.5
             f, i, o, g = map(z.__getitem__, gate_rows)
             c = f * c + i * g
             h = o * (c if lstm.linear_gates else np.tanh(c))
@@ -327,21 +342,6 @@ def dense_forward(
             cache.append((v, z))
         v = np.maximum(z, 0.0) if layer.activation == "relu" else z
     return v
-
-
-def lstm_scan(
-    lstm: LstmParams, inputs: np.ndarray, initial: LstmState
-) -> tuple[np.ndarray, LstmState]:
-    """Run the cell over a (T, input) series; returns (T, hidden) hidden
-    states and the final state, or (R, T, hidden) and (R, hidden) states
-    for a stack."""
-    h_all = np.empty((inputs.shape[-2], *kernel_shape(lstm, lstm.hidden_size)))
-    c, h = initial.c, initial.h
-    for t, (_, c, h) in enumerate(lstm_steps(lstm, inputs, initial)):
-        h_all[t] = h
-    shape = initial.h.shape
-    return (by_realization(h_all.reshape(-1, *shape)),
-            LstmState(c=c.reshape(shape), h=h.reshape(shape)))
 
 
 def kernel_shape(lstm: LstmParams, rows: int) -> tuple[int, ...]:
@@ -367,6 +367,11 @@ def forward(
     state is returned so a long series can be processed in chunks. A stack
     of R networks maps the shared series to (R, T) predictions from (R, H)
     initial states.
+
+    The dense stack streams: the hidden states of each ``PROJECTION_BLOCK``
+    steps (fewer in the last block) go through one ``dense_forward`` call
+    into the preallocated predictions, the only array as long as the
+    series.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[0] < 1:
@@ -379,9 +384,24 @@ def forward(
     state = initial if initial is not None else LstmState.zeros(shape)
     if state.c.shape != shape or state.h.shape != shape:
         raise DimensionError(f"initial state must have shape {shape}")
-    h_all, state = lstm_scan(params.lstm, inputs, state)
-    preds = dense_forward(params.dense, h_all)[..., 0]
-    return preds, state
+    steps = len(inputs)
+    preds = np.empty((*params.stack_shape, steps))
+    hidden = np.empty((min(steps, PROJECTION_BLOCK), *kernel_shape(params.lstm, shape[-1])))
+
+    def project(end: int, rows: int) -> None:
+        # The dense stack over the ``rows`` hidden states that end at step ``end``.
+        block = by_realization(hidden[:rows].reshape(rows, *shape))
+        preds[..., end - rows : end] = dense_forward(params.dense, block)[..., 0]
+
+    for t, (_, c, h) in enumerate(lstm_steps(params.lstm, inputs, state), start=1):
+        hidden[(t - 1) % PROJECTION_BLOCK] = h
+        if t % PROJECTION_BLOCK == 0:
+            project(t, PROJECTION_BLOCK)
+    # A partial last block runs once the kernel has freed its projection
+    # buffer, so a short series peaks no higher than the two phases alone.
+    if steps % PROJECTION_BLOCK:
+        project(steps, steps % PROJECTION_BLOCK)
+    return preds, LstmState(c=c.reshape(shape), h=h.reshape(shape))
 
 
 def construct_timelag_lstm(tau: float, eq_input_index: int, input_size: int | None = None) -> RnnParams:

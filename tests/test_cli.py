@@ -4,6 +4,7 @@ import shutil
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from fmwarp import cli, data, evaluation, nn, transfer
 from fmwarp.errors import ConfigError
@@ -538,3 +539,58 @@ def test_evaluate_refuses_a_method_name_its_tables_cannot_hold(tmp_path, monkeyp
     assert "row 2 " in capsys.readouterr().err
     assert not (out / "evaluate").exists()
     assert not any((out / ".partial").iterdir())
+
+
+def test_one_row_dataset_without_a_time_exits_with_data_error(tmp_path, monkeypatch, capsys):
+    cfg_path, _, dataset = write_cfg(tmp_path)
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+    header, first = dataset.read_text().splitlines()[:2]
+    dataset.write_text("\n".join([header, "Z" + first[first.index(","):]]) + "\n")
+    assert run_main(monkeypatch, "pretrain", "--config", str(cfg_path)) == 3
+    assert "row 2:" in capsys.readouterr().err
+
+
+def test_evaluate_rows_do_not_depend_on_the_checkpoints_run_with_them(tmp_path, monkeypatch):
+    # A transfer root that mixes architectures: NoTransfer at hidden size 6
+    # next to TimeWarp at 4. Checkpoints run in lockstep with their
+    # neighbours; each one's rows must be those of its solo forward pass.
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=3, train__max_epochs=1,
+                                 grid__n_per_axis=5)
+    wide_path, _, _ = write_cfg(tmp_path, "wide.cfg", realizations=3, train__max_epochs=1,
+                                arch__hidden_size=6)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    cli.cmd_transfer(cfg, "TimeWarp", "fm1")
+    cli.cmd_transfer(cfg, "TimeWarp", "fm100")
+    cli.cmd_transfer(cli.Config.load(str(wide_path)), "NoTransfer", "fm1")
+
+    real_forward = nn.forward
+    stacks = []
+
+    def recording_forward(params, inputs, initial=None):
+        preds, state = real_forward(params, inputs, initial)
+        stacks.append((params, inputs, preds))
+        return preds, state
+
+    monkeypatch.setattr(nn, "forward", recording_forward)
+    full = snapshot(cli.cmd_evaluate(cfg))
+    # NoTransfer/fm1 (H=6), then TimeWarp/fm1 and TimeWarp/fm100 in one run.
+    assert [(p.stack_shape, p.lstm.hidden_size) for p, _, _ in stacks] == [((3,), 6), ((6,), 4)]
+    for params, inputs, preds in stacks:
+        for r in range(len(preds)):
+            solo, _ = real_forward(params.take(r), inputs)
+            assert_array_equal(preds[r], solo)
+    rows = full["per_realization.csv"].decode().splitlines()
+    assert len(rows) == 1 + 3 * 5  # NoTransfer fm1 all/le30, TimeWarp fm1 all/le30 and fm100
+
+    # Capped runs, and one cell evaluated alone, give the same rows.
+    stacks.clear()
+    monkeypatch.setattr(cli, "LOCKSTEP_MAX", 2)
+    assert snapshot(cli.cmd_evaluate(cfg)) == full
+    assert [p.stack_shape for p, _, _ in stacks] == [(2,), (1,), (2,), (2,), (2,)]
+    alone = cli.cmd_evaluate(cfg, method_name="TimeWarp", fuel_class="fm100")
+    alone_rows = (alone / "per_realization.csv").read_text().splitlines()
+    assert alone_rows[0] == rows[0]
+    assert alone_rows[1:] == [row for row in rows if row.startswith("TimeWarp,fm100,")]
+    assert len(alone_rows) == 1 + 3

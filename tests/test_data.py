@@ -67,6 +67,23 @@ def test_load_csv_malformed_timestamp(tmp_path):
     assert err.value.row == 3
 
 
+@pytest.mark.parametrize("cell", ["Z", "NaTZ", "natZ"])
+def test_load_csv_rejects_not_a_time_timestamp(tmp_path, cell):
+    # numpy reads "" and "NaT" as not-a-time; the bad first row is row 2,
+    # not the gap it would leave before row 3.
+    rows = [r + ",,,," for r in make_rows(2)]
+    rows[0] = cell + "," + rows[0].split(",", 1)[1]
+    path = tmp_path / "d.csv"
+    write_fixture(path, rows)
+    with pytest.raises(ParseError, match="timestamp") as err:
+        data.load_csv(path)
+    assert err.value.row == 2
+    write_fixture(path, rows[:1])
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert err.value.row == 2
+
+
 def test_load_csv_rejects_nan_weather_cell(tmp_path):
     rows = [r + ",,,," for r in make_rows(3)]
     cells = rows[1].split(",")

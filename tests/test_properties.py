@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fmwarp import data, nn, train  # noqa: E402
+from fmwarp import data, nn, train, transfer  # noqa: E402
 from fmwarp.errors import ParseError, SplitError  # noqa: E402
 
 
@@ -50,6 +50,86 @@ def test_replicate_equals_solo_fits_bitwise(n, length, batch_length, hidden, epo
         assert (real.history, real.best_epoch) == (solo.history, solo.best_epoch)
         for name, arr in real.trained.tensors().items():
             assert_array_equal(arr, solo.trained.tensors()[name])
+
+
+BLOCK = nn.PROJECTION_BLOCK
+# Series lengths on both sides of the dense-stack block edges of ``forward``.
+block_steps = st.one_of(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+                        st.integers(1, 3 * BLOCK))
+
+
+def random_net(rng, hidden, dense=(3, 2), inputs=3):
+    params = nn.init_params(inputs, hidden, dense, rng=rng)
+    for arr in params.tensors().values():
+        arr += rng.normal(0.0, 0.3, size=arr.shape)
+    return params
+
+
+@settings(max_examples=15, deadline=None)
+@given(steps=block_steps, hidden=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_streamed_forward_equals_scan_then_one_dense_pass(steps, hidden, seed):
+    # The reference keeps every hidden state and runs the dense stack once.
+    rng = np.random.default_rng(seed)
+    params = random_net(rng, hidden)
+    x = rng.normal(size=(steps, 3))
+    initial = nn.LstmState(c=rng.normal(size=hidden), h=rng.normal(size=hidden))
+    cells = list(nn.lstm_steps(params.lstm, x, initial))
+    hidden_states = np.array([h for _, _, h in cells])
+    preds, state = nn.forward(params, x, initial=initial)
+    assert_array_equal(state.c, cells[-1][1])
+    assert_array_equal(state.h, cells[-1][2])
+    # Bit for bit, block by block; and so one dense pass over the series
+    # wherever that pass makes the BLAS calls of the blocks.
+    blocks = [nn.dense_forward(params.dense, hidden_states[start : start + BLOCK])[:, 0]
+              for start in range(0, steps, BLOCK)]
+    assert_array_equal(preds, np.concatenate(blocks))
+    one_pass = nn.dense_forward(params.dense, hidden_states)[:, 0]
+    if steps <= BLOCK:
+        assert_array_equal(preds, one_pass)
+    np.testing.assert_allclose(preds, one_pass, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(steps=block_steps, hidden=st.integers(1, 6), n=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_stacked_forward_rows_equal_solo_forwards(steps, hidden, n, seed):
+    rng = np.random.default_rng(seed)
+    nets = [random_net(rng, hidden) for _ in range(n)]
+    x = rng.normal(size=(steps, 3))
+    preds, state = nn.forward(nn.stack(nets), x)
+    assert preds.shape == (n, steps)
+    for r, net in enumerate(nets):
+        solo, solo_state = nn.forward(net, x)
+        assert_array_equal(preds[r], solo)
+        assert_array_equal(state.c[r], solo_state.c)
+        assert_array_equal(state.h[r], solo_state.h)
+
+
+@settings(max_examples=20, deadline=None)
+@given(steps=st.integers(5, 60), hidden=st.integers(1, 5), n_per_axis=st.integers(2, 5),
+       seed=st.integers(0, 2**16))
+def test_grid_search_picks_the_naive_oracle_minimum(steps, hidden, n_per_axis, seed):
+    # The oracle shifts the biases and runs the plain forward pass per
+    # candidate; the search's pick must be (near) the oracle's minimum.
+    rng = np.random.default_rng(seed)
+    params = random_net(rng, hidden)
+    x = rng.normal(size=(steps, 3))
+    mask = (rng.random(steps) < 0.5).astype(float)
+    mask[-1] = 1.0
+    targets = np.where(mask > 0, rng.normal(size=steps), 0.0)
+    series = train.SupervisedSeries(x, targets, mask)
+    grid = transfer.GridSpec(lo=-3.0, hi=3.0, n_per_axis=n_per_axis)
+    shift, surface = transfer.grid_search(params, series, grid)
+
+    def oracle(alpha_f, alpha_i):
+        preds, _ = nn.forward(transfer.apply_shift(params, transfer.BiasShift(alpha_f, alpha_i)),
+                              x)
+        return float(np.sqrt(np.sum(mask * (preds - targets) ** 2) / mask.sum()))
+
+    values = np.array([oracle(af, ai) for af, ai in transfer.candidate_shifts(grid)])
+    np.testing.assert_allclose(surface[:, 2], values, rtol=1e-9)
+    picked = oracle(shift.alpha_f, shift.alpha_i)
+    assert picked <= values.min() * (1.0 + 1e-9)
 
 
 def bits(x: float) -> bytes:
