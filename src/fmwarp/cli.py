@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration, 3 data (parse/split/alignment),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -99,7 +100,10 @@ class Config:
     def load(cls, path: str | None, overrides: dict[str, str] | None = None) -> "Config":
         values: dict[str, str] = {}
         if path:
-            text = Path(path).read_text()
+            try:
+                text = Path(path).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
             for lineno, raw in enumerate(text.splitlines(), start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -137,6 +141,12 @@ class Config:
         if value in ("false", "0", "no"):
             return False
         raise ConfigError(f"config key {key!r} must be a boolean")
+
+    def realizations(self) -> int:
+        n = self.get_int("realizations")
+        if n < 1:
+            raise ConfigError(f"config key 'realizations' must be >= 1, got {n}")
+        return n
 
     def get_optional_float(self, key: str) -> float | None:
         value = self.get(key).strip().lower()
@@ -205,19 +215,18 @@ def build_series(
     partition: datamod.Partition,
     normalizer: datamod.Normalizer,
     fuel_class: str,
-    scaler: datamod.TargetScaler | None = None,
+    scaler: datamod.TargetScaler,
 ) -> train.SupervisedSeries:
     """Supervised series for one partition: normalized inputs plus
-    nearest-hour targets and mask for the requested fuel class, with
-    targets in scaled units when a target scaler is given."""
+    nearest-hour targets, in the units of ``scaler``, and mask for the
+    requested fuel class."""
     obs = partition.observations.get(fuel_class)
     if obs is None or len(obs) == 0:
         targets = np.zeros(len(partition.weather))
         mask = np.zeros(len(partition.weather))
     else:
         targets, mask = datamod.nearest_hour_mask(partition.weather.times, obs.times, obs.values)
-        if scaler is not None:
-            targets = np.where(mask > 0, scaler.scale(targets), 0.0)
+        targets = np.where(mask > 0, scaler.scale(targets), 0.0)
     return train.SupervisedSeries(
         inputs=normalizer.transform(partition.weather), targets=targets, mask=mask
     )
@@ -352,7 +361,7 @@ def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     train_s, val_s = train_val_series(parts, normalizer, source_class, scaler)
     hidden, dense_sizes = cfg.arch()
     config = cfg.train_config()
-    n = cfg.get_int("realizations")
+    n = cfg.realizations()
     seeds = [config.seed + k for k in range(n)]
     # One contiguous chunk of realizations per worker, trained in lockstep.
     jobs = cfg.get_int("jobs") if jobs is None else jobs
@@ -401,7 +410,7 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
 
     # (pretrained params, normalizer, target scaler) per realization.
     if no_transfer:
-        sources = [(None, *fit_scalers(parts, fuel_class))] * cfg.get_int("realizations")
+        sources = [(None, *fit_scalers(parts, fuel_class))] * cfg.realizations()
     else:
         sources = [load_checkpoint(path) for path in ckpts]
     tasks = [
@@ -466,47 +475,40 @@ def cmd_evaluate(
     threshold = cfg.get_float("filter.threshold")
 
     test_sel = frame.times > parts.val.weather.times[-1]
+
+    def checkpoints():
+        """(method, class, observations, params, normalizer, scaler) per
+        checkpoint; a directory is checked before its first checkpoint loads."""
+        for cdir in sorted(p for p in transfer_root.glob("*/*") if p.is_dir()):
+            method, cls = cdir.parent.name, cdir.name
+            if method_name and method.lower() != method_name.lower():
+                continue
+            if fuel_class and cls != fuel_class:
+                continue
+            obs = parts.test.observations.get(cls)
+            if obs is None or len(obs) == 0:
+                raise EvaluationError(f"no {cls} observations in the test span")
+            ckpts = sorted(cdir.glob("ckpt_*.json"))
+            if not ckpts:
+                raise EvaluationError(f"no checkpoints under {cdir}")
+            for ckpt in ckpts:
+                yield (method, cls, obs, *load_checkpoint(ckpt))
+
     metric_rows = []  # (method, class, filter, MetricSet), realizations in order
-
-    def score(run):
-        """Append the metric rows of a run of checkpoints, each given as
-        (method, class, observations, params, normalizer, scaler)."""
-        methods, classes, observations, nets, normalizers, scalers = zip(*run)
-        preds, _ = nn.forward(nn.stack(nets), normalizers[0].transform(frame))
-        for method, cls, obs, scaler, row in zip(methods, classes, observations, scalers, preds):
-            pred_pairs, obs_pairs = datamod.align_for_eval(
-                frame.times[test_sel], scaler.unscale(row)[test_sel], obs.times, obs.values
-            )
-            filtered = [(evaluation.FILTER_ALL, pred_pairs, obs_pairs)]
-            if cls in ("fm1", "fm10"):
-                filtered.append((evaluation.FILTER_LE30,
-                                 *evaluation.filter_le(pred_pairs, obs_pairs, threshold)))
-            metric_rows.extend((method, cls, fname, evaluation.metrics(p, m))
-                               for fname, p, m in filtered)
-
-    run, key = [], None
-    for cdir in sorted(p for p in transfer_root.glob("*/*") if p.is_dir()):
-        method, cls = cdir.parent.name, cdir.name
-        if method_name and method.lower() != method_name.lower():
-            continue
-        if fuel_class and cls != fuel_class:
-            continue
-        obs = parts.test.observations.get(cls)
-        if obs is None or len(obs) == 0:
-            raise EvaluationError(f"no {cls} observations in the test span")
-        ckpts = sorted(cdir.glob("ckpt_*.json"))
-        if not ckpts:
-            raise EvaluationError(f"no checkpoints under {cdir}")
-        for ckpt in ckpts:
-            params, normalizer, scaler = load_checkpoint(ckpt)
-            ckpt_key = _lockstep_key(params, normalizer)
-            if run and (len(run) == LOCKSTEP_MAX or ckpt_key != key):
-                score(run)
-                run = []
-            run.append((method, cls, obs, params, normalizer, scaler))
-            key = ckpt_key
-    if run:
-        score(run)
+    for _, group in itertools.groupby(checkpoints(), key=lambda ckpt: _lockstep_key(*ckpt[3:5])):
+        while run := list(itertools.islice(group, LOCKSTEP_MAX)):
+            _, _, _, nets, normalizers, _ = zip(*run)
+            preds, _ = nn.forward(nn.stack(nets), normalizers[0].transform(frame))
+            for (method, cls, obs, _, _, scaler), row in zip(run, preds):
+                pred_pairs, obs_pairs = datamod.align_for_eval(
+                    frame.times[test_sel], scaler.unscale(row)[test_sel], obs.times, obs.values
+                )
+                filtered = [(evaluation.FILTER_ALL, pred_pairs, obs_pairs)]
+                if cls in ("fm1", "fm10"):
+                    filtered.append((evaluation.FILTER_LE30,
+                                     *evaluation.filter_le(pred_pairs, obs_pairs, threshold)))
+                metric_rows.extend((method, cls, fname, evaluation.metrics(p, m))
+                                   for fname, p, m in filtered)
     reports = evaluation.group_reports(
         row for row in metric_rows if not filter_name or row[2] == filter_name
     )

@@ -220,7 +220,7 @@ def write_table(path, header, rows) -> None:
         if line.count(",") != len(header) - 1 or "".join(line.splitlines()) != line:
             raise InvalidInputError(f"{path}: row {rownum} would not read back as "
                                     f"{len(header)} cells on one line")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_table(path, header, types) -> list[list]:
@@ -228,8 +228,13 @@ def read_table(path, header, types) -> list[list]:
     column's entry in ``types``. Header cells are compared after stripping
     spaces; cells are split at every comma (no quoting). A bad header, cell
     count or cell raises :class:`ParseError` with the 1-based row, and a
-    malformed cell's message names its column."""
-    lines = Path(path).read_text().splitlines()
+    malformed cell's message names its column. The file must be UTF-8; a
+    byte that is not raises :class:`ParseError` with its row."""
+    try:
+        lines = Path(path).read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        row = len((exc.object[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", row=row) from None
     names = [name.strip() for name in lines[0].split(",")] if lines else []
     if names != list(header):
         wrong = [name for k, name in enumerate(names) if name not in header[k : k + 1]]

@@ -50,6 +50,7 @@ and the CLI.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -269,10 +270,12 @@ def lstm_steps(
     (4H, B), c and h are (H, B). A stack of R networks takes (R, H)
     initial states and shared (T, input) or per-realization (R, T, input)
     inputs, and yields (R, 4H, 1) gates and (R, H, 1) states: the trailing
-    column makes each recurrent product the one a single network runs. A
-    stack cannot take shifts. Input projections are hoisted out of the
-    recurrent loop, one block of ``PROJECTION_BLOCK`` steps at a time.
-    Each yielded array is new, never reused.
+    column makes each recurrent product the one a single network runs.
+    With shifts a stack yields (R, 4H, B) gates and (R, H, B) states, each
+    realization's slice bit for bit its own run with the same shifts.
+    Input projections are hoisted out of the recurrent loop, one block of
+    ``PROJECTION_BLOCK`` steps at a time. Each yielded array is new, never
+    reused.
     """
     size = lstm.hidden_size
     stacked = lstm.b.ndim > 1
@@ -363,10 +366,12 @@ def forward(
 ) -> tuple[np.ndarray, LstmState]:
     """Map a (T, input_size) series to T scalar predictions.
 
-    The prediction at step t depends only on inputs[0..t]; the final
-    state is returned so a long series can be processed in chunks. A stack
-    of R networks maps the shared series to (R, T) predictions from (R, H)
-    initial states.
+    The prediction at step t depends only on inputs[0..t], up to its last
+    bits: those also depend on the row count of its dense block, because
+    BLAS may round a product of few rows (one, say) differently from a
+    longer one. The final state is returned so a long series can be
+    processed in chunks. A stack of R networks maps the shared series to
+    (R, T) predictions from (R, H) initial states.
 
     The dense stack streams: the hidden states of each ``PROJECTION_BLOCK``
     steps (fewer in the last block) go through one ``dense_forward`` call
@@ -387,20 +392,17 @@ def forward(
     steps = len(inputs)
     preds = np.empty((*params.stack_shape, steps))
     hidden = np.empty((min(steps, PROJECTION_BLOCK), *kernel_shape(params.lstm, shape[-1])))
-
-    def project(end: int, rows: int) -> None:
-        # The dense stack over the ``rows`` hidden states that end at step ``end``.
+    cells = lstm_steps(params.lstm, inputs, state)
+    for start in range(0, steps, PROJECTION_BLOCK):
+        rows = min(PROJECTION_BLOCK, steps - start)
+        for k, (_, c, h) in enumerate(itertools.islice(cells, rows)):
+            hidden[k] = h
+        if start + rows == steps:
+            # The last block runs once the kernel has freed its projection
+            # buffer, so a short series peaks no higher than the two phases alone.
+            cells.close()
         block = by_realization(hidden[:rows].reshape(rows, *shape))
-        preds[..., end - rows : end] = dense_forward(params.dense, block)[..., 0]
-
-    for t, (_, c, h) in enumerate(lstm_steps(params.lstm, inputs, state), start=1):
-        hidden[(t - 1) % PROJECTION_BLOCK] = h
-        if t % PROJECTION_BLOCK == 0:
-            project(t, PROJECTION_BLOCK)
-    # A partial last block runs once the kernel has freed its projection
-    # buffer, so a short series peaks no higher than the two phases alone.
-    if steps % PROJECTION_BLOCK:
-        project(steps, steps % PROJECTION_BLOCK)
+        preds[..., start : start + rows] = dense_forward(params.dense, block)[..., 0]
     return preds, LstmState(c=c.reshape(shape), h=h.reshape(shape))
 
 
@@ -432,15 +434,14 @@ def construct_timelag_lstm(tau: float, eq_input_index: int, input_size: int | No
 def init_params(
     input_size: int,
     hidden_size: int,
-    dense_sizes: tuple[int, int] = (32, 16),
-    rng: np.random.Generator | None = None,
+    dense_sizes: tuple[int, int],
+    rng: np.random.Generator,
 ) -> RnnParams:
-    """Glorot-uniform initialization of the full network.
+    """Glorot-uniform initialization of the full network, drawn from ``rng``.
 
     The forget-gate bias starts at ``FORGET_BIAS``; all other biases start
     at zero.
     """
-    rng = rng if rng is not None else np.random.default_rng()
 
     def glorot(shape):
         fan_in, fan_out = shape[1], shape[0]

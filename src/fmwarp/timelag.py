@@ -29,15 +29,12 @@ fixed at 1 hour throughout.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fmwarp.errors import InvalidInputError
-
-logger = logging.getLogger(__name__)
 
 # Van Wagner equilibrium constants (drying / wetting branches).
 _ED_COEF = (0.924, 0.679, 0.000499)
@@ -120,8 +117,10 @@ def equilibria_arrays(temp_k, rh) -> tuple[np.ndarray, np.ndarray]:
     """Drying/wetting equilibrium moisture from temperature (K) and RH (%).
 
     Uses the Van Wagner equations given in the module docstring, elementwise;
-    returns (drying, wetting) arrays. Where the formula inverts the pair
-    (drying < wetting) the values are swapped and the count is logged.
+    returns (drying, wetting) arrays with drying >= wetting >= 0. Over rh
+    in [0, 100] the pair never inverts: 0.924 rh^0.679 >= 1.06 x 0.618
+    rh^0.753 (the ratio is least at rh = 100), 0.000499 > 0.000454, the
+    temperature term is shared, and the clamp at 0 keeps the order.
     """
     temp_k = np.asarray(temp_k, dtype=float)
     rh = np.asarray(rh, dtype=float)
@@ -135,8 +134,4 @@ def equilibria_arrays(temp_k, rh) -> tuple[np.ndarray, np.ndarray]:
     cw, ew_exp, ew_rain = _EW_COEF
     drying = np.maximum(cd * rh**ed_exp + ed_rain * np.exp(0.1 * rh) + temp_term, 0.0)
     wetting = np.maximum(cw * rh**ew_exp + ew_rain * np.exp(0.1 * rh) + temp_term, 0.0)
-    inverted = wetting > drying
-    if inverted.any():
-        logger.warning("clamped %d equilibrium inversions", int(inverted.sum()))
-        drying, wetting = np.where(inverted, wetting, drying), np.where(inverted, drying, wetting)
     return drying, wetting

@@ -256,30 +256,24 @@ class AdamState:
         sel = Ellipsis if rows is None else rows
         live = {k: g for k, g in grads.items() if not params.freeze_mask[k]}
         self.t[sel] += 1
-        counts = np.atleast_1d(self.t[sel]).tolist()
-        lead = self.t[sel].shape
+        t = self.t[sel]
         # Per realization, the norm sums the tensors in the order of
-        # ``grads``; that order fixes its rounding.
-        squares = [(g * g).reshape(len(counts), -1).sum(axis=1) for g in live.values()]
-        norms = [math.sqrt(sum(float(sq[r]) for sq in squares)) for r in range(len(counts))]
-        scale = np.array([GRAD_CLIP_NORM / norm if norm > GRAD_CLIP_NORM else 1.0
-                          for norm in norms])
-        step_size = np.array([lr * (math.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t))
-                              for t in counts])
-        # (scale, step size) shaped to broadcast over tensors of each rank
-        per_row = {
-            ndim: (scale.reshape(shape), step_size.reshape(shape))
-            for ndim in {g.ndim for g in live.values()}
-            for shape in [lead + (1,) * (ndim - len(lead))]
-        }
+        # ``grads``; that order fixes its rounding. The scale is exactly 1.0
+        # below the clip.
+        norm = np.sqrt(sum((g * g).reshape(*t.shape, -1).sum(axis=-1) for g in live.values()))
+        scale = GRAD_CLIP_NORM / np.maximum(norm, GRAD_CLIP_NORM)
+        # Python floats: ``**`` on them is libm pow, where numpy's vector
+        # power may round differently on another CPU.
+        step_size = np.reshape([lr * (math.sqrt(1.0 - ADAM_BETA2**n) / (1.0 - ADAM_BETA1**n))
+                                for n in t.ravel().tolist()], t.shape)
         tensors = params.tensors()
         for name, g in live.items():
-            row_scale, row_step = per_row[g.ndim]
-            g = g * row_scale
+            per_row = (...,) + (None,) * (g.ndim - t.ndim)  # broadcasts over the tensor
+            g = g * scale[per_row]
             m = ADAM_BETA1 * self.m[name][sel] + (1.0 - ADAM_BETA1) * g
             v = ADAM_BETA2 * self.v[name][sel] + (1.0 - ADAM_BETA2) * g * g
             self.m[name][sel], self.v[name][sel] = m, v
-            tensors[name][sel] -= row_step * m / (np.sqrt(v) + ADAM_EPS)
+            tensors[name][sel] -= step_size[per_row] * m / (np.sqrt(v) + ADAM_EPS)
 
 
 def _segment_bounds(n: int, batch_length: int) -> list[tuple[int, int]]:

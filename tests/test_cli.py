@@ -594,3 +594,47 @@ def test_evaluate_rows_do_not_depend_on_the_checkpoints_run_with_them(tmp_path, 
     assert alone_rows[0] == rows[0]
     assert alone_rows[1:] == [row for row in rows if row.startswith("TimeWarp,fm100,")]
     assert len(alone_rows) == 1 + 3
+
+
+def test_undecodable_text_exits_with_config_or_data_error(tmp_path, monkeypatch, capsys):
+    # A byte that is not UTF-8 is a data error at its row in the dataset
+    # and in the per-realization table, and a config error in the config.
+    cfg_path, out, dataset = write_cfg(tmp_path)
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+    lines = dataset.read_bytes().splitlines(keepends=True)
+    lines[4] = lines[4].replace(b",", b",\xff", 1)
+    dataset.write_bytes(b"".join(lines))
+    assert run_main(monkeypatch, "pretrain", "--config", str(cfg_path)) == 3
+    assert "row 5:" in capsys.readouterr().err
+
+    table = out / "evaluate" / "per_realization.csv"
+    table.parent.mkdir(parents=True)
+    table.write_bytes(",".join(evaluation.PER_REALIZATION_COLUMNS).encode()
+                      + b"\r\nTime\xffWarp,fm1,all,0,0.5,0.25,1.5,40\r\n")
+    assert run_main(monkeypatch, "report", "--config", str(cfg_path)) == 3
+    assert "row 2:" in capsys.readouterr().err
+
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = \xff\n")
+    assert run_main(monkeypatch, "pretrain", "--config", str(bad)) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_realizations_below_one_exit_with_config_error(tmp_path, monkeypatch, capsys):
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=0)
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+    for argv in (["pretrain"], ["transfer", "--method", "NoTransfer", "--class", "fm1"]):
+        assert run_main(monkeypatch, *argv, "--config", str(cfg_path)) == 2, argv
+        assert "'realizations'" in capsys.readouterr().err, argv
+    assert not (out / "pretrain").exists() and not (out / "transfer").exists()
+
+
+def test_year_split_gives_validation_the_odd_row(tmp_path):
+    # split.rule = year (the default rule) on 288 hourly rows: 101 rows of
+    # training, and the other 187 halved with validation taking the odd row.
+    cfg_path, _, _ = write_cfg(tmp_path, split__rule="year", split__train_rows=101)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    parts = cli.split_dataset(cfg, *cli.load_dataset(cfg))
+    sizes = [len(part.weather) for part in (parts.train, parts.val, parts.test)]
+    assert sizes == [101, 94, 93]

@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fmwarp import data, nn, train, transfer  # noqa: E402
+from fmwarp import data, nn, timelag, train, transfer  # noqa: E402
 from fmwarp.errors import ParseError, SplitError  # noqa: E402
 
 
@@ -103,6 +103,26 @@ def test_stacked_forward_rows_equal_solo_forwards(steps, hidden, n, seed):
         assert_array_equal(preds[r], solo)
         assert_array_equal(state.c[r], solo_state.c)
         assert_array_equal(state.h[r], solo_state.h)
+
+
+@settings(max_examples=15, deadline=None)
+@given(steps=st.integers(1, 40), hidden=st.integers(1, 6), n=st.integers(1, 4),
+       n_shifts=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_stacked_steps_with_shifts_equal_solo_runs(steps, hidden, n, n_shifts, seed):
+    # A stack takes bias shifts too: each realization's (4H, B) gates and
+    # (H, B) states are those of its own run with the same shifts.
+    rng = np.random.default_rng(seed)
+    nets = [random_net(rng, hidden) for _ in range(n)]
+    x = rng.normal(size=(steps, 3))
+    shifts = rng.uniform(-3.0, 3.0, size=(n_shifts, 2))
+    initial = nn.LstmState(c=rng.normal(size=(n, hidden)), h=rng.normal(size=(n, hidden)))
+    stacked = list(nn.lstm_steps(nn.stack(nets).lstm, x, initial, shifts))
+    for r, net in enumerate(nets):
+        solo = nn.lstm_steps(net.lstm, x, nn.LstmState(c=initial.c[r], h=initial.h[r]), shifts)
+        for stacked_step, solo_step in zip(stacked, solo, strict=True):
+            for stacked_arr, solo_arr in zip(stacked_step, solo_step):
+                assert stacked_arr.shape == (n, *solo_arr.shape)
+                assert_array_equal(stacked_arr[r], solo_arr)
 
 
 @settings(max_examples=20, deadline=None)
@@ -274,3 +294,24 @@ def test_split_partition_laws(seed, n_days, draw):
         assert_array_equal(np.concatenate([o.times for o in obs]), s.times)
         for name, o in zip(names, obs):
             assert within(o.times, name).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(tau=st.floats(0.5, 2000.0), gamma=st.integers(1, 24), steps=st.integers(1, 40),
+       m0=st.floats(0.0, 60.0), seed=st.integers(0, 2**16))
+def test_warp_equals_the_recursion_on_a_held_series(tau, gamma, steps, m0, seed):
+    # Warping by an integer gamma is gamma plain steps per input: every
+    # gamma-th state of the recursion over each input held gamma times.
+    x = np.random.default_rng(seed).uniform(0.0, 60.0, size=steps)
+    params = timelag.TimeLagParams.from_tau(tau)
+    warped = timelag.simulate(m0, x, timelag.warp(params, timelag.WarpFactor(gamma)))
+    held = timelag.simulate(m0, np.repeat(x, gamma), params)
+    np.testing.assert_allclose(warped, held[gamma - 1 :: gamma], rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rh=st.floats(0.0, 100.0),
+       temp_k=st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False))
+def test_equilibria_drying_at_least_wetting_at_least_zero(rh, temp_k):
+    drying, wetting = timelag.equilibria_arrays([temp_k], [rh])
+    assert drying[0] >= wetting[0] >= 0.0
