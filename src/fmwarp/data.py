@@ -9,6 +9,16 @@ cells are empty where no observation exists. Weather rows are hourly and
 contiguous; by default a gap is a parse error, and ``fill="hold"``
 forward-fills gaps of up to three hours.
 
+Every table, the dataset included, goes through one codec that works on
+fixed blocks of ``BLOCK_ROWS`` rows, so the text it formats or splits at
+a time is bounded by the block, not the file. The reader splits a block
+into columns and converts each column in one call; only a block that
+fails to convert is scanned again cell by cell, which names the first
+wrong cell count or malformed cell in file order, exactly as a per-row
+reader would. The writer writes nothing until every line is known to
+read back; the dataset writer formats each block a column at a time,
+from arrays and observed masks.
+
 Splitting is purely temporal: the default rule assigns the first 8,761
 hourly rows (one year inclusive) to training and halves the remainder
 into validation and test, validation taking the extra row when the
@@ -22,6 +32,7 @@ hours, optionally clipped at a sensor-saturation cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,6 +52,9 @@ WEATHER_COLUMNS = (
 CSV_HEADER = ("timestamp",) + WEATHER_COLUMNS + FUEL_CLASSES
 
 HOUR = np.timedelta64(1, "h")
+
+# Rows per block of the table codec: fixed, so that its memory never grows with a file.
+BLOCK_ROWS = 256
 
 # Default split rule: one year of hourly rows inclusive of both endpoints.
 TRAIN_ROWS_ONE_YEAR = 8761
@@ -161,24 +175,24 @@ def format_timestamp(t: np.datetime64) -> str:
 def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSeries]]:
     """Parse a dataset CSV into a weather frame and per-class observation series.
 
-    The file goes through :func:`read_table` (no quoting; CRLF accepted),
-    whose header, cell-count and cell errors come first. Then the earliest
-    duplicate or backward timestamp, gap that ``fill`` does not cover, or
-    non-finite cell raises :class:`ParseError` with its 1-based file row.
-    A held row repeats the weather row before it, with its own hour;
-    observations are never held.
+    The file goes through the reader of :func:`read_table` (no quoting;
+    CRLF accepted), whose header, cell-count and cell errors come first.
+    Then the earliest duplicate or backward timestamp, gap that ``fill``
+    does not cover, or non-finite cell raises :class:`ParseError` with its
+    1-based file row. A held row repeats the weather row before it, with
+    its own hour; observations are never held.
     """
     if fill not in (None, "hold"):
         raise InvalidInputError(f"unknown fill mode {fill!r}")
-    n_weather, optional_float = len(WEATHER_COLUMNS), lambda x: float(x) if x.strip() else None
-    types = (parse_timestamp,) + (float,) * n_weather + (optional_float,) * len(FUEL_CLASSES)
-    columns = list(zip(*read_table(path, CSV_HEADER, types)))
-    if not columns:
+    n_weather = len(WEATHER_COLUMNS)
+    converters = [_timestamps] + [_floats] * n_weather + [_optional_floats] * len(FUEL_CLASSES)
+    blocks = list(_read_blocks(path, CSV_HEADER, converters))
+    if not blocks:
         raise ParseError("no data rows", row=2)
-    times = np.array(columns[0], dtype="datetime64[s]")
-    weather = np.array(columns[1 : 1 + n_weather], dtype=float)
-    fmc = np.array(columns[1 + n_weather :], dtype=float)  # an empty cell is nan here
-    observed = np.array([[v is not None for v in col] for col in columns[1 + n_weather :]])
+    times, *columns = [np.concatenate(column, axis=-1) for column in zip(*blocks)]
+    weather = np.array(columns[:n_weather])
+    fmc, observed = np.array(columns[n_weather:]).swapaxes(0, 1)
+    observed = observed == 1.0
     deltas, zero = np.diff(times), np.timedelta64(0, "s")
     held = (fill == "hold") & (deltas % HOUR == zero) & (deltas <= 4 * HOUR)
     defects = {  # data-row indices, in the order the checks rank within one row
@@ -203,24 +217,70 @@ def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSerie
                    for c, cls in enumerate(FUEL_CLASSES) if observed[c].any()]
 
 
+def _floats(cells: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, cells), float, len(cells))
+
+
+def _optional_floats(cells: list[str]) -> np.ndarray:
+    """Floats of a column whose blank cells are unobserved: the values (nan
+    where blank) over the observed mask (1.0 where not blank)."""
+    observed = np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells))
+    values = np.full(len(cells), np.nan)
+    values[observed] = list(map(float, itertools.compress(cells, observed)))
+    return np.array([values, observed])
+
+
+def _timestamps(cells: list[str]) -> np.ndarray:
+    """:func:`parse_timestamp` over a column: its checks, then one numpy parse."""
+    texts = list(map(str.strip, cells))
+    if not all(text.endswith("Z") and text[0].isdigit() for text in texts):
+        list(map(parse_timestamp, texts))  # raises at the first bad cell
+    return np.array([text[:-1] for text in texts], "datetime64[s]")
+
+
+def _wrong_count(lines: list[str], width: int) -> bool:
+    """Whether a line of ``lines`` does not split into ``width`` cells."""
+    return list(map(str.count, lines, itertools.repeat(","))).count(width - 1) != len(lines)
+
+
 def write_table(path, header, rows) -> None:
     """Write a table in the one CSV layout of fmwarp: a header line, then a
     line per row. ``None`` is an empty cell, a float its ``repr`` (exact
     round trips), anything else its ``str``. A line that :func:`read_table`
-    would not read back (a cell holding a comma or a line break, or a row of
-    the wrong length) raises :class:`InvalidInputError` with its 1-based row."""
+    would not read back (a cell holding a comma, a line break or a lone
+    surrogate, which UTF-8 cannot encode, or a row of the wrong length)
+    raises :class:`InvalidInputError` with its 1-based row, and nothing is
+    written."""
 
     def cell(x) -> str:
         if x is None:
             return ""
         return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
-    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
-    for rownum, line in enumerate(lines, start=1):  # splitlines drops every line break
-        if line.count(",") != len(header) - 1 or "".join(line.splitlines()) != line:
+    rows = iter(rows)  # lines in blocks of BLOCK_ROWS rows, until the rows run out
+    _write_blocks(path, header, iter(lambda: [",".join(map(cell, row)) for row in
+                                              itertools.islice(rows, BLOCK_ROWS)], []))
+
+
+def _write_blocks(path, header, blocks) -> None:
+    """Encode the header line, then each block of lines; write them all
+    once every line is known to read back as it is."""
+
+    def encode(lines: list[str]) -> bytes | None:  # a surrogate becomes "?" and reads back wrong
+        data = ("\n".join(lines) + "\n").encode("utf-8", "replace")
+        ok = not _wrong_count(lines, len(header)) and data.decode("utf-8").splitlines() == lines
+        return data if ok else None
+
+    encoded, first = [], 1
+    for lines in itertools.chain([[",".join(header)]], blocks):
+        encoded.append(encode(lines))
+        if encoded[-1] is None:
+            rownum = first + next(k for k, line in enumerate(lines) if encode([line]) is None)
             raise InvalidInputError(f"{path}: row {rownum} would not read back as "
-                                    f"{len(header)} cells on one line")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+                                    f"{len(header)} cells on one line of UTF-8 text")
+        first += len(lines)
+    with open(path, "wb") as f:
+        f.writelines(encoded)
 
 
 def read_table(path, header, types) -> list[list]:
@@ -230,6 +290,16 @@ def read_table(path, header, types) -> list[list]:
     count or cell raises :class:`ParseError` with the 1-based row, and a
     malformed cell's message names its column. The file must be UTF-8; a
     byte that is not raises :class:`ParseError` with its row."""
+    converters = [lambda cells, convert=convert: list(map(convert, cells)) for convert in types]
+    return [list(row) for columns in _read_blocks(path, header, converters)
+            for row in zip(*columns)]
+
+
+def _read_blocks(path, header, converters):
+    """Per block of ``BLOCK_ROWS`` data rows, its columns, each converted by
+    one call of its entry in ``converters``. Only in a block that does not
+    convert, the converters run a cell at a time, to name its first wrong
+    cell count or malformed cell."""
     try:
         lines = Path(path).read_bytes().decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -240,34 +310,51 @@ def read_table(path, header, types) -> list[list]:
         wrong = [name for k, name in enumerate(names) if name not in header[k : k + 1]]
         raise ParseError(f"header mismatch; unknown or misplaced columns {wrong}, "
                          f"expected {','.join(header)}", row=1)
-    rows = []
-    for rownum, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ParseError(f"expected {len(header)} cells, got {len(cells)}", row=rownum)
+    width = len(header)
+    for start in range(1, len(lines), BLOCK_ROWS):
+        block = lines[start : start + BLOCK_ROWS]
         try:
-            rows.append([convert(cell) for convert, cell in zip(types, cells)])
+            if _wrong_count(block, width):
+                raise ValueError  # the scan below names the row
+            cells = ",".join(block).split(",")
+            columns = [convert(cells[c::width]) for c, convert in enumerate(converters)]
         except ValueError:
-            for name, convert, cell in zip(header, types, cells):
-                try:
-                    convert(cell)
-                except ValueError as exc:
-                    raise ParseError(f"malformed {name} cell: {exc}", row=rownum) from None
-    return rows
+            for rownum, line in enumerate(block, start=start + 1):
+                cells = line.split(",")
+                if len(cells) != width:
+                    raise ParseError(f"expected {width} cells, got {len(cells)}",
+                                     row=rownum) from None
+                for name, convert, cell in zip(header, converters, cells):
+                    try:
+                        convert([cell])
+                    except ValueError as exc:
+                        raise ParseError(f"malformed {name} cell: {exc}", row=rownum) from None
+            raise  # a column converter rejected cells that each convert: a codec bug
+        yield columns
 
 
 def write_csv(path, frame: WeatherFrame, series: list[FmcSeries]) -> None:
     """Write the dataset CSV; observations off the hourly rows of ``frame`` are not written."""
-    cells = {name: col.astype(float).tolist() for name, col in frame.columns().items()}
-    cells.update({c: [None] * len(frame) for c in FUEL_CLASSES})
-    for s in series:
+    n_weather = len(WEATHER_COLUMNS)
+    values = np.full((len(CSV_HEADER) - 1, len(frame)), np.nan)
+    observed = np.zeros(values.shape, dtype=bool)
+    values[:n_weather], observed[:n_weather] = list(frame.columns().values()), True
+    for s in series:  # a later series of a class replaces the earlier one
+        c = n_weather + FUEL_CLASSES.index(s.fuel_class)
         rows = np.minimum(np.searchsorted(frame.times, s.times), len(frame) - 1)
         on_grid = frame.times[rows] == s.times
-        cells[s.fuel_class] = column = [None] * len(frame)
-        for k, v in zip(rows[on_grid].tolist(), s.values[on_grid].astype(float).tolist()):
-            column[k] = v
-    cells["timestamp"] = map(format_timestamp, frame.times)
-    write_table(path, CSV_HEADER, zip(*(cells[name] for name in CSV_HEADER)))
+        values[c], observed[c] = np.nan, False
+        values[c, rows[on_grid]], observed[c, rows[on_grid]] = s.values[on_grid], True
+    times = frame.times.astype("datetime64[s]")
+
+    def lines(block: slice) -> list[str]:  # formatted a column at a time
+        cells = np.full(values[:, block].shape, "", dtype=object)
+        cells[observed[:, block]] = list(map(repr, values[:, block][observed[:, block]].tolist()))
+        stamps = [text + "Z" for text in np.datetime_as_string(times[block], unit="s").tolist()]
+        return list(map(",".join, zip(stamps, *cells.tolist())))
+
+    _write_blocks(path, CSV_HEADER, (lines(slice(start, start + BLOCK_ROWS))
+                                     for start in range(0, len(frame), BLOCK_ROWS)))
 
 
 def default_split_spec(frame: WeatherFrame, train_rows: int = TRAIN_ROWS_ONE_YEAR) -> SplitSpec:

@@ -218,12 +218,6 @@ class RnnParams:
                                   layer.activation) for layer in self.dense)
         return RnnParams(lstm=lstm, dense=dense, freeze_mask=dict(self.freeze_mask))
 
-    def parameter_count(self) -> int:
-        return sum(v.size for v in self.tensors().values())
-
-    def trainable_count(self) -> int:
-        return sum(v.size for k, v in self.tensors().items() if not self.freeze_mask[k])
-
 
 @dataclass
 class LstmState:

@@ -67,13 +67,6 @@ class TimeLagParams:
     def from_tau(cls, tau: float) -> "TimeLagParams":
         return cls(tau=float(tau), a=math.exp(-1.0 / float(tau)))
 
-    @classmethod
-    def from_retention(cls, a: float) -> "TimeLagParams":
-        a = float(a)
-        if not (0.0 < a < 1.0):
-            raise InvalidInputError(f"retention coefficient must lie in (0,1), got {a}")
-        return cls(tau=-1.0 / math.log(a), a=a)
-
 
 @dataclass(frozen=True)
 class WarpFactor:

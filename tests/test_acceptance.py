@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from fmwarp import data, evaluation, nn, timelag, train, transfer
+from helpers import from_retention
 
 
 def report(criterion, detail):
@@ -35,7 +36,7 @@ def test_criterion_1_warp_equivalence():
         params = timelag.TimeLagParams.from_tau(tau)
         warped = timelag.simulate(m0, x, timelag.warp(params, timelag.WarpFactor(gamma)))
         direct = timelag.simulate(
-            m0, x, timelag.TimeLagParams.from_retention(math.exp(-gamma / tau))
+            m0, x, from_retention(math.exp(-gamma / tau))
         )
         worst = max(worst, float(np.max(np.abs(warped - direct))))
     elapsed = time.time() - t0

@@ -541,6 +541,22 @@ def test_evaluate_refuses_a_method_name_its_tables_cannot_hold(tmp_path, monkeyp
     assert not any((out / ".partial").iterdir())
 
 
+def test_evaluate_refuses_a_method_name_that_utf8_cannot_encode(tmp_path, monkeypatch, capsys):
+    # A directory named with byte 0xff has the lone surrogate \udcff in its
+    # Python name, which no UTF-8 table can hold.
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, grid__n_per_axis=5)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    tdir = cli.cmd_transfer(cfg, "TimeWarp", "fm1")
+    shutil.copytree(tdir, out / "transfer" / "Time\udcffWarp" / "fm1")
+    assert run_main(monkeypatch, "evaluate", "--config", str(cfg_path)) == 3
+    # report.csv is written first; its rows 2 and 3 are TimeWarp's, which sorts first.
+    assert "report.csv: row 4 " in capsys.readouterr().err
+    assert not (out / "evaluate").exists()
+    assert not any((out / ".partial").iterdir())
+
+
 def test_one_row_dataset_without_a_time_exits_with_data_error(tmp_path, monkeypatch, capsys):
     cfg_path, _, dataset = write_cfg(tmp_path)
     cli.cmd_synth(cli.Config.load(str(cfg_path)))

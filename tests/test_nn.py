@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fmwarp import nn, timelag, transfer
 from fmwarp.errors import DimensionError, InvalidInputError
+from helpers import parameter_count, trainable_count
 
 
 def zero_lstm(hidden, inputs):
@@ -192,9 +193,9 @@ def test_default_architecture_parameter_budget():
     from fmwarp.data import N_FEATURES
 
     params = nn.init_params(N_FEATURES, 64, (32, 16), rng=np.random.default_rng(0))
-    assert params.parameter_count() > 21_000
+    assert parameter_count(params) > 21_000
     assert params.tensors()["lstm.b_f"].size + params.tensors()["lstm.b_i"].size == 128
-    assert params.trainable_count() == params.parameter_count()
+    assert trainable_count(params) == parameter_count(params)
 
 
 def test_per_gate_tensors_are_views_of_stacked_storage():
@@ -236,7 +237,7 @@ def test_freeze_mask_accounting():
     params = nn.init_params(4, 3, (3, 2), rng=np.random.default_rng(0))
     params.freeze_mask["dense2.w"] = True
     params.freeze_mask["dense2.b"] = True
-    assert params.trainable_count() == params.parameter_count() - 3
+    assert trainable_count(params) == parameter_count(params) - 3
 
 
 def test_rnn_params_shape_validation():

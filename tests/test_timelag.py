@@ -7,13 +7,14 @@ from numpy.testing import assert_allclose
 from fmwarp import timelag
 from fmwarp.errors import InvalidInputError
 from fmwarp.timelag import TimeLagParams, WarpFactor
+from helpers import from_retention
 
 
 def test_params_consistency():
     p = TimeLagParams.from_tau(10.0)
     assert 0.0 < p.a < 1.0
     assert p.a == pytest.approx(math.exp(-0.1), abs=0)
-    q = TimeLagParams.from_retention(p.a)
+    q = from_retention(p.a)
     assert q.tau == pytest.approx(10.0, rel=1e-14)
 
 
@@ -23,7 +24,7 @@ def test_params_reject_inconsistent_pair():
     with pytest.raises(InvalidInputError):
         TimeLagParams.from_tau(-1.0)
     with pytest.raises(InvalidInputError):
-        TimeLagParams.from_retention(1.5)
+        from_retention(1.5)
 
 
 def test_step_fixed_point():
@@ -128,7 +129,7 @@ def test_warp_timescale_equivalence():
         m0 = rng.uniform(0, 50)
         x = rng.uniform(0, 50, size=48)
         warped = timelag.simulate(m0, x, timelag.warp(TimeLagParams.from_tau(tau), WarpFactor(gamma)))
-        direct = timelag.simulate(m0, x, TimeLagParams.from_retention(math.exp(-gamma / tau)))
+        direct = timelag.simulate(m0, x, from_retention(math.exp(-gamma / tau)))
         assert np.max(np.abs(warped - direct)) <= 1e-12
 
 

@@ -8,6 +8,7 @@ from fmwarp import nn, timelag, train, transfer
 from fmwarp.errors import ConfigError, SearchFailedError
 from fmwarp.train import SupervisedSeries, TrainConfig
 from fmwarp.transfer import BiasShift, GridSpec, TransferMethod
+from helpers import parameter_count, trainable_count
 
 
 def small_net(seed=0, input_size=3, hidden=4):
@@ -246,13 +247,13 @@ def test_run_method_interface_never_sees_test_data():
 
 def test_trainable_parameter_accounting_per_method():
     pretrained = small_net(8)
-    total = pretrained.parameter_count()
+    total = parameter_count(pretrained)
     hidden = pretrained.lstm.hidden_size
     masked = pretrained.copy()
     masked.freeze_mask = {n: n.startswith("lstm.") for n in masked.tensor_names()}
-    dense_count = masked.trainable_count()
+    dense_count = trainable_count(masked)
     masked.freeze_mask = {n: n.startswith("dense") for n in masked.tensor_names()}
-    lstm_count = masked.trainable_count()
+    lstm_count = trainable_count(masked)
     assert dense_count + lstm_count == total
     # TimeWarp adjusts 2 scalars that land on 2 x hidden tensor entries
     shifted = transfer.apply_shift(pretrained, BiasShift(0.5, 0.5))
