@@ -176,7 +176,11 @@ class Config:
             raise ConfigError("arch.dense_sizes must be comma-separated integers") from None
         if len(sizes) != 2:
             raise ConfigError("arch.dense_sizes must list the two hidden dense widths")
-        return self.get_int("arch.hidden_size"), sizes
+        hidden = self.get_int("arch.hidden_size")
+        if min(hidden, *sizes) < 1:
+            raise ConfigError(f"arch.hidden_size and arch.dense_sizes must be >= 1, "
+                              f"got {hidden} and {','.join(map(str, sizes))}")
+        return hidden, sizes
 
 
 def _data_path(cfg: Config) -> Path:
@@ -219,26 +223,21 @@ def build_series(
 ) -> train.SupervisedSeries:
     """Supervised series for one partition: normalized inputs plus
     nearest-hour targets, in the units of ``scaler``, and mask for the
-    requested fuel class."""
+    requested fuel class, which must have an observation there."""
     obs = partition.observations.get(fuel_class)
     if obs is None or len(obs) == 0:
-        targets = np.zeros(len(partition.weather))
-        mask = np.zeros(len(partition.weather))
-    else:
-        targets, mask = datamod.nearest_hour_mask(partition.weather.times, obs.times, obs.values)
-        targets = np.where(mask > 0, scaler.scale(targets), 0.0)
+        raise ConfigError(f"no {fuel_class} observations in train or validation span")
+    targets, mask = datamod.nearest_hour_mask(partition.weather.times, obs.times, obs.values)
+    targets = np.where(mask > 0, scaler.scale(targets), 0.0)
     return train.SupervisedSeries(
         inputs=normalizer.transform(partition.weather), targets=targets, mask=mask
     )
 
 
 def train_val_series(parts: datamod.Split, normalizer, fuel_class: str, scaler):
-    """The (train, validation) series pair; each must hold an observation."""
-    train_s = build_series(parts.train, normalizer, fuel_class, scaler)
-    val_s = build_series(parts.val, normalizer, fuel_class, scaler)
-    if train_s.mask.sum() == 0 or val_s.mask.sum() == 0:
-        raise ConfigError(f"no {fuel_class} observations in train or validation span")
-    return train_s, val_s
+    """The (train, validation) series pair."""
+    return (build_series(parts.train, normalizer, fuel_class, scaler),
+            build_series(parts.val, normalizer, fuel_class, scaler))
 
 
 def _pid_gone(pid: int) -> bool:
@@ -257,10 +256,11 @@ def _pid_gone(pid: int) -> bool:
 def stage_dir(cfg: Config, *parts: str):
     """A fresh directory under ``<out>/.partial/`` for one stage's files.
     It replaces ``<out>/<parts>`` whole when the block ends, or is removed
-    if the block raises, leaving the old one as it was. No fsync: this
-    survives a killed process, not a power loss. On entry it removes what
-    killed runs of the same stage left under ``.partial/``: the
-    directories of pids no longer alive, and of its own pid."""
+    if the block raises, leaving the old one as it was; the error then
+    names its files under ``<out>/<parts>``. No fsync: this survives a
+    killed process, not a power loss. On entry it removes what killed
+    runs of the same stage left under ``.partial/``: the directories of
+    pids no longer alive, and of its own pid."""
     out = Path(cfg.get("out"))
     final = out.joinpath(*parts)
     stem = ".".join(parts)
@@ -279,6 +279,9 @@ def stage_dir(cfg: Config, *parts: str):
             final.rename(old)
         tmp.rename(final)
         shutil.rmtree(old, ignore_errors=True)
+    except FmwarpError as exc:  # tmp is gone when the message prints
+        exc.args = (str(exc).replace(str(tmp), str(final)),)
+        raise
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -370,7 +373,7 @@ def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     tasks = [
         (datamod.N_FEATURES, hidden, dense_sizes, train_s, val_s,
          replace(config, seed=config.seed + lo), hi - lo)
-        for lo, hi in zip(cuts, cuts[1:]) if hi > lo
+        for lo, hi in zip(cuts, cuts[1:])
     ]
     results = [
         ("diverged", real.last_good) if isinstance(real, TrainingDivergedError) else ("ok", real)
@@ -396,10 +399,10 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     if fuel_class not in datamod.FUEL_CLASSES:
         raise ConfigError(f"unknown fuel class {fuel_class!r}")
     method = transfer.TransferMethod.parse(method_name)
-    no_transfer = method is transfer.TransferMethod.NO_TRANSFER
+    from_pretrained = transfer.PROTOCOLS[method].pretrained
     pretrain_dir = Path(cfg.get("out"), "pretrain")
     ckpts = sorted(pretrain_dir.glob("ckpt_*.json"))
-    if not no_transfer and not ckpts:
+    if from_pretrained and not ckpts:
         raise ConfigError(f"no pretrained checkpoints under {pretrain_dir}")
 
     parts = split_dataset(cfg, *load_dataset(cfg))
@@ -409,10 +412,8 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     arch = (datamod.N_FEATURES, hidden, dense_sizes)
 
     # (pretrained params, normalizer, target scaler) per realization.
-    if no_transfer:
-        sources = [(None, *fit_scalers(parts, fuel_class))] * cfg.realizations()
-    else:
-        sources = [load_checkpoint(path) for path in ckpts]
+    sources = ([load_checkpoint(path) for path in ckpts] if from_pretrained
+               else [(None, *fit_scalers(parts, fuel_class))] * cfg.realizations())
     tasks = [
         (method, pretrained, *train_val_series(parts, normalizer, fuel_class, scaler),
          replace(config, seed=config.seed + k), grid, arch)

@@ -4,10 +4,11 @@ The on-disk format is a single CSV with the exact header
 
     timestamp,drying_eq,wetting_eq,solar,wind,rain,hour,doy,elevation,lon,lat,fm1,fm10,fm100,fm1000
 
-Timestamps are RFC 3339 UTC on the hour with no gaps; fuel-moisture
-cells are empty where no observation exists. Weather rows are hourly and
-contiguous; by default a gap is a parse error, and ``fill="hold"``
-forward-fills gaps of up to three hours.
+Timestamps are RFC 3339 UTC on the hour in the one form
+``YYYY-MM-DDTHH:MM:SSZ``, with no gaps; fuel-moisture cells are empty
+where no observation exists. Weather rows are hourly and contiguous; by
+default a gap is a parse error, and ``fill="hold"`` forward-fills gaps
+of up to three hours.
 
 Every table, the dataset included, goes through one codec that works on
 fixed blocks of ``BLOCK_ROWS`` rows, so the text it formats or splits at
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,6 +58,10 @@ HOUR = np.timedelta64(1, "h")
 
 # Rows per block of the table codec: fixed, so that its memory never grows with a file.
 BLOCK_ROWS = 256
+
+# The one accepted timestamp form, which format_timestamp writes; STAMPS is a run of them.
+_STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+_STAMPS = re.compile(f"(?:{_STAMP.pattern})*", re.ASCII)
 
 # Default split rule: one year of hourly rows inclusive of both endpoints.
 TRAIN_ROWS_ONE_YEAR = 8761
@@ -159,13 +166,7 @@ class Split:
 
 
 def parse_timestamp(text: str) -> np.datetime64:
-    text = text.strip()
-    if not text.endswith("Z"):
-        raise ValueError(f"timestamp {text!r} is not RFC 3339 UTC (missing Z)")
-    # numpy reads an empty or "NaT" body as not-a-time; a date starts with a digit.
-    if not text[:1].isdigit():
-        raise ValueError(f"timestamp {text!r} is not RFC 3339 UTC (no date)")
-    return np.datetime64(text[:-1], "s")
+    return _timestamps([text])[0]
 
 
 def format_timestamp(t: np.datetime64) -> str:
@@ -231,10 +232,26 @@ def _optional_floats(cells: list[str]) -> np.ndarray:
 
 
 def _timestamps(cells: list[str]) -> np.ndarray:
-    """:func:`parse_timestamp` over a column: its checks, then one numpy parse."""
+    """A column of timestamps in the one accepted form, ``YYYY-MM-DDTHH:MM:SSZ``
+    after the strip, parsed by numpy. The first bad cell raises
+    ``ValueError``: a missing ``Z`` or date, numpy's parse error, or else
+    any other form (a space for ``T``, a missing or fractional field, a
+    UTC offset, which numpy would shift the time by)."""
     texts = list(map(str.strip, cells))
-    if not all(text.endswith("Z") and text[0].isdigit() for text in texts):
-        list(map(parse_timestamp, texts))  # raises at the first bad cell
+    # With every cell the form's 20 characters long, the concatenation matches cell by cell.
+    if set(map(len, texts)) - {20} or not _STAMPS.fullmatch("".join(texts)):
+        for text in texts:  # raises at the first bad cell
+            if not text.endswith("Z"):
+                raise ValueError(f"timestamp {text!r} is not RFC 3339 UTC (missing Z)")
+            # numpy reads an empty or "NaT" body as not-a-time; a date starts with a digit.
+            if not text[:1].isdigit():
+                raise ValueError(f"timestamp {text!r} is not RFC 3339 UTC (no date)")
+            with warnings.catch_warnings():  # numpy warns of an offset, the check below rejects it
+                warnings.simplefilter("ignore", UserWarning)
+                np.datetime64(text[:-1], "s")
+            if not _STAMP.fullmatch(text):
+                raise ValueError(f"timestamp {text!r} is not RFC 3339 UTC "
+                                 "(expected YYYY-MM-DDTHH:MM:SSZ)")
     return np.array([text[:-1] for text in texts], "datetime64[s]")
 
 

@@ -77,6 +77,8 @@ class TrainConfig:
             raise InvalidInputError(f"batch_length must be >= 2, got {self.batch_length}")
         if self.patience < 1:
             raise InvalidInputError(f"patience must be >= 1, got {self.patience}")
+        if self.max_epochs < 1:
+            raise InvalidInputError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
 
 @dataclass(frozen=True)

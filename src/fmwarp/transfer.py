@@ -6,17 +6,10 @@ the forget activation slows the system down, lowering it speeds the
 system up. The shift pair is selected by grid search on the target
 training observations; 2 x hidden tensor entries change and nothing else.
 
-Six protocols are supported:
-
-    NoTransfer        fresh initialization, direct training
-    FullFineTune      pretrained start, all tensors trained
-    FreezeRecurrent   LSTM tensors frozen, dense stack trained
-    FreezeDense       dense stack frozen, LSTM trained
-    TimeWarp          grid-searched bias shift, no training
-    TimeWarpFineTune  grid-searched bias shift, then all tensors trained
-
-No protocol ever sees the test partition: the interface takes only the
-training and validation series.
+Six protocols are supported, one row each of :data:`PROTOCOLS`: its
+start, its frozen tensors, whether it searches a shift and whether it
+fine-tunes. No protocol ever sees the test partition: the interface
+takes only the training and validation series.
 """
 
 from __future__ import annotations
@@ -24,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,9 +146,22 @@ def write_surface_csv(surface: np.ndarray, path) -> None:
     datamod.write_table(path, ("alpha_f", "alpha_i", "rmse"), surface.tolist())
 
 
-FREEZE_PREFIX = {
-    TransferMethod.FREEZE_RECURRENT: "lstm.",
-    TransferMethod.FREEZE_DENSE: "dense",
+class Protocol(NamedTuple):
+    """A transfer protocol as four choices, applied in this order."""
+
+    pretrained: bool  # start from the pretrained network, else from a fresh init
+    frozen: str | None  # prefix of the tensor names held fixed while fine-tuning
+    search: bool  # grid-search a gate-bias shift and apply it
+    fine_tune: bool
+
+
+PROTOCOLS = {
+    TransferMethod.NO_TRANSFER: Protocol(False, None, False, True),
+    TransferMethod.FULL_FINE_TUNE: Protocol(True, None, False, True),
+    TransferMethod.FREEZE_RECURRENT: Protocol(True, "lstm.", False, True),
+    TransferMethod.FREEZE_DENSE: Protocol(True, "dense", False, True),
+    TransferMethod.TIME_WARP: Protocol(True, None, True, False),
+    TransferMethod.TIME_WARP_FINE_TUNE: Protocol(True, None, True, True),
 }
 
 
@@ -180,47 +187,30 @@ def run_method(
 ) -> TransferResult:
     """Run one transfer protocol using only training and validation data.
 
-    ``arch`` (input_size, hidden_size, dense_sizes) sizes the fresh
-    network for NoTransfer when no pretrained model is given.
-    ``forced_shift`` bypasses the grid search in the warp methods, for
-    diagnostics and contract tests; the result then has no surface.
+    ``arch`` (input_size, hidden_size, dense_sizes) sizes a fresh start
+    when no pretrained model is given as its template. ``forced_shift``
+    bypasses the grid search in the warp methods, for diagnostics and
+    contract tests; the result then has no surface.
     """
-    if method is not TransferMethod.NO_TRANSFER and pretrained is None:
-        raise ConfigError(f"{method.value} requires a pretrained model")
-
-    if method is TransferMethod.NO_TRANSFER:
-        if pretrained is not None:
-            input_size = pretrained.lstm.input_size
-            hidden_size = pretrained.lstm.hidden_size
-            dense_sizes = tuple(layer.weights.shape[0] for layer in pretrained.dense[:-1])
-        elif arch is not None:
-            input_size, hidden_size, dense_sizes = arch
-        else:
-            raise ConfigError("NoTransfer needs either a pretrained template or arch sizes")
-        fresh = nn.init_params(
-            input_size, hidden_size, tuple(dense_sizes), rng=substream(config.seed, STREAM_INIT)
-        )
-        return TransferResult(params=fit(fresh, train, val, config).trained, shift=None)
-
-    start = pretrained.copy()
-    start.freeze_mask = {name: False for name in start.tensor_names()}
-
-    if method in FREEZE_PREFIX:
-        prefix = FREEZE_PREFIX[method]
-        start.freeze_mask = {
-            name: name.startswith(prefix) for name in start.tensor_names()
-        }
-        return TransferResult(params=fit(start, train, val, config).trained, shift=None)
-
-    if method is TransferMethod.FULL_FINE_TUNE:
-        return TransferResult(params=fit(start, train, val, config).trained, shift=None)
-
-    # Warp methods: grid search on the training observations only.
-    if forced_shift is None:
-        shift, surface = grid_search(start, train, grid)
+    protocol = PROTOCOLS[method]
+    if protocol.pretrained:
+        if pretrained is None:
+            raise ConfigError(f"{method.value} requires a pretrained model")
+        start = pretrained.copy()
+        start.freeze_mask = {name: protocol.frozen is not None and name.startswith(protocol.frozen)
+                             for name in start.tensor_names()}
     else:
-        shift, surface = forced_shift, None
-    warped = apply_shift(start, shift)
-    if method is TransferMethod.TIME_WARP_FINE_TUNE:
-        warped = fit(warped, train, val, config).trained
-    return TransferResult(params=warped, shift=shift, surface=surface)
+        if pretrained is not None:
+            arch = (pretrained.lstm.input_size, pretrained.lstm.hidden_size,
+                    [layer.weights.shape[0] for layer in pretrained.dense[:-1]])
+        elif arch is None:
+            raise ConfigError(f"{method.value} needs either a pretrained template or arch sizes")
+        start = nn.init_params(*arch, rng=substream(config.seed, STREAM_INIT))
+    shift = surface = None
+    if protocol.search:  # on the training observations only
+        shift, surface = (grid_search(start, train, grid) if forced_shift is None
+                          else (forced_shift, None))
+        start = apply_shift(start, shift)
+    if protocol.fine_tune:
+        start = fit(start, train, val, config).trained
+    return TransferResult(params=start, shift=shift, surface=surface)

@@ -541,6 +541,36 @@ def test_evaluate_refuses_a_method_name_its_tables_cannot_hold(tmp_path, monkeyp
     assert not any((out / ".partial").iterdir())
 
 
+def test_stage_errors_name_the_final_path(tmp_path, monkeypatch, capsys):
+    # The first table evaluate writes, report.csv, is refused for the comma;
+    # the error names where it would have gone, not the removed .partial/.
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, grid__n_per_axis=5)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    cli.cmd_transfer(cfg, "TimeWarp", "fm1")
+    (out / "transfer" / "TimeWarp").rename(out / "transfer" / "Time,Warp")
+    assert run_main(monkeypatch, "evaluate", "--config", str(cfg_path)) == 3
+    err = capsys.readouterr().err
+    assert f"{out / 'evaluate' / 'report.csv'}: row 2 " in err
+    assert ".partial" not in err
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("arch__hidden_size", 0, 2),
+    ("arch__hidden_size", -3, 2),
+    ("arch__dense_sizes", "0,3", 2),
+    ("train__max_epochs", 0, 3),
+])
+def test_pretrain_rejects_sizes_and_epochs_below_one(tmp_path, monkeypatch, capsys, key, value,
+                                                     code):
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, **{key: value})
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+    assert run_main(monkeypatch, "pretrain", "--config", str(cfg_path)) == code
+    assert key.split("__")[1] in capsys.readouterr().err
+    assert not (out / "pretrain").exists()
+
+
 def test_evaluate_refuses_a_method_name_that_utf8_cannot_encode(tmp_path, monkeypatch, capsys):
     # A directory named with byte 0xff has the lone surrogate \udcff in its
     # Python name, which no UTF-8 table can hold.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -82,6 +84,29 @@ def test_load_csv_rejects_not_a_time_timestamp(tmp_path, cell):
     with pytest.raises(ParseError) as err:
         data.load_csv(path)
     assert err.value.row == 2
+
+
+@pytest.mark.parametrize("cell", [
+    "1996-03-27T01:00:00+01:00Z",  # numpy shifts an offset: 00:00 UTC
+    "1996-03-27 00:00:00Z",
+    "1996-03-27Z",
+    "1996-03-27T00:00Z",
+    "1996-03-27T00:00:00.9Z",  # numpy truncates the fraction
+])
+def test_load_csv_accepts_only_the_one_timestamp_form(tmp_path, cell):
+    # numpy reads each cell as the hour of row 3; only YYYY-MM-DDTHH:MM:SSZ
+    # is accepted, and no numpy warning gets out.
+    rows = [r + ",,,," for r in make_rows(3)]
+    rows[1] = cell + "," + rows[1].split(",", 1)[1]
+    path = tmp_path / "d.csv"
+    write_fixture(path, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="expected YYYY-MM-DDTHH:MM:SSZ") as err:
+            data.load_csv(path)
+        with pytest.raises(ValueError, match="expected YYYY-MM-DDTHH:MM:SSZ"):
+            data.parse_timestamp(cell)
+    assert err.value.row == 3
 
 
 def test_load_csv_rejects_nan_weather_cell(tmp_path):

@@ -9,6 +9,7 @@ write the oracle's bytes.
 """
 
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,12 @@ def parse_timestamp(text):
         raise ValueError(f"timestamp {text!r} is not RFC 3339 UTC (missing Z)")
     if not text[:1].isdigit():
         raise ValueError(f"timestamp {text!r} is not RFC 3339 UTC (no date)")
-    return np.datetime64(text[:-1], "s")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        t = np.datetime64(text[:-1], "s")
+    if np.datetime_as_string(t) + "Z" != text or len(text) != 20:  # the one form, round trip
+        raise ValueError(f"timestamp {text!r} is not RFC 3339 UTC (expected YYYY-MM-DDTHH:MM:SSZ)")
+    return t
 
 
 def optional_float(x):

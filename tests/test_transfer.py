@@ -241,6 +241,26 @@ def test_run_method_warp_finetune_equals_full_finetune_at_zero_shift():
     assert forced.surface is None
 
 
+def test_run_method_warp_finetune_composes_search_shift_and_fit():
+    # With a real search, run_method is the three phases composed, bit for bit.
+    train_s, val_s = tiny_task(5)
+    pretrained = small_net(5)
+    result = transfer.run_method(
+        TransferMethod.TIME_WARP_FINE_TUNE, pretrained, train_s, val_s, CFG
+    )
+    shift, surface = transfer.grid_search(pretrained, train_s)
+    assert shift != BiasShift(0.0, 0.0)
+    composed = train.fit(transfer.apply_shift(pretrained, shift), train_s, val_s, CFG).trained
+    assert result.shift == shift
+    assert_array_equal(result.surface, surface)
+    for name, arr in composed.tensors().items():
+        assert_array_equal(result.params.tensors()[name], arr)
+
+
+def test_every_method_has_a_protocol():
+    assert set(transfer.PROTOCOLS) == set(TransferMethod)
+
+
 def test_run_method_interface_never_sees_test_data():
     assert "test" not in inspect.signature(transfer.run_method).parameters
 
