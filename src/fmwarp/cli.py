@@ -348,8 +348,10 @@ def load_checkpoint(path) -> tuple[nn.RnnParams, datamod.Normalizer, datamod.Tar
 
 
 def _map(fn, tasks, jobs: int) -> list:
-    """``[fn(*task) for task in tasks]``, run in ``jobs`` worker processes
-    when jobs > 1; results come back in task order either way."""
+    """``[fn(*task) for task in tasks]``, run in ``jobs`` worker processes,
+    but never more than there are tasks, when that is above 1; results come
+    back in task order either way."""
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [fn(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -475,7 +477,11 @@ def cmd_evaluate(
     parts = split_dataset(cfg, frame, series)
     threshold = cfg.get_float("filter.threshold")
 
+    # Of the split, only the test observations and where the test span
+    # starts outlive it: the forward pass runs without the partitions.
     test_sel = frame.times > parts.val.weather.times[-1]
+    test_obs = parts.test.observations
+    del series, parts
 
     def checkpoints():
         """(method, class, observations, params, normalizer, scaler) per
@@ -486,7 +492,7 @@ def cmd_evaluate(
                 continue
             if fuel_class and cls != fuel_class:
                 continue
-            obs = parts.test.observations.get(cls)
+            obs = test_obs.get(cls)
             if obs is None or len(obs) == 0:
                 raise EvaluationError(f"no {cls} observations in the test span")
             ckpts = sorted(cdir.glob("ckpt_*.json"))

@@ -12,13 +12,15 @@ of up to three hours.
 
 Every table, the dataset included, goes through one codec that works on
 fixed blocks of ``BLOCK_ROWS`` rows, so the text it formats or splits at
-a time is bounded by the block, not the file. The reader splits a block
-into columns and converts each column in one call; only a block that
-fails to convert is scanned again cell by cell, which names the first
-wrong cell count or malformed cell in file order, exactly as a per-row
-reader would. The writer writes nothing until every line is known to
-read back; the dataset writer formats each block a column at a time,
-from arrays and observed masks.
+a time is bounded by the block, not the file. The reader first checks
+that the whole file is UTF-8, in a pass that keeps none of the text,
+then reads it again a block of lines at a time and holds only that
+block. It splits a block into columns and converts each column in one
+call; only a block that fails to convert is scanned again cell by cell,
+which names the first wrong cell count or malformed cell in file order,
+exactly as a per-row reader would. The writer writes nothing until
+every line is known to read back; the dataset writer formats each block
+a column at a time, from arrays and observed masks.
 
 Splitting is purely temporal: the default rule assigns the first 8,761
 hourly rows (one year inclusive) to training and halves the remainder
@@ -33,6 +35,7 @@ hours, optionally clipped at a sensor-saturation cap.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import math
 import re
@@ -58,6 +61,10 @@ HOUR = np.timedelta64(1, "h")
 
 # Rows per block of the table codec: fixed, so that its memory never grows with a file.
 BLOCK_ROWS = 256
+# Bytes per read of the table reader.
+_CHUNK_BYTES = 1 << 16
+# The line breaks of str.splitlines but CR, which may be the first half of a CRLF.
+_LINE_ENDS = ("\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 # The one accepted timestamp form, which format_timestamp writes; STAMPS is a run of them.
 _STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
@@ -312,24 +319,62 @@ def read_table(path, header, types) -> list[list]:
             for row in zip(*columns)]
 
 
+def _chunks(path, end: int | None = None):
+    """The bytes of ``path``, up to offset ``end`` if given, in pieces of at
+    most ``_CHUNK_BYTES``."""
+    with open(path, "rb") as f:
+        while piece := f.read(_CHUNK_BYTES if end is None else min(_CHUNK_BYTES, end - f.tell())):
+            yield piece
+
+
+def _line_lists(chunks):
+    """The lines of the UTF-8 text that arrives in byte ``chunks``, a list
+    per chunk: together those of ``str.splitlines`` over the whole text."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    tail = ""
+    for chunk in chunks:
+        text = tail + decoder.decode(chunk)
+        lines, tail = text.splitlines(), ""
+        if lines and not text.endswith(_LINE_ENDS):
+            # The last line may go on in the next chunk, and a CR may be half a CRLF.
+            tail = lines.pop() + "\r" * text.endswith("\r")
+        yield lines
+    yield (tail + decoder.decode(b"", final=True)).splitlines()
+
+
+def _check_utf8(path) -> None:
+    """Raise the :class:`ParseError` of the first byte of ``path`` that is not
+    UTF-8, with its offset in the file and the row it falls in."""
+    decoder, start = codecs.getincrementaldecoder("utf-8")(), 0
+    try:
+        for chunk in itertools.chain(_chunks(path), [b""]):
+            decoder.decode(chunk, final=not chunk)
+            start += len(chunk)
+    except UnicodeDecodeError as exc:
+        # The decoder read the bytes it held back from the chunk before, then this one.
+        start += exc.start - (len(exc.object) - len(chunk))
+        # Its row: the lines of the text before it, with one character in its place.
+        row = sum(map(len, _line_lists(itertools.chain(_chunks(path, end=start), [b"?"]))))
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {start}", row=row) from None
+
+
 def _read_blocks(path, header, converters):
     """Per block of ``BLOCK_ROWS`` data rows, its columns, each converted by
     one call of its entry in ``converters``. Only in a block that does not
     convert, the converters run a cell at a time, to name its first wrong
-    cell count or malformed cell."""
-    try:
-        lines = Path(path).read_bytes().decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        row = len((exc.object[: exc.start].decode("utf-8") + "?").splitlines())
-        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", row=row) from None
-    names = [name.strip() for name in lines[0].split(",")] if lines else []
+    cell count or malformed cell. A first pass checks that the whole file
+    is UTF-8; then it is read a block of lines at a time."""
+    _check_utf8(path)
+    lines = itertools.chain.from_iterable(_line_lists(_chunks(path)))
+    first = next(lines, None)
+    names = [] if first is None else [name.strip() for name in first.split(",")]
     if names != list(header):
         wrong = [name for k, name in enumerate(names) if name not in header[k : k + 1]]
         raise ParseError(f"header mismatch; unknown or misplaced columns {wrong}, "
                          f"expected {','.join(header)}", row=1)
     width = len(header)
-    for start in range(1, len(lines), BLOCK_ROWS):
-        block = lines[start : start + BLOCK_ROWS]
+    blocks = iter(lambda: list(itertools.islice(lines, BLOCK_ROWS)), [])
+    for start, block in zip(itertools.count(1, BLOCK_ROWS), blocks):
         try:
             if _wrong_count(block, width):
                 raise ValueError  # the scan below names the row

@@ -24,10 +24,12 @@ trails: states are (H, B) and gates (4H, B). The per-gate tensors of the
 freeze mask, the optimizer and checkpoints (``lstm.b_f`` ...) are
 ``gate_blocks`` views.
 
-``forward`` streams the dense stack: it collects the hidden states of
-``PROJECTION_BLOCK`` steps in one buffer and runs ``dense_forward`` on
-each full block and on the last, partial one, so it allocates nothing
-as long as the series but the predictions.
+``forward`` streams the dense stack: it writes the hidden state of each
+step straight into a block buffer of ``PROJECTION_BLOCK`` steps, laid
+out as ``dense_forward`` reads it (realization-major in a stack), and
+runs the dense stack on each full block and on the last, partial one.
+It copies no block and allocates nothing as long as the series but the
+predictions.
 
 A stack of R networks (``stack``) holds every tensor with a leading
 realization axis: (R, 4H, input), (R, 4H, H), (R, out, in) and so on.
@@ -330,14 +332,18 @@ def dense_forward(
     for a stack.
 
     With a ``cache`` list, each layer appends its (input, pre-activation)
-    pair for the backward pass.
+    pair for the backward pass. Without one, each layer adds its bias and
+    applies its ReLU in place, in the array its product returned.
     """
     v = h
     for layer in dense:
-        z = v @ layer.weights.swapaxes(-1, -2) + layer.bias[..., None, :]
+        z = v @ layer.weights.swapaxes(-1, -2)
+        z += layer.bias[..., None, :]
         if cache is not None:
             cache.append((v, z))
-        v = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        if layer.activation == "relu":  # in place, unless the cache holds z
+            z = np.maximum(z, 0.0, out=z if cache is None else None)
+        v = z
     return v
 
 
@@ -368,9 +374,10 @@ def forward(
     (R, T) predictions from (R, H) initial states.
 
     The dense stack streams: the hidden states of each ``PROJECTION_BLOCK``
-    steps (fewer in the last block) go through one ``dense_forward`` call
-    into the preallocated predictions, the only array as long as the
-    series.
+    steps (fewer in the last block) go straight into one (block, H) or
+    (R, block, H) buffer, the layout ``dense_forward`` reads, and through
+    one ``dense_forward`` call into the preallocated predictions, the only
+    array as long as the series.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[0] < 1:
@@ -385,17 +392,18 @@ def forward(
         raise DimensionError(f"initial state must have shape {shape}")
     steps = len(inputs)
     preds = np.empty((*params.stack_shape, steps))
-    hidden = np.empty((min(steps, PROJECTION_BLOCK), *kernel_shape(params.lstm, shape[-1])))
+    hidden = np.empty((*params.stack_shape, min(steps, PROJECTION_BLOCK), shape[-1]))
+    slots = hidden.swapaxes(0, -2)  # time-major views: slots[k] takes step k
     cells = lstm_steps(params.lstm, inputs, state)
     for start in range(0, steps, PROJECTION_BLOCK):
         rows = min(PROJECTION_BLOCK, steps - start)
         for k, (_, c, h) in enumerate(itertools.islice(cells, rows)):
-            hidden[k] = h
+            slots[k] = h.reshape(shape)
         if start + rows == steps:
             # The last block runs once the kernel has freed its projection
             # buffer, so a short series peaks no higher than the two phases alone.
             cells.close()
-        block = by_realization(hidden[:rows].reshape(rows, *shape))
+        block = hidden[..., :rows, :]
         preds[..., start : start + rows] = dense_forward(params.dense, block)[..., 0]
     return preds, LstmState(c=c.reshape(shape), h=h.reshape(shape))
 

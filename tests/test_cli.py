@@ -268,6 +268,31 @@ def test_jobs_flag_matches_sequential(tmp_path):
     assert [p.read_bytes() for p in files_a] == [p.read_bytes() for p in files_b]
 
 
+def test_map_opens_no_more_workers_than_tasks(monkeypatch):
+    # --jobs above the task count opens one worker per task, and a single
+    # task runs in this process, without a pool.
+    opened = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    assert cli._map(pow, [(2, 3), (3, 2)], jobs=4) == [8, 9]
+    assert cli._map(pow, [(2, 5)], jobs=4) == [32]
+    assert cli._map(pow, [(2, 3), (3, 2), (2, 2)], jobs=2) == [8, 9, 4]
+    assert opened == [2, 2]
+
+
 def test_write_cfg_paths_need_parents(tmp_path):
     # synth creates missing parent directories for the dataset path
     cfg_path, _, dataset = write_cfg(tmp_path)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -195,6 +196,25 @@ def test_load_csv_accepts_crlf_and_spaced_header_cells(tmp_path):
     original = data.load_csv(path)
     assert_loads_equal(data.load_csv(crlf), original)
     assert_loads_equal(data.load_csv(spaced), original)
+
+
+def test_reader_memory_does_not_grow_with_the_file(tmp_path):
+    # The reader holds a block of BLOCK_ROWS lines, not the file: read block
+    # by block, each dropped as the next comes, a 730-day file (17,520 rows)
+    # peaks within a small factor of a 30-day one (720 rows).
+    def peak(n_days):
+        path = tmp_path / f"{n_days}.csv"
+        data.write_csv(path, data.synth_weather(seed=1, n_days=n_days), [])
+        tracemalloc.start()
+        try:
+            for _ in data._read_blocks(path, data.CSV_HEADER, [list] * len(data.CSV_HEADER)):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(30), peak(730)
+    assert large < 2 * small, (small, large)
 
 
 def test_load_csv_rejects_quoted_cell(tmp_path):

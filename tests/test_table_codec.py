@@ -149,9 +149,8 @@ N_ROWS = 24 * 24
 BOUNDARY_ROWS = (2, 257, 258, 513, 514, N_ROWS + 1)
 
 
-@pytest.fixture(scope="module")
-def synth_lines(tmp_path_factory):
-    frame = data.synth_weather(5, N_ROWS // 24)
+def synth_file_lines(tmp_path_factory, n_days):
+    frame = data.synth_weather(5, n_days)
     series = [data.synth_targets(frame, tau=data.NOMINAL_TAU[c], fuel_class=c)
               for c in FUEL_CLASSES]
     # fm10 every hour, fm100 every third hour, fm1 and fm1000 not at all.
@@ -161,6 +160,11 @@ def synth_lines(tmp_path_factory):
     return path.read_text().splitlines()
 
 
+@pytest.fixture(scope="module")
+def synth_lines(tmp_path_factory):
+    return synth_file_lines(tmp_path_factory, N_ROWS // 24)
+
+
 def set_cell(lines, row, col, text):
     cells = lines[row - 1].split(",")
     cells[col] = text
@@ -168,8 +172,12 @@ def set_cell(lines, row, col, text):
 
 
 def check(tmp_path, lines, newline="\n"):
+    return check_bytes(tmp_path, (newline.join(lines) + newline).encode("utf-8", "surrogatepass"))
+
+
+def check_bytes(tmp_path, raw):
     path = tmp_path / "mutated.csv"
-    path.write_bytes((newline.join(lines) + newline).encode("utf-8", "surrogatepass"))
+    path.write_bytes(raw)
     assert_same_load(outcome(data.load_csv, path), outcome(row_load_csv, path))
     assert_same_rows(outcome(data.read_table, path, CSV_HEADER, DATASET_TYPES),
                      outcome(row_read_table, path, CSV_HEADER, DATASET_TYPES))
@@ -282,6 +290,60 @@ def test_mutations_reach_the_rows_they_aim_at(tmp_path, synth_lines):
         mutate(lines)
         got = check(tmp_path, lines)
         assert (got[1] if got[0] == "ParseError" else None) == row, (mutate.__name__, got)
+
+
+# 30 days: 720 data rows in blocks of 256, 256 and 208 (file rows 2-257,
+# 258-513 and 514-721), some 140 kB: more than one read of the reader.
+LONG_DAYS = 30
+
+
+@pytest.fixture(scope="module")
+def long_lines(tmp_path_factory):
+    return synth_file_lines(tmp_path_factory, LONG_DAYS)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["1-byte reads", "7-byte reads", "default"])
+@pytest.mark.parametrize("bad, row", [(b"\xff", 650), (b"\xe2\x82", 650), (b"\xed\xa0\x80", 650),
+                                      (b"\xe2\x82", None)],
+                         ids=["start byte", "cut character", "surrogate", "cut at the end"])
+def test_a_byte_not_utf8_deep_in_the_file_outranks_every_other_defect(
+        tmp_path, monkeypatch, long_lines, bad, row, chunk):
+    # A malformed cell at file row 10, which holds a two-byte character, and
+    # a byte that is not UTF-8 in the third block (or at the end of the
+    # file): the UTF-8 error wins, with its absolute row and byte offset.
+    if chunk:
+        monkeypatch.setattr(data, "_CHUNK_BYTES", chunk)
+    lines = list(long_lines)
+    set_cell(lines, 10, DRYING, "w\u00e9t")
+    raw = [line.encode() for line in lines] + [b""]
+    if row is None:
+        row, raw[-1] = len(lines) + 1, bad
+    else:
+        raw[row - 1] = raw[row - 1].replace(b",", b"," + bad, 1)
+    raw = b"\r\n".join(raw)
+    kind, got_row, message = check_bytes(tmp_path, raw)
+    assert (kind, got_row) == ("ParseError", row)
+    assert message.endswith(f" at byte {raw.index(bad)}")
+
+
+@pytest.mark.parametrize("cut", [0, -1], ids=["read ends after it", "read ends inside it"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("where", ["line end", "last cell"])
+@pytest.mark.parametrize("brk", ["\r", "\u2028"], ids=["CR", "U+2028"])
+def test_a_line_break_before_a_block_boundary_gives_the_oracle_rows(
+        tmp_path, monkeypatch, long_lines, brk, where, newline, cut):
+    # File row 257 ends the first block. A break at its end or before its
+    # last cell, and a read of the reader that ends just after the break
+    # (a CR there may be half of a CRLF) or inside it.
+    lines = list(long_lines)
+    head, last = lines[256].rsplit(",", 1)
+    before, after = (last + brk, "") if where == "line end" else (brk, last)
+    lines[256] = f"{head},{before}{after}"
+    raw = (newline.join(lines) + newline).encode()
+    end = len(newline.join(lines[:257]).encode()) - len(after)
+    monkeypatch.setattr(data, "_CHUNK_BYTES", end + cut)
+    assert raw[:end].decode().endswith(brk)
+    check_bytes(tmp_path, raw)
 
 
 JUNK = st.sampled_from(["", " ", "x", "\x00", "1\x00", "\x001", "1_0", "_1", "1__0",
