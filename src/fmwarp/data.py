@@ -18,9 +18,13 @@ then reads it again a block of lines at a time and holds only that
 block. It splits a block into columns and converts each column in one
 call; only a block that fails to convert is scanned again cell by cell,
 which names the first wrong cell count or malformed cell in file order,
-exactly as a per-row reader would. The writer writes nothing until
-every line is known to read back; the dataset writer formats each block
-a column at a time, from arrays and observed masks.
+exactly as a per-row reader would. ``load_csv`` stacks each block's
+columns as it arrives and builds each array by one concatenation. The
+writer checks that each block's lines read back, writes the block to a
+temporary file beside the target and renames that file into place after
+the last block; on any error it removes the temporary file and leaves
+the target as it was. The dataset writer formats each block a column at
+a time, from arrays and observed masks.
 
 Splitting is purely temporal: the default rule assigns the first 8,761
 hourly rows (one year inclusive) to training and halves the remainder
@@ -38,6 +42,7 @@ from __future__ import annotations
 import codecs
 import itertools
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -194,13 +199,20 @@ def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSerie
         raise InvalidInputError(f"unknown fill mode {fill!r}")
     n_weather = len(WEATHER_COLUMNS)
     converters = [_timestamps] + [_floats] * n_weather + [_optional_floats] * len(FUEL_CLASSES)
-    blocks = list(_read_blocks(path, CSV_HEADER, converters))
-    if not blocks:
+    # Each block is stacked as it arrives, and each array is one
+    # concatenation of its blocks, which are freed as its name is rebound:
+    # no whole column is ever copied on its own.
+    times, weather, fm = [], [], []
+    for stamps, *columns in _read_blocks(path, CSV_HEADER, converters):
+        times.append(stamps)
+        weather.append(np.array(columns[:n_weather]))
+        fm.append(np.array(columns[n_weather:]))
+    if not times:
         raise ParseError("no data rows", row=2)
-    times, *columns = [np.concatenate(column, axis=-1) for column in zip(*blocks)]
-    weather = np.array(columns[:n_weather])
-    fmc, observed = np.array(columns[n_weather:]).swapaxes(0, 1)
-    observed = observed == 1.0
+    times = np.concatenate(times)
+    weather = np.concatenate(weather, axis=1)
+    fm = np.concatenate(fm, axis=2)
+    fmc, observed = fm[:, 0], fm[:, 1] == 1.0
     deltas, zero = np.diff(times), np.timedelta64(0, "s")
     held = (fill == "hold") & (deltas % HOUR == zero) & (deltas <= 4 * HOUR)
     defects = {  # data-row indices, in the order the checks rank within one row
@@ -273,8 +285,10 @@ def write_table(path, header, rows) -> None:
     round trips), anything else its ``str``. A line that :func:`read_table`
     would not read back (a cell holding a comma, a line break or a lone
     surrogate, which UTF-8 cannot encode, or a row of the wrong length)
-    raises :class:`InvalidInputError` with its 1-based row, and nothing is
-    written."""
+    raises :class:`InvalidInputError` with its 1-based row. The table goes
+    to a temporary file beside ``path``, a block at a time, and is renamed
+    into place after its last row; on any error ``path`` is left as it
+    was."""
 
     def cell(x) -> str:
         if x is None:
@@ -287,24 +301,34 @@ def write_table(path, header, rows) -> None:
 
 
 def _write_blocks(path, header, blocks) -> None:
-    """Encode the header line, then each block of lines; write them all
-    once every line is known to read back as it is."""
+    """Encode the header line, then each block of lines, and write each
+    block, once its lines are known to read back as they are, to a
+    temporary file beside ``path``, renamed to ``path`` after the last
+    block. On any error the temporary file is removed and ``path`` is left
+    as it was."""
 
     def encode(lines: list[str]) -> bytes | None:  # a surrogate becomes "?" and reads back wrong
         data = ("\n".join(lines) + "\n").encode("utf-8", "replace")
         ok = not _wrong_count(lines, len(header)) and data.decode("utf-8").splitlines() == lines
         return data if ok else None
 
-    encoded, first = [], 1
-    for lines in itertools.chain([[",".join(header)]], blocks):
-        encoded.append(encode(lines))
-        if encoded[-1] is None:
-            rownum = first + next(k for k, line in enumerate(lines) if encode([line]) is None)
-            raise InvalidInputError(f"{path}: row {rownum} would not read back as "
-                                    f"{len(header)} cells on one line of UTF-8 text")
-        first += len(lines)
-    with open(path, "wb") as f:
-        f.writelines(encoded)
+    target = Path(path)
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            first = 1
+            for lines in itertools.chain([[",".join(header)]], blocks):
+                data = encode(lines)
+                if data is None:
+                    rownum = first + next(k for k, line in enumerate(lines)
+                                          if encode([line]) is None)
+                    raise InvalidInputError(f"{path}: row {rownum} would not read back as "
+                                            f"{len(header)} cells on one line of UTF-8 text")
+                f.write(data)
+                first += len(lines)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_table(path, header, types) -> list[list]:

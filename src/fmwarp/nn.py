@@ -24,12 +24,20 @@ trails: states are (H, B) and gates (4H, B). The per-gate tensors of the
 freeze mask, the optimizer and checkpoints (``lstm.b_f`` ...) are
 ``gate_blocks`` views.
 
-``forward`` streams the dense stack: it writes the hidden state of each
-step straight into a block buffer of ``PROJECTION_BLOCK`` steps, laid
+Two block sizes bound the memory of a long series. ``forward`` streams
+the dense stack over blocks of ``PROJECTION_BLOCK`` (1,024) steps: it
+writes the hidden state of each step straight into a block buffer laid
 out as ``dense_forward`` reads it (realization-major in a stack), and
 runs the dense stack on each full block and on the last, partial one.
 It copies no block and allocates nothing as long as the series but the
-predictions.
+predictions. The kernel projects its inputs ahead of the recurrence,
+one product per ``PROJECTION_SUB_BLOCK`` (128) steps of each such block.
+Both sizes are fixed, never sized from R or T. The dense stack's
+products round differently below about 112 rows (with OpenBLAS), so its
+block sets the rows of every product. The input projection rounds a row
+alike for any row count but one: a one-row product takes another BLAS
+routine (gemv). So a block's lone last row joins the sub-block before
+it, and every row comes out as one product over its whole block gives it.
 
 A stack of R networks (``stack``) holds every tensor with a leading
 realization axis: (R, 4H, input), (R, 4H, H), (R, out, in) and so on.
@@ -70,11 +78,15 @@ GATE_NAMES = ("f", "i", "o", "g")
 BLOCK_PREFIXES = ("w_x", "w_h", "b_")
 CHECKPOINT_NAMES = tuple(prefix + tag for prefix in BLOCK_PREFIXES for tag in ("f", "i", "g", "o"))
 CHECKPOINT_FORMAT = "fmwarp-tensors-v1"
-# Steps per batched input projection in ``lstm_steps`` and per dense-stack
-# block in ``forward``: one (T, 4H) block for a whole series is 36 MB at
-# H=64 over two years of hours. Fixed, never sized from R or T: a BLAS
-# product's rounding can depend on its row count.
+# Steps per dense-stack block in ``forward``, and per block of the input
+# projection in ``lstm_steps``: a BLAS product's rounding can depend on its
+# row count, and the dense stack's does.
 PROJECTION_BLOCK = 1024
+# Steps per input projection within a block: at H=64 a 128-step projection
+# is 0.26 MB, a 1,024-step one 2.1 MB and one over two years of hours 36 MB.
+# Any row count but one rounds a row of this product alike (see the module
+# docstring; the property tests pin it).
+PROJECTION_SUB_BLOCK = 128
 # Initial forget-gate bias: the usual trick to favor remembering early in
 # training.
 FORGET_BIAS = 1.0
@@ -251,6 +263,16 @@ def stack(nets: list[RnnParams]) -> RnnParams:
     return RnnParams(lstm=lstm, dense=dense, freeze_mask=dict(first.freeze_mask))
 
 
+def _projection_bounds(steps: int):
+    """The (lo, hi) step ranges of the input projections of ``lstm_steps``:
+    ``PROJECTION_SUB_BLOCK`` steps at a time within each ``PROJECTION_BLOCK``
+    block, a lone last row of a block joining the range before it."""
+    for start in range(0, steps, PROJECTION_BLOCK):
+        stop = min(start + PROJECTION_BLOCK, steps)
+        cuts = range(start, stop - 1, PROJECTION_SUB_BLOCK)[1:]  # none at stop - 1
+        yield from itertools.pairwise((start, *cuts, stop))
+
+
 def lstm_steps(
     lstm: LstmParams,
     inputs: np.ndarray,
@@ -269,9 +291,12 @@ def lstm_steps(
     column makes each recurrent product the one a single network runs.
     With shifts a stack yields (R, 4H, B) gates and (R, H, B) states, each
     realization's slice bit for bit its own run with the same shifts.
-    Input projections are hoisted out of the recurrent loop, one block of
-    ``PROJECTION_BLOCK`` steps at a time. Each yielded array is new, never
-    reused.
+    Input projections are hoisted out of the recurrent loop, one product
+    per ``PROJECTION_SUB_BLOCK`` steps of each ``PROJECTION_BLOCK`` block
+    (a block's lone last row joins the product before it), into one buffer
+    of at most ``PROJECTION_SUB_BLOCK + 1`` rows. Every row comes out bit
+    for bit as it would from one product over its whole block. Each
+    yielded array is new, never reused.
     """
     size = lstm.hidden_size
     stacked = lstm.b.ndim > 1
@@ -301,13 +326,13 @@ def lstm_steps(
             bias_shift *= 0.5
     w_x_t = w_x.swapaxes(-1, -2)
     bias = bias[..., None, :]
-    # One projection buffer, reused block after block, so a stack's R-fold
-    # larger block is never allocated twice at once.
+    # One projection buffer, reused sub-block after sub-block, so a stack's
+    # R-fold larger sub-block is never allocated twice at once.
+    steps = inputs.shape[-2]
     lead = np.broadcast_shapes(inputs.shape[:-2], lstm.b.shape[:-1])
-    buffer = np.empty((*lead, min(inputs.shape[-2], PROJECTION_BLOCK), 4 * size))
-    for start in range(0, inputs.shape[-2], PROJECTION_BLOCK):
-        block = inputs[..., start : start + PROJECTION_BLOCK, :]
-        z_in = np.matmul(block, w_x_t, out=buffer[..., : block.shape[-2], :])
+    buffer = np.empty((*lead, min(steps, PROJECTION_SUB_BLOCK + 1), 4 * size))
+    for lo, hi in _projection_bounds(steps):
+        z_in = np.matmul(inputs[..., lo:hi, :], w_x_t, out=buffer[..., : hi - lo, :])
         z_in += bias
         for z_t in z_in.swapaxes(0, -2)[column]:  # time-major
             z = w_h @ h

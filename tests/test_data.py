@@ -217,6 +217,25 @@ def test_reader_memory_does_not_grow_with_the_file(tmp_path):
     assert large < 2 * small, (small, large)
 
 
+def test_load_csv_peak_memory_is_within_a_small_factor_of_its_result(tmp_path):
+    # Blocks are stacked as they arrive and each array is built by one
+    # concatenation: loading 730 days peaks under 2.5 times the bytes of
+    # the frame and series it returns.
+    frame = data.synth_weather(seed=1, n_days=730)
+    path = tmp_path / "synth.csv"
+    data.write_csv(path, frame, [data.synth_targets(frame, data.NOMINAL_TAU[cls], fuel_class=cls)
+                                 for cls in data.FUEL_CLASSES])
+    tracemalloc.start()
+    try:
+        frame, series = data.load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in [frame.times, *frame.columns().values()])
+    returned += sum(s.times.nbytes + s.values.nbytes for s in series)
+    assert peak < 2.5 * returned, (peak, returned)
+
+
 def test_load_csv_rejects_quoted_cell(tmp_path):
     rows = [r + ",,,," for r in make_rows(3)]
     cells = rows[1].split(",")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,22 @@ def test_forward_rejects_empty():
     params = nn.init_params(3, 4, (4, 2), rng=np.random.default_rng(0))
     with pytest.raises(InvalidInputError):
         nn.forward(params, np.zeros((0, 3)))
+
+
+def test_stacked_forward_peak_memory():
+    # Four H=64 networks over 4,096 steps: the kernel projects 128-step
+    # sub-blocks, so its buffer is (4, 129, 256), not (4, 1024, 256) (8 MiB).
+    rng = np.random.default_rng(0)
+    params = nn.stack([nn.init_params(12, 64, (32, 16), rng) for _ in range(4)])
+    x = rng.normal(size=(4096, 12))
+    tracemalloc.start()
+    try:
+        preds, _ = nn.forward(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == (4, 4096)
+    assert peak < 7 * 2**20, peak
 
 
 def test_forward_deterministic():

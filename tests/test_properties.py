@@ -125,6 +125,53 @@ def test_stacked_steps_with_shifts_equal_solo_runs(steps, hidden, n, n_shifts, s
                 assert_array_equal(stacked_arr[r], solo_arr)
 
 
+def check_sub_block_projection(steps, hidden, n, inputs, seed):
+    # The kernel projects its inputs PROJECTION_SUB_BLOCK steps at a time;
+    # the reference, one product per PROJECTION_BLOCK block. Every output
+    # of the forward pass (one network and a stack) and of the kernel with
+    # shifts is the same, bit for bit.
+    rng = np.random.default_rng(seed)
+    nets = [random_net(rng, hidden, inputs=inputs) for _ in range(n)]
+    x = rng.normal(size=(steps, inputs))
+    initial = nn.LstmState(c=rng.normal(size=(n, hidden)), h=rng.normal(size=(n, hidden)))
+    shifts = rng.uniform(-3.0, 3.0, size=(3, 2))
+
+    def run():
+        solo = nn.forward(nets[0], x)
+        stacked = nn.forward(nn.stack(nets), x, initial)
+        shifted = nn.lstm_steps(nn.stack(nets).lstm, x, initial, shifts)
+        steps_out = np.array([np.concatenate([a.ravel() for a in out]) for out in shifted])
+        return [solo[0], solo[1].c, solo[1].h, stacked[0], stacked[1].c, stacked[1].h,
+                steps_out]
+
+    got = run()
+    sub_block = nn.PROJECTION_SUB_BLOCK
+    nn.PROJECTION_SUB_BLOCK = BLOCK
+    try:
+        reference = run()
+    finally:
+        nn.PROJECTION_SUB_BLOCK = sub_block
+    for got_arr, ref_arr in zip(got, reference, strict=True):
+        assert_array_equal(got_arr, ref_arr)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 127, 128, 129, 130, 255, 256, 257, 258,
+                                   BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, BLOCK + 129])
+@settings(max_examples=3, deadline=None)
+@given(hidden=st.integers(1, 8), n=st.integers(1, 4), inputs=st.integers(1, 12),
+       seed=st.integers(0, 2**16))
+def test_sub_block_projection_equals_one_product_per_block_at_edges(steps, hidden, n, inputs,
+                                                                    seed):
+    check_sub_block_projection(steps, hidden, n, inputs, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(steps=st.integers(1, 3 * BLOCK), hidden=st.integers(1, 8), n=st.integers(1, 4),
+       inputs=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_sub_block_projection_equals_one_product_per_block(steps, hidden, n, inputs, seed):
+    check_sub_block_projection(steps, hidden, n, inputs, seed)
+
+
 @settings(max_examples=20, deadline=None)
 @given(steps=st.integers(5, 60), hidden=st.integers(1, 5), n_per_axis=st.integers(2, 5),
        seed=st.integers(0, 2**16))
