@@ -143,10 +143,11 @@ class Config:
             return False
         raise ConfigError(f"config key {key!r} must be a boolean")
 
-    def realizations(self) -> int:
-        n = self.get_int("realizations")
+    def count(self, key: str, value: int | None = None) -> int:
+        """``value``, or else the integer of ``key``; below 1 is a :class:`ConfigError`."""
+        n = self.get_int(key) if value is None else value
         if n < 1:
-            raise ConfigError(f"config key 'realizations' must be >= 1, got {n}")
+            raise ConfigError(f"config key {key!r} must be >= 1, got {n}")
         return n
 
     def get_optional_float(self, key: str) -> float | None:
@@ -356,17 +357,17 @@ def _map(fn, tasks, jobs: int) -> list:
 
 def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     """Train per-realization source-task checkpoints plus manifest."""
+    jobs = cfg.count("jobs", jobs)
     parts = split_dataset(cfg, *load_dataset(cfg))
     source_class = cfg.get("source.class")
     normalizer, scaler = fit_scalers(parts, source_class)
     train_s, val_s = train_val_series(parts, normalizer, source_class, scaler)
     hidden, dense_sizes = cfg.arch()
     config = cfg.train_config()
-    n = cfg.realizations()
+    n = cfg.count("realizations")
     seeds = [config.seed + k for k in range(n)]
     # One contiguous chunk of realizations per worker, trained in lockstep.
-    jobs = cfg.get_int("jobs") if jobs is None else jobs
-    chunks = max(1, min(jobs, n))
+    chunks = min(jobs, n)
     cuts = [n * c // chunks for c in range(chunks + 1)]
     tasks = [
         (datamod.N_FEATURES, hidden, dense_sizes, train_s, val_s,
@@ -396,6 +397,7 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     """
     if fuel_class not in datamod.FUEL_CLASSES:
         raise ConfigError(f"unknown fuel class {fuel_class!r}")
+    jobs = cfg.count("jobs", jobs)
     method = transfer.TransferMethod.parse(method_name)
     from_pretrained = transfer.PROTOCOLS[method].pretrained
     pretrain_dir = Path(cfg.get("out"), "pretrain")
@@ -411,13 +413,13 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
 
     # (pretrained params, normalizer, target scaler) per realization.
     sources = ([load_checkpoint(path) for path in ckpts] if from_pretrained
-               else [(None, *fit_scalers(parts, fuel_class))] * cfg.realizations())
+               else [(None, *fit_scalers(parts, fuel_class))] * cfg.count("realizations"))
     tasks = [
         (method, pretrained, *train_val_series(parts, normalizer, fuel_class, scaler),
          replace(config, seed=config.seed + k), grid, arch)
         for k, (pretrained, normalizer, scaler) in enumerate(sources)
     ]
-    results = _map(transfer.run_method, tasks, cfg.get_int("jobs") if jobs is None else jobs)
+    results = _map(transfer.run_method, tasks, jobs)
 
     shift_rows = []
     with stage_dir(cfg, "transfer", method.value, fuel_class) as out:
@@ -459,7 +461,9 @@ def cmd_evaluate(
     Hourly predictions run over the full span (recurrent state spun up
     through train and validation), are interpolated to the exact test
     observation times, and scored per (method, class, filter) with the
-    <=30% filter applied only to the fine fuel classes.
+    <=30% filter applied only to the fine fuel classes. Only the filter
+    ``filter_name``, if given, is scored; a cell without pairs, or whose
+    observations do not vary, raises :class:`EvaluationError` naming it.
 
     Checkpoints are read in directory, then file order. Each run of up to
     ``LOCKSTEP_MAX`` consecutive checkpoints that share a ``_lockstep_key``
@@ -510,11 +514,15 @@ def cmd_evaluate(
                 if cls in ("fm1", "fm10"):
                     filtered.append((evaluation.FILTER_LE30,
                                      *evaluation.filter_le(pred_pairs, obs_pairs, threshold)))
-                metric_rows.extend((method, cls, fname, evaluation.metrics(p, m))
-                                   for fname, p, m in filtered)
-    reports = evaluation.group_reports(
-        row for row in metric_rows if not filter_name or row[2] == filter_name
-    )
+                for fname, p, m in filtered:
+                    if filter_name and fname != filter_name:
+                        continue
+                    try:
+                        metric_rows.append((method, cls, fname, evaluation.metrics(p, m)))
+                    except (InvalidInputError, ZeroVarianceError) as exc:
+                        raise EvaluationError(
+                            f"cannot score {method} {cls} {fname}: {exc}") from None
+    reports = evaluation.group_reports(metric_rows)
     if not reports:
         raise EvaluationError("nothing to evaluate (check --method/--class filters)")
     with stage_dir(cfg, "evaluate") as eval_dir:

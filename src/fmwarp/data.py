@@ -12,10 +12,11 @@ of up to three hours.
 
 Every table, the dataset included, goes through one codec that works on
 fixed blocks of ``BLOCK_ROWS`` rows, so the text it formats or splits at
-a time is bounded by the block, not the file. The reader first checks
-that the whole file is UTF-8, in a pass that keeps none of the text,
-then reads it again a block of lines at a time and holds only that
-block. It splits a block into columns and converts each column in one
+a time is bounded by the block, not the file. The reader opens the file
+once and reads it in one pass, a block of lines at a time, holding only
+that block; since a byte that is not UTF-8 outranks every other defect,
+a block that fails sends the reader on to the end of the file before it
+raises. It splits a block into columns and converts each column in one
 call; only a block that fails to convert is scanned again cell by cell,
 which names the first wrong cell count or malformed cell in file order,
 exactly as a per-row reader would. ``load_csv`` stacks each block's
@@ -40,6 +41,7 @@ hours, optionally clipped at a sensor-saturation cap.
 from __future__ import annotations
 
 import codecs
+import collections
 import itertools
 import math
 import os
@@ -343,80 +345,71 @@ def read_table(path, header, types) -> list[list]:
             for row in zip(*columns)]
 
 
-def _chunks(path, end: int | None = None):
-    """The bytes of ``path``, up to offset ``end`` if given, in pieces of at
-    most ``_CHUNK_BYTES``."""
-    with open(path, "rb") as f:
-        while piece := f.read(_CHUNK_BYTES if end is None else min(_CHUNK_BYTES, end - f.tell())):
-            yield piece
-
-
-def _line_lists(chunks):
-    """The lines of the UTF-8 text that arrives in byte ``chunks``, a list
-    per chunk: together those of ``str.splitlines`` over the whole text."""
+def _lines(path):
+    """The lines that ``str.splitlines`` gives for the UTF-8 text of
+    ``path``, which is opened once and decoded ``_CHUNK_BYTES`` at a time.
+    A byte that is not UTF-8 raises :class:`ParseError` with its offset in
+    the file and the row it falls in."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    tail = ""
-    for chunk in chunks:
-        text = tail + decoder.decode(chunk)
-        lines, tail = text.splitlines(), ""
-        if lines and not text.endswith(_LINE_ENDS):
-            # The last line may go on in the next chunk, and a CR may be half a CRLF.
-            tail = lines.pop() + "\r" * text.endswith("\r")
-        yield lines
-    yield (tail + decoder.decode(b"", final=True)).splitlines()
-
-
-def _check_utf8(path) -> None:
-    """Raise the :class:`ParseError` of the first byte of ``path`` that is not
-    UTF-8, with its offset in the file and the row it falls in."""
-    decoder, start = codecs.getincrementaldecoder("utf-8")(), 0
-    try:
-        for chunk in itertools.chain(_chunks(path), [b""]):
-            decoder.decode(chunk, final=not chunk)
-            start += len(chunk)
-    except UnicodeDecodeError as exc:
-        # The decoder read the bytes it held back from the chunk before, then this one.
-        start += exc.start - (len(exc.object) - len(chunk))
-        # Its row: the lines of the text before it, with one character in its place.
-        row = sum(map(len, _line_lists(itertools.chain(_chunks(path, end=start), [b"?"]))))
-        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {start}", row=row) from None
+    tail, start, row = "", 0, 0
+    with open(path, "rb") as f:
+        for chunk in itertools.chain(iter(lambda: f.read(_CHUNK_BYTES), b""), [b""]):
+            try:
+                text = tail + decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # The decoder read the bytes it held back from the chunk before, then this one.
+                at = start + exc.start - (len(exc.object) - len(chunk))
+                # Its row: the lines of the text before it, with one character in its place.
+                row += len((tail + exc.object[: exc.start].decode("utf-8") + "?").splitlines())
+                raise ParseError(f"not UTF-8 text: {exc.reason} at byte {at}", row=row) from None
+            lines, tail = text.splitlines(), ""
+            if chunk and lines and not text.endswith(_LINE_ENDS):
+                # The last line may go on in the next chunk, and a CR may be half a CRLF.
+                tail = lines.pop() + "\r" * text.endswith("\r")
+            start, row = start + len(chunk), row + len(lines)
+            yield from lines
 
 
 def _read_blocks(path, header, converters):
     """Per block of ``BLOCK_ROWS`` data rows, its columns, each converted by
     one call of its entry in ``converters``. Only in a block that does not
     convert, the converters run a cell at a time, to name its first wrong
-    cell count or malformed cell. A first pass checks that the whole file
-    is UTF-8; then it is read a block of lines at a time."""
-    _check_utf8(path)
-    lines = itertools.chain.from_iterable(_line_lists(_chunks(path)))
-    first = next(lines, None)
-    names = [] if first is None else [name.strip() for name in first.split(",")]
-    if names != list(header):
-        wrong = [name for k, name in enumerate(names) if name not in header[k : k + 1]]
-        raise ParseError(f"header mismatch; unknown or misplaced columns {wrong}, "
-                         f"expected {','.join(header)}", row=1)
-    width = len(header)
-    blocks = iter(lambda: list(itertools.islice(lines, BLOCK_ROWS)), [])
-    for start, block in zip(itertools.count(1, BLOCK_ROWS), blocks):
-        try:
-            if _wrong_count(block, width):
-                raise ValueError  # the scan below names the row
-            cells = ",".join(block).split(",")
-            columns = [convert(cells[c::width]) for c, convert in enumerate(converters)]
-        except ValueError:
-            for rownum, line in enumerate(block, start=start + 1):
-                cells = line.split(",")
-                if len(cells) != width:
-                    raise ParseError(f"expected {width} cells, got {len(cells)}",
-                                     row=rownum) from None
-                for name, convert, cell in zip(header, converters, cells):
-                    try:
-                        convert([cell])
-                    except ValueError as exc:
-                        raise ParseError(f"malformed {name} cell: {exc}", row=rownum) from None
-            raise  # a column converter rejected cells that each convert: a codec bug
-        yield columns
+    cell count or malformed cell. The file is read in one pass, a block of
+    lines at a time; a byte that is not UTF-8 anywhere in it outranks every
+    other defect, so the rest of the file is read before one is raised."""
+    lines = _lines(path)
+    try:
+        first = next(lines, None)
+        names = [] if first is None else [name.strip() for name in first.split(",")]
+        if names != list(header):
+            wrong = [name for k, name in enumerate(names) if name not in header[k : k + 1]]
+            raise ParseError(f"header mismatch; unknown or misplaced columns {wrong}, "
+                             f"expected {','.join(header)}", row=1)
+        width = len(header)
+        blocks = iter(lambda: list(itertools.islice(lines, BLOCK_ROWS)), [])
+        for start, block in zip(itertools.count(1, BLOCK_ROWS), blocks):
+            try:
+                if _wrong_count(block, width):
+                    raise ValueError  # the scan below names the row
+                cells = ",".join(block).split(",")
+                columns = [convert(cells[c::width]) for c, convert in enumerate(converters)]
+            except ValueError:
+                for rownum, line in enumerate(block, start=start + 1):
+                    cells = line.split(",")
+                    if len(cells) != width:
+                        raise ParseError(f"expected {width} cells, got {len(cells)}",
+                                         row=rownum) from None
+                    for name, convert, cell in zip(header, converters, cells):
+                        try:
+                            convert([cell])
+                        except ValueError as exc:
+                            raise ParseError(f"malformed {name} cell: {exc}",
+                                             row=rownum) from None
+                raise  # a column converter rejected cells that each convert: a codec bug
+            yield columns
+    except ParseError:
+        collections.deque(lines, maxlen=0)  # raises at a byte that is not UTF-8
+        raise
 
 
 def write_csv(path, frame: WeatherFrame, series: list[FmcSeries]) -> None:

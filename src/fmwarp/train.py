@@ -73,6 +73,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise InvalidInputError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate):
+            raise InvalidInputError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.batch_length < 2:
             raise InvalidInputError(f"batch_length must be >= 2, got {self.batch_length}")
         if self.patience < 1:

@@ -48,6 +48,9 @@ class GridSpec:
     n_per_axis: int = 25
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InvalidInputError(
+                f"grid.lo and grid.hi must be finite, got {self.lo} and {self.hi}")
         if not self.lo < self.hi:
             raise InvalidInputError(f"grid lo {self.lo} must be < hi {self.hi}")
         if self.n_per_axis < 2:

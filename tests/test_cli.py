@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -709,3 +710,67 @@ def test_year_split_gives_validation_the_odd_row(tmp_path):
     parts = cli.split_dataset(cfg, *cli.load_dataset(cfg))
     sizes = [len(part.weather) for part in (parts.train, parts.val, parts.test)]
     assert sizes == [101, 94, 93]
+
+
+def test_jobs_below_one_exit_with_config_error(tmp_path, monkeypatch, capsys):
+    # --jobs, the jobs key and the jobs= argument alike.
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1)
+    zero_path, _, _ = write_cfg(tmp_path, "zero.cfg", realizations=1, jobs=0)
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+    for argv in (["pretrain", "--jobs", "0"], ["pretrain", "--jobs", "-4"],
+                 ["transfer", "--method", "NoTransfer", "--class", "fm1", "--jobs", "0"]):
+        assert run_main(monkeypatch, *argv, "--config", str(cfg_path)) == 2, argv
+        assert "'jobs'" in capsys.readouterr().err, argv
+    assert run_main(monkeypatch, "pretrain", "--config", str(zero_path)) == 2
+    assert "'jobs'" in capsys.readouterr().err
+    cfg = cli.Config.load(str(cfg_path))
+    with pytest.raises(ConfigError, match="'jobs'"):
+        cli.cmd_pretrain(cfg, jobs=0)
+    with pytest.raises(ConfigError, match="'jobs'"):
+        cli.cmd_transfer(cfg, "NoTransfer", "fm1", jobs=-1)
+    assert not (out / "pretrain").exists() and not (out / "transfer").exists()
+
+
+@pytest.mark.parametrize("key, value, stage, name", [
+    ("grid__lo", "-inf", "transfer", "grid.lo"),
+    ("grid__hi", "inf", "transfer", "grid.hi"),
+    ("train__learning_rate", "inf", "pretrain", "learning_rate"),
+])
+def test_non_finite_grid_bound_or_learning_rate_exit_with_data_error(
+        tmp_path, monkeypatch, capsys, key, value, stage, name):
+    # Rejected where they enter: no numpy warning, no stage directory.
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, grid__n_per_axis=5)
+    bad_path, _, _ = write_cfg(tmp_path, "bad.cfg", realizations=1, grid__n_per_axis=5,
+                               **{key: value})
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    if stage == "transfer":
+        cli.cmd_pretrain(cfg)
+    argv = [stage] + (["--method", "TimeWarp", "--class", "fm1"] if stage == "transfer" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_main(monkeypatch, *argv, "--config", str(bad_path)) == 3
+    assert name in capsys.readouterr().err
+    assert not (out / stage).exists()
+
+
+def test_evaluate_scores_only_the_filter_asked_for_and_names_a_cell_without_pairs(
+        tmp_path, monkeypatch, capsys):
+    # Every fm1 observation above 30 %: the le30 cell of fm1 has no pairs.
+    cfg_path, out, dataset = write_cfg(tmp_path, realizations=1, grid__n_per_axis=5)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    cli.cmd_transfer(cfg, "TimeWarp", "fm1")
+    frame, series = data.load_csv(dataset)
+    data.write_csv(dataset, frame, [
+        data.FmcSeries(s.fuel_class, s.times, s.values + 40.0 * (s.fuel_class == "fm1"))
+        for s in series])
+    assert run_main(monkeypatch, "evaluate", "--config", str(cfg_path), "--filter", "all") == 0
+    report = snapshot(out / "evaluate")
+    assert [row.split(",")[:3] for row in report["report.csv"].decode().splitlines()[1:]] == [
+        ["TimeWarp", "fm1", "all"]]
+    capsys.readouterr()
+    assert run_main(monkeypatch, "evaluate", "--config", str(cfg_path)) == 5
+    assert "TimeWarp fm1 le30" in capsys.readouterr().err
+    assert snapshot(out / "evaluate") == report

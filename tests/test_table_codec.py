@@ -328,6 +328,35 @@ def test_a_byte_not_utf8_deep_in_the_file_outranks_every_other_defect(
     assert message.endswith(f" at byte {raw.index(bad)}")
 
 
+@pytest.mark.parametrize("defect", [None, "malformed cell", "bad byte after a malformed cell"])
+def test_a_read_opens_the_file_once(tmp_path, monkeypatch, long_lines, defect):
+    # One pass over the file, also when a malformed cell at file row 10
+    # sends the reader on to a byte that is not UTF-8 at row 650.
+    lines = list(long_lines)
+    if defect:
+        set_cell(lines, 10, DRYING, "wet")
+    raw = [line.encode() for line in lines]
+    if defect == "bad byte after a malformed cell":
+        raw[649] = raw[649].replace(b",", b",\xff", 1)
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\n".join(raw) + b"\n")
+    want = {None: None, "malformed cell": 10, "bad byte after a malformed cell": 650}[defect]
+
+    opens = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    for read, args in ((data.load_csv, ()), (data.read_table, (CSV_HEADER, DATASET_TYPES))):
+        opens.clear()
+        got = outcome(read, path, *args)
+        assert (got[1] if got[0] == "ParseError" else None) == want, (read.__name__, got)
+        assert opens == [path], (read.__name__, len(opens))
+
+
 @pytest.mark.parametrize("cut", [0, -1], ids=["read ends after it", "read ends inside it"])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("where", ["line end", "last cell"])
