@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -42,32 +43,76 @@ from fmwarp.errors import (
     ZeroVarianceError,
 )
 
-DEFAULTS = {
-    "seed": "0",
-    "out": "runs/exp",
-    "jobs": "1",
-    "realizations": "1",
-    "methods": "TimeWarp",
-    "data.path": "",
-    "data.fill": "",
-    "split.rule": "year",
-    "split.train_rows": str(datamod.TRAIN_ROWS_ONE_YEAR),
-    "split.train_frac": "0.6",
-    "arch.hidden_size": "64",
-    "arch.dense_sizes": "32,16",
-    "train.learning_rate": "0.01",
-    "train.batch_length": "72",
-    "train.max_epochs": "100",
-    "train.patience": "10",
-    "train.shuffle": "true",
-    "grid.lo": "-5",
-    "grid.hi": "5",
-    "grid.n_per_axis": "25",
-    "source.class": "fm10",
-    "synth.n_days": "30",
-    "synth.rain_rate": "0.08",
-    "synth.cap": "27",
-    "filter.threshold": "30",
+
+def _finite(kind, low=-math.inf):
+    """A parser of ``kind`` that refuses a value below ``low`` or not finite."""
+    def parse(text: str):
+        value = kind(text)
+        if not (-math.inf < value < math.inf and value >= low):
+            raise ValueError(text)
+        return value
+    return parse
+
+
+def _listed(parse, count: int | None = None):
+    """A parser of comma-separated items that refuses no items, or not ``count``."""
+    def parse_list(text: str) -> tuple:
+        items = tuple(parse(item) for item in text.split(",") if item.strip())
+        if not items or count not in (None, len(items)):
+            raise ValueError(text)
+        return items
+    return parse_list
+
+
+def _optional(parse):
+    return lambda text: None if text.strip().lower() in ("", "none") else parse(text)
+
+
+def _one_of(*options: str):
+    return lambda text: options[options.index(text)]
+
+
+def _path(text: str) -> Path:
+    if not text:
+        raise ValueError(text)
+    return Path(text)
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_INT, _COUNT, _NUMBER = "an integer", "an integer >= 1", "a number"
+
+# key: (default text, parser, what the parser accepts). A stage parses a
+# key when it reads it. Where the library checks a range (TrainConfig,
+# GridSpec, the split specs, synth_weather, load_csv, filter_le), the
+# parser takes only the kind, so those errors keep their own exit code.
+KEYS = {
+    "seed": ("0", _finite(int, 0), "an integer >= 0"),
+    "out": ("runs/exp", Path, "a path"),
+    "jobs": ("1", _finite(int, 1), _COUNT),
+    "realizations": ("1", _finite(int, 1), _COUNT),
+    "methods": ("TimeWarp", _listed(lambda name: transfer.TransferMethod.parse(name).value),
+                "method names from " + ", ".join(m.value for m in transfer.TransferMethod)),
+    "data.path": ("", _path, "a non-empty path"),
+    "data.fill": ("", lambda text: text or None, "a fill mode, or empty"),
+    "split.rule": ("year", _one_of("year", "fraction"), "year or fraction"),
+    "split.train_rows": (str(datamod.TRAIN_ROWS_ONE_YEAR), int, _INT),
+    "split.train_frac": ("0.6", float, _NUMBER),
+    "arch.hidden_size": ("64", _finite(int, 1), _COUNT),
+    "arch.dense_sizes": ("32,16", _listed(_finite(int, 1), 2), "two integers >= 1"),
+    "train.learning_rate": ("0.01", float, _NUMBER),
+    "train.batch_length": ("72", int, _INT),
+    "train.max_epochs": ("100", int, _INT),
+    "train.patience": ("10", int, _INT),
+    "train.shuffle": ("true", lambda text: _BOOLS[text.lower()], "true or false"),
+    "grid.lo": ("-5", float, _NUMBER),
+    "grid.hi": ("5", float, _NUMBER),
+    "grid.n_per_axis": ("25", int, _INT),
+    "source.class": ("fm10", _one_of(*datamod.FUEL_CLASSES),
+                     "one of " + ", ".join(datamod.FUEL_CLASSES)),
+    "synth.n_days": ("30", int, _INT),
+    "synth.rain_rate": ("0.08", _finite(float, 0.0), "a finite number >= 0"),
+    "synth.cap": ("27", _optional(_finite(float)), "a finite number, or empty or none"),
+    "filter.threshold": ("30", float, _NUMBER),
 }
 
 # Checkpoints per stacked forward in ``cmd_evaluate``: bounds the networks
@@ -86,15 +131,15 @@ EXIT_CODES = (
 
 
 class Config:
-    """Flat dotted-key configuration with typed accessors; every key must
-    be one of ``DEFAULTS``, so a misspelled key fails instead of training
-    on the default."""
+    """Flat dotted-key configuration; every key must be one of ``KEYS``, so
+    a misspelled key fails instead of training on the default. ``values``
+    holds the texts, as the manifests echo them."""
 
     def __init__(self, values: dict[str, str]):
-        unknown = sorted(values.keys() - DEFAULTS.keys())
+        unknown = sorted(values.keys() - KEYS.keys())
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}")
-        self.values = dict(DEFAULTS)
+        self.values = {key: default for key, (default, _, _) in KEYS.items()}
         self.values.update(values)
 
     @classmethod
@@ -118,93 +163,39 @@ class Config:
                 values[key] = str(value)
         return cls(values)
 
-    def get(self, key: str) -> str:
-        if key not in self.values:
-            raise ConfigError(f"missing config key {key!r}")
-        return self.values[key]
-
-    def get_int(self, key: str) -> int:
+    def get(self, key: str, text: str | int | None = None):
+        """``key`` parsed from ``text``, or else from its configured text;
+        a text its parser refuses is a :class:`ConfigError`."""
+        if key not in KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        _, parse, accepts = KEYS[key]
+        text = self.values[key] if text is None else str(text)
         try:
-            return int(self.get(key))
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be an integer") from None
+            return parse(text)
+        except (ValueError, LookupError, FmwarpError):
+            raise ConfigError(f"config key {key!r} must be {accepts}, got {text!r}") from None
 
-    def get_float(self, key: str) -> float:
-        try:
-            return float(self.get(key))
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be a number") from None
-
-    def get_bool(self, key: str) -> bool:
-        value = self.get(key).lower()
-        if value in ("true", "1", "yes"):
-            return True
-        if value in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {key!r} must be a boolean")
-
-    def count(self, key: str, value: int | None = None) -> int:
-        """``value``, or else the integer of ``key``; below 1 is a :class:`ConfigError`."""
-        n = self.get_int(key) if value is None else value
-        if n < 1:
-            raise ConfigError(f"config key {key!r} must be >= 1, got {n}")
-        return n
-
-    def get_optional_float(self, key: str) -> float | None:
-        value = self.get(key).strip().lower()
-        return None if value in ("", "none") else self.get_float(key)
+    get_int = get_float = get_bool = get  # old names, still called by perfbench and a test
 
     def train_config(self) -> train.TrainConfig:
-        return train.TrainConfig(
-            learning_rate=self.get_float("train.learning_rate"),
-            batch_length=self.get_int("train.batch_length"),
-            max_epochs=self.get_int("train.max_epochs"),
-            patience=self.get_int("train.patience"),
-            seed=self.get_int("seed"),
-            shuffle=self.get_bool("train.shuffle"),
-        )
+        return train.TrainConfig(seed=self.get("seed"), **{
+            name: self.get(f"train.{name}")
+            for name in ("learning_rate", "batch_length", "max_epochs", "patience", "shuffle")})
 
     def grid_spec(self) -> transfer.GridSpec:
-        return transfer.GridSpec(
-            lo=self.get_float("grid.lo"),
-            hi=self.get_float("grid.hi"),
-            n_per_axis=self.get_int("grid.n_per_axis"),
-        )
-
-    def arch(self) -> tuple[int, tuple[int, ...]]:
-        try:
-            sizes = tuple(int(s) for s in self.get("arch.dense_sizes").split(",") if s.strip())
-        except ValueError:
-            raise ConfigError("arch.dense_sizes must be comma-separated integers") from None
-        if len(sizes) != 2:
-            raise ConfigError("arch.dense_sizes must list the two hidden dense widths")
-        hidden = self.get_int("arch.hidden_size")
-        if min(hidden, *sizes) < 1:
-            raise ConfigError(f"arch.hidden_size and arch.dense_sizes must be >= 1, "
-                              f"got {hidden} and {','.join(map(str, sizes))}")
-        return hidden, sizes
-
-
-def _data_path(cfg: Config) -> Path:
-    path = cfg.get("data.path")
-    if not path:
-        raise ConfigError("data.path is required")
-    return Path(path)
+        return transfer.GridSpec(**{name: self.get(f"grid.{name}")
+                                    for name in ("lo", "hi", "n_per_axis")})
 
 
 def load_dataset(cfg: Config) -> tuple[datamod.WeatherFrame, list[datamod.FmcSeries]]:
-    fill = cfg.get("data.fill") or None
-    return datamod.load_csv(_data_path(cfg), fill=fill)
+    return datamod.load_csv(cfg.get("data.path"), fill=cfg.get("data.fill"))
 
 
 def split_dataset(cfg: Config, frame, series) -> datamod.Split:
-    rule = cfg.get("split.rule")
-    if rule == "year":
-        spec = datamod.default_split_spec(frame, train_rows=cfg.get_int("split.train_rows"))
-    elif rule == "fraction":
-        spec = datamod.fraction_split_spec(frame, train_frac=cfg.get_float("split.train_frac"))
+    if cfg.get("split.rule") == "year":
+        spec = datamod.default_split_spec(frame, train_rows=cfg.get("split.train_rows"))
     else:
-        raise ConfigError(f"unknown split.rule {rule!r}")
+        spec = datamod.fraction_split_spec(frame, train_frac=cfg.get("split.train_frac"))
     return datamod.split(frame, series, spec)
 
 
@@ -263,7 +254,7 @@ def stage_dir(cfg: Config, *parts: str):
     killed process, not a power loss. On entry it removes what killed
     runs of the same stage left under ``.partial/``: the directories of
     pids no longer alive, and of its own pid."""
-    out = Path(cfg.get("out"))
+    out = cfg.get("out")
     final = out.joinpath(*parts)
     stem = ".".join(parts)
     tmp = out / ".partial" / f"{stem}.{os.getpid()}"
@@ -299,11 +290,9 @@ def write_manifest(out: Path, cfg: Config, command: str, **fields) -> None:
 def cmd_synth(cfg: Config) -> Path:
     """Generate the ``data.path`` dataset CSV: weather plus dense hourly
     targets for all four fuel classes, with the sensor cap applied to fm10."""
-    out = _data_path(cfg)
-    seed = cfg.get_int("seed")
-    profile = datamod.SynthProfile(rain_rate=cfg.get_float("synth.rain_rate"))
-    frame = datamod.synth_weather(seed, cfg.get_int("synth.n_days"), profile)
-    cap = cfg.get_optional_float("synth.cap")
+    out, seed, n_days, rain_rate, cap = map(cfg.get, ("data.path", "seed", "synth.n_days",
+                                                      "synth.rain_rate", "synth.cap"))
+    frame = datamod.synth_weather(seed, n_days, datamod.SynthProfile(rain_rate=rain_rate))
     series = [
         datamod.synth_targets(
             frame,
@@ -357,14 +346,14 @@ def _map(fn, tasks, jobs: int) -> list:
 
 def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     """Train per-realization source-task checkpoints plus manifest."""
-    jobs = cfg.count("jobs", jobs)
+    jobs = cfg.get("jobs", jobs)
     parts = split_dataset(cfg, *load_dataset(cfg))
     source_class = cfg.get("source.class")
     normalizer, scaler = fit_scalers(parts, source_class)
     train_s, val_s = train_val_series(parts, normalizer, source_class, scaler)
-    hidden, dense_sizes = cfg.arch()
+    hidden, dense_sizes = cfg.get("arch.hidden_size"), cfg.get("arch.dense_sizes")
     config = cfg.train_config()
-    n = cfg.count("realizations")
+    n = cfg.get("realizations")
     seeds = [config.seed + k for k in range(n)]
     # One contiguous chunk of realizations per worker, trained in lockstep.
     chunks = min(jobs, n)
@@ -386,7 +375,7 @@ def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
             train.write_history_csv(real.history, out / f"history_{k:04d}.csv")
         write_manifest(out, cfg, "pretrain", source_class=source_class, seeds=seeds,
                        statuses=[status for status, _ in results])
-    return Path(cfg.get("out"), "pretrain")
+    return cfg.get("out") / "pretrain"
 
 
 def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | None = None) -> Path:
@@ -397,10 +386,10 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     """
     if fuel_class not in datamod.FUEL_CLASSES:
         raise ConfigError(f"unknown fuel class {fuel_class!r}")
-    jobs = cfg.count("jobs", jobs)
+    jobs = cfg.get("jobs", jobs)
     method = transfer.TransferMethod.parse(method_name)
     from_pretrained = transfer.PROTOCOLS[method].pretrained
-    pretrain_dir = Path(cfg.get("out"), "pretrain")
+    pretrain_dir = cfg.get("out") / "pretrain"
     ckpts = sorted(pretrain_dir.glob("ckpt_*.json"))
     if from_pretrained and not ckpts:
         raise ConfigError(f"no pretrained checkpoints under {pretrain_dir}")
@@ -408,12 +397,11 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     parts = split_dataset(cfg, *load_dataset(cfg))
     config = cfg.train_config()
     grid = cfg.grid_spec()
-    hidden, dense_sizes = cfg.arch()
-    arch = (datamod.N_FEATURES, hidden, dense_sizes)
+    arch = (datamod.N_FEATURES, cfg.get("arch.hidden_size"), cfg.get("arch.dense_sizes"))
 
     # (pretrained params, normalizer, target scaler) per realization.
     sources = ([load_checkpoint(path) for path in ckpts] if from_pretrained
-               else [(None, *fit_scalers(parts, fuel_class))] * cfg.count("realizations"))
+               else [(None, *fit_scalers(parts, fuel_class))] * cfg.get("realizations"))
     tasks = [
         (method, pretrained, *train_val_series(parts, normalizer, fuel_class, scaler),
          replace(config, seed=config.seed + k), grid, arch)
@@ -440,7 +428,7 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
                                 shift_rows)
         write_manifest(out, cfg, "transfer", method=method.value, fuel_class=fuel_class,
                        realizations=len(sources))
-    return Path(cfg.get("out"), "transfer", method.value, fuel_class)
+    return cfg.get("out") / "transfer" / method.value / fuel_class
 
 
 def _lockstep_key(params: nn.RnnParams, normalizer: datamod.Normalizer):
@@ -470,12 +458,12 @@ def cmd_evaluate(
     goes through one stacked forward, then is scored row by row and
     dropped; every row is bit for bit the checkpoint's solo forward.
     """
-    transfer_root = Path(cfg.get("out"), "transfer")
+    transfer_root = cfg.get("out") / "transfer"
     if not transfer_root.is_dir():
         raise EvaluationError(f"no transfer outputs under {transfer_root}")
     frame, series = load_dataset(cfg)
     parts = split_dataset(cfg, frame, series)
-    threshold = cfg.get_float("filter.threshold")
+    threshold = cfg.get("filter.threshold")
 
     # Of the split, only the test observations and where the test span
     # starts outlive it: the forward pass runs without the partitions.
@@ -533,12 +521,12 @@ def cmd_evaluate(
             eval_dir / "medians.csv", ("method", "class", "filter", "median_realization"),
             ((r.method, r.fuel_class, r.filter, r.median_realization) for r in reports),
         )
-    return Path(cfg.get("out"), "evaluate")
+    return cfg.get("out") / "evaluate"
 
 
 def cmd_report(cfg: Config) -> str:
     """Re-aggregate the per-realization table and print the text report."""
-    path = Path(cfg.get("out"), "evaluate", "per_realization.csv")
+    path = cfg.get("out") / "evaluate" / "per_realization.csv"
     if not path.exists():
         raise EvaluationError(f"no per-realization table at {path}; run evaluate first")
     rows = datamod.read_table(path, evaluation.PER_REALIZATION_COLUMNS,
@@ -581,12 +569,7 @@ def run(argv: list[str]) -> int:
     elif args.command == "transfer":
         if not args.fuel_class:
             raise ConfigError("transfer requires --class")
-        methods = [args.method] if args.method else [
-            m.strip() for m in cfg.get("methods").split(",") if m.strip()
-        ]
-        if not methods:
-            raise ConfigError("no transfer methods given (--method or the methods config key)")
-        for method in methods:
+        for method in [args.method] if args.method else cfg.get("methods"):
             print(f"wrote {cmd_transfer(cfg, method, args.fuel_class)}")
     elif args.command == "evaluate":
         print(f"wrote {cmd_evaluate(cfg, args.method, args.fuel_class, args.filter_name)}")

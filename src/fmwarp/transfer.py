@@ -190,10 +190,10 @@ def run_method(
 ) -> TransferResult:
     """Run one transfer protocol using only training and validation data.
 
-    ``arch`` (input_size, hidden_size, dense_sizes) sizes a fresh start
-    when no pretrained model is given as its template. ``forced_shift``
-    bypasses the grid search in the warp methods, for diagnostics and
-    contract tests; the result then has no surface.
+    A protocol that starts fresh (NoTransfer) ignores ``pretrained`` and
+    needs ``arch``, the (input_size, hidden_size, dense_sizes) of its
+    network. ``forced_shift`` bypasses the grid search in the warp methods,
+    for diagnostics and contract tests; the result then has no surface.
     """
     protocol = PROTOCOLS[method]
     if protocol.pretrained:
@@ -202,12 +202,9 @@ def run_method(
         start = pretrained.copy()
         start.freeze_mask = {name: protocol.frozen is not None and name.startswith(protocol.frozen)
                              for name in start.tensor_names()}
+    elif arch is None:
+        raise ConfigError(f"{method.value} needs the arch sizes of its fresh start")
     else:
-        if pretrained is not None:
-            arch = (pretrained.lstm.input_size, pretrained.lstm.hidden_size,
-                    [layer.weights.shape[0] for layer in pretrained.dense[:-1]])
-        elif arch is None:
-            raise ConfigError(f"{method.value} needs either a pretrained template or arch sizes")
         start = nn.init_params(*arch, rng=substream(config.seed, STREAM_INIT))
     shift = surface = None
     if protocol.search:  # on the training observations only

@@ -774,3 +774,60 @@ def test_evaluate_scores_only_the_filter_asked_for_and_names_a_cell_without_pair
     assert run_main(monkeypatch, "evaluate", "--config", str(cfg_path)) == 5
     assert "TimeWarp fm1 le30" in capsys.readouterr().err
     assert snapshot(out / "evaluate") == report
+
+
+def test_a_bad_method_in_the_list_exits_before_any_method_runs(tmp_path, monkeypatch, capsys):
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, grid__n_per_axis=5,
+                                 methods="TimeWarp,Bogus")
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    assert run_main(monkeypatch, "transfer", "--config", str(cfg_path), "--class", "fm1") == 2
+    assert "'methods'" in capsys.readouterr().err
+    assert not (out / "transfer").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth"],
+    ["pretrain"],
+    ["pretrain", "--seed", "-1"],
+    ["transfer", "--method", "FullFineTune", "--class", "fm1"],
+], ids=["synth", "pretrain", "pretrain-flag", "transfer"])
+def test_a_negative_seed_exits_with_config_error(tmp_path, monkeypatch, capsys, argv):
+    cfg_path, out, dataset = write_cfg(tmp_path, realizations=1)
+    bad_path, _, _ = write_cfg(tmp_path, "bad.cfg", realizations=1, seed=-1)
+    cfg = cli.Config.load(str(cfg_path))
+    written = {"synth": dataset, "pretrain": out / "pretrain", "transfer": out / "transfer"}
+    if argv[0] != "synth":
+        cli.cmd_synth(cfg)
+        if argv[0] == "transfer":
+            cli.cmd_pretrain(cfg)
+    bad = cfg_path if "--seed" in argv else bad_path
+    capsys.readouterr()
+    assert run_main(monkeypatch, *argv, "--config", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "Traceback" not in err
+    assert not written[argv[0]].exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("synth__cap", "nan"), ("synth__cap", "inf"),
+    ("synth__rain_rate", "nan"), ("synth__rain_rate", "inf"), ("synth__rain_rate", "-1"),
+])
+def test_a_non_finite_or_negative_synth_setting_exits_with_config_error(
+        tmp_path, monkeypatch, capsys, key, value):
+    cfg_path, _, dataset = write_cfg(tmp_path, **{key: value})
+    assert run_main(monkeypatch, "synth", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert f"'{key.replace('__', '.')}'" in err and "Traceback" not in err
+    assert not dataset.exists()
+
+
+def test_every_config_key_parses_a_text_or_raises_config_error():
+    cfg = cli.Config({})
+    for key in cli.KEYS:
+        for text in ("-1", "nan", "inf", "junk", ""):
+            try:
+                cfg.get(key, text)
+            except ConfigError as exc:
+                assert f"config key {key!r} must be" in str(exc)

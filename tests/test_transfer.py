@@ -170,7 +170,7 @@ def test_run_method_no_transfer_ignores_pretrained_weights():
         TransferMethod.NO_TRANSFER, None, train_s, val_s, CFG, arch=(3, 4, (4, 3))
     )
     seeded_same = transfer.run_method(
-        TransferMethod.NO_TRANSFER, small_net(99), train_s, val_s, CFG
+        TransferMethod.NO_TRANSFER, small_net(99), train_s, val_s, CFG, arch=(3, 4, (4, 3))
     )
     for name, arr in fresh.params.tensors().items():
         assert_array_equal(arr, seeded_same.params.tensors()[name])
