@@ -45,7 +45,10 @@ The kernel, the dense stack and ``forward`` take either layout. In the
 kernel a stack's states are (R, H, 1) columns, so every product runs per
 realization as one batched ``np.matmul`` making the call a single
 network makes, and each realization of a stack computes bit for bit
-what it computes alone.
+what it computes alone. Outside the kernel every per-step buffer
+(``forward``'s hidden states, ``train.backward``'s gates and states) is
+realization-major, the layout ``dense_forward`` reads, and is filled
+and read step by step through its ``time_major`` view.
 
 ``LstmParams.linear_gates`` switches every sigma/tanh above to the
 identity. In that mode a single-unit cell with zero gate weights,
@@ -372,18 +375,12 @@ def dense_forward(
     return v
 
 
-def kernel_shape(lstm: LstmParams, rows: int) -> tuple[int, ...]:
-    """Shape of a ``rows``-row array of ``lstm_steps`` without shifts: (rows,)
-    for one network, (R, rows, 1) for a stack."""
-    lead = lstm.b.shape[:-1]
-    return (*lead, rows, *(1,) * len(lead))
-
-
-def by_realization(a: np.ndarray) -> np.ndarray:
-    """A time-major (T, n) or (T, R, n) array as a contiguous (T, n) or
-    (R, T, n) one: per realization the layout a single network's array
-    has. A single network's array comes back as it is."""
-    return np.ascontiguousarray(a.swapaxes(0, -2))
+def time_major(a: np.ndarray) -> np.ndarray:
+    """The time-major view of a realization-major per-step buffer, (T, n)
+    for one network or (R, T, n) for a stack: ``view[t]`` is step t in the
+    shape ``lstm_steps`` yields it without shifts, (n,) or (R, n, 1)."""
+    view = a.swapaxes(0, -2)
+    return view[..., None] if a.ndim > 2 else view
 
 
 def forward(
@@ -418,12 +415,12 @@ def forward(
     steps = len(inputs)
     preds = np.empty((*params.stack_shape, steps))
     hidden = np.empty((*params.stack_shape, min(steps, PROJECTION_BLOCK), shape[-1]))
-    slots = hidden.swapaxes(0, -2)  # time-major views: slots[k] takes step k
+    slots = time_major(hidden)  # slots[k] takes step k
     cells = lstm_steps(params.lstm, inputs, state)
     for start in range(0, steps, PROJECTION_BLOCK):
         rows = min(PROJECTION_BLOCK, steps - start)
         for k, (_, c, h) in enumerate(itertools.islice(cells, rows)):
-            slots[k] = h.reshape(shape)
+            slots[k] = h
         if start + rows == steps:
             # The last block runs once the kernel has freed its projection
             # buffer, so a short series peaks no higher than the two phases alone.

@@ -163,18 +163,18 @@ def backward(
         initial = nn.LstmState.zeros((*lead, size))
 
     # Forward: the recurrence is sequential; the dense stack is batched
-    # over time. The per-step arrays are time-major, shaped like the
-    # kernel's. Row 0 of c_all/h_all is the initial state.
+    # over time. The per-step buffers are realization-major, filled and
+    # read through time-major views. Row 0 of c_all/h_all is the initial state.
     T = inputs.shape[-2]
-    gates = np.empty((T, *nn.kernel_shape(lstm, 4 * size)))
-    c_all = np.empty((T + 1, *nn.kernel_shape(lstm, size)))
+    gates = np.empty((*lead, T, 4 * size))
+    c_all = np.empty((*lead, T + 1, size))
     h_all = np.empty_like(c_all)
-    c_all[0], h_all[0] = initial.c.reshape(c_all[0].shape), initial.h.reshape(h_all[0].shape)
+    c_all[..., 0, :], h_all[..., 0, :] = initial.c, initial.h
+    gates_t, c_t, h_t = map(nn.time_major, (gates, c_all, h_all))
     for t, (z, c, h) in enumerate(nn.lstm_steps(lstm, inputs, initial)):
-        gates[t], c_all[t + 1], h_all[t + 1] = z, c, h
+        gates_t[t], c_t[t + 1], h_t[t + 1] = z, c, h
     dense_cache = []
-    h_seq = nn.by_realization(h_all[1:].reshape(T, *lead, size))
-    preds = nn.dense_forward(params.dense, h_seq, dense_cache)[..., 0]
+    preds = nn.dense_forward(params.dense, h_all[..., 1:, :], dense_cache)[..., 0]
     if not np.isfinite(preds).all():
         raise NumericOverflowError("forward pass produced non-finite predictions",
                                    rows=_rows_at_fault(preds, lead))
@@ -193,42 +193,41 @@ def backward(
         grads[f"dense{j}.w"] = dz.swapaxes(-1, -2) @ v
         grads[f"dense{j}.b"] = dz.sum(axis=-2)
         dv = dz @ layer.weights
-    dh_dense = dv.swapaxes(0, -2).reshape(h_all[1:].shape)  # time-major, like h_all
+    dh_dense = nn.time_major(dv)
 
     # LSTM backward: activation derivatives batched over time, then one
     # recurrent product W_h^T dz[t] per step.
     # Row blocks in nn.GATE_NAMES order (f, i, o, g).
-    gate_axis = 1 + len(lead)
-    f, i, o, g = nn.split_gates(gates, gate_axis)
+    gate_axis = 1 + len(lead)  # of the time-major views
+    f, i, o, g = nn.split_gates(gates_t, gate_axis)
     if lstm.linear_gates:
-        phi = c_all[1:]
-        dphi, dact = np.ones_like(phi), np.ones_like(gates)
+        phi = c_t[1:]
+        dphi, dact = np.ones_like(phi), np.ones_like(gates_t)
     else:
-        phi = np.tanh(c_all[1:])
+        phi = np.tanh(c_t[1:])
         dphi = 1.0 - phi * phi
-        dact = gates * (1.0 - gates)  # sigmoid rows; the candidate rows are tanh
+        dact = gates_t * (1.0 - gates_t)  # sigmoid rows; the candidate rows are tanh
         nn.split_gates(dact, gate_axis)[3][:] = 1.0 - g * g
     dz = np.empty_like(gates)
-    dz_f, dz_i, dz_o, dz_g = nn.split_gates(dz, gate_axis)
+    dz_t = nn.time_major(dz)
+    dz_f, dz_i, dz_o, dz_g = nn.split_gates(dz_t, gate_axis)
     w_h_t = lstm.w_h.swapaxes(-1, -2)
-    dh_next = np.zeros_like(h_all[0])
-    dc_next = np.zeros_like(c_all[0])
+    dh_next = np.zeros_like(h_t[0])
+    dc_next = np.zeros_like(c_t[0])
     for t in range(T - 1, -1, -1):
         dh = dh_dense[t] + dh_next
         dc = dc_next + dh * o[t] * dphi[t]
-        dz_f[t] = dc * c_all[t]
+        dz_f[t] = dc * c_t[t]
         dz_i[t] = dc * g[t]
         dz_o[t] = dh * phi[t]
         dz_g[t] = dc * i[t]
-        dz[t] *= dact[t]
-        dh_next = w_h_t @ dz[t]
+        dz_t[t] *= dact[t]
+        dh_next = w_h_t @ dz_t[t]
         dc_next = dc * f[t]
     # Row order (f, i, o, g): AdamState.step sums the clip norm in the
     # order of ``grads``, so this order fixes its rounding.
-    dz = nn.by_realization(dz.reshape(T, *lead, 4 * size))
-    dz_t = dz.swapaxes(-1, -2)
-    h_prev = nn.by_realization(h_all[:-1].reshape(T, *lead, size))
-    lstm_grads = nn.gate_blocks(dz_t @ inputs, dz_t @ h_prev, dz.sum(axis=-2))
+    by_gate = dz.swapaxes(-1, -2)  # (..., 4H, T)
+    lstm_grads = nn.gate_blocks(by_gate @ inputs, by_gate @ h_all[..., :-1, :], dz.sum(axis=-2))
     grads.update({f"lstm.{name}": grad for name, grad in lstm_grads.items()})
 
     for name, frozen in params.freeze_mask.items():
@@ -238,8 +237,7 @@ def backward(
         if not np.isfinite(arr).all():
             raise NumericOverflowError(f"non-finite gradient in {name}",
                                        rows=_rows_at_fault(arr, lead))
-    return grads, loss, nn.LstmState(c=c_all[-1].reshape(initial.c.shape),
-                                     h=h_all[-1].reshape(initial.h.shape))
+    return grads, loss, nn.LstmState(c=c_all[..., -1, :], h=h_all[..., -1, :])
 
 
 class AdamState:

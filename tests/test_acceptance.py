@@ -2,7 +2,8 @@
 
 Criteria 4 and 8 share a synthetic transfer fixture: a source network is
 trained on fast-equilibrium dynamics with a 10-hour lag and adapted by
-bias-shift grid search toward 1-hour and 100-hour targets.
+bias-shift grid search toward 1-hour and 100-hour targets. The same
+fixture checks the warp toward a 1000-hour target as well.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.
@@ -120,7 +121,8 @@ FIXTURE_REALIZATIONS = 5
 
 @pytest.fixture(scope="module")
 def synthetic_transfer():
-    """Pretrain on 10-hour-lag targets, warp toward 1- and 100-hour targets.
+    """Pretrain on 10-hour-lag targets, warp toward 1-, 100- and 1000-hour
+    targets.
 
     Stationary climate (no seasonal ramp) so the 180-day window stands in
     for a full training year; the targets are the pure time-lag recursion
@@ -139,7 +141,7 @@ def synthetic_transfer():
     frame = data.synth_weather(seed=101, n_days=180, profile=profile)
     targets = {
         tau: data.synth_targets(frame, tau=tau, fuel_class=cls)
-        for tau, cls in ((10.0, "fm10"), (1.0, "fm1"), (100.0, "fm100"))
+        for tau, cls in ((10.0, "fm10"), (1.0, "fm1"), (100.0, "fm100"), (1000.0, "fm1000"))
     }
     spec = data.fraction_split_spec(frame, 0.6)
     parts = data.split(frame, list(targets.values()), spec)
@@ -190,7 +192,7 @@ def _warp_outcomes(fx, tau):
     """Zero-shot and warped test RMSE plus the selected shift, per realization."""
     if tau in fx["outcome_cache"]:
         return fx["outcome_cache"][tau]
-    cls = {1.0: "fm1", 100.0: "fm100"}[tau]
+    cls = {1.0: "fm1", 100.0: "fm100", 1000.0: "fm1000"}[tau]
     target = fx["targets"][tau]
     train_series = fx["series"](fx["parts"].train, cls)
     full_inputs = fx["inputs_of"](fx["frame"])
@@ -240,6 +242,19 @@ def test_criterion_4_synthetic_transfer(synthetic_transfer):
     elapsed = fx["train_time"] + (time.time() - t0)
     assert elapsed < 600.0
     report(4, "; ".join(lines) + f"; 2x{FIXTURE_HIDDEN} entries modified; {elapsed:.0f}s total")
+
+
+def test_fm1000_warp_slows_and_beats_zero_shot(synthetic_transfer):
+    # The paper's claim for the 1000-hour class: per realization, the
+    # searched shift slows the forget gate (alpha_f > 0) and the warped
+    # network beats the zero-shot one on the test span.
+    outcomes = _warp_outcomes(synthetic_transfer, 1000.0)
+    alpha_f = [o[2].alpha_f for o in outcomes]
+    ratios = [o[1] / o[0] for o in outcomes]
+    assert all(a > 0.0 for a in alpha_f), alpha_f
+    assert all(r < 1.0 for r in ratios), ratios
+    print(f"\n[fm1000] PASS: ratios {np.round(ratios, 3).tolist()}, "
+          f"alpha_f {[round(a, 2) for a in alpha_f]}")
 
 
 def test_criterion_5_method_matrix_contracts():

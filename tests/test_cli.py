@@ -264,9 +264,12 @@ def test_jobs_flag_matches_sequential(tmp_path):
         cfg = cli.Config.load(str(cfg_path))
         cli.cmd_synth(cfg)
         cli.cmd_pretrain(cfg, jobs=jobs)
-    files_a = sorted((cfg_a[1] / "pretrain").glob("ckpt_*.json"))
-    files_b = sorted((cfg_b[1] / "pretrain").glob("ckpt_*.json"))
-    assert [p.read_bytes() for p in files_a] == [p.read_bytes() for p in files_b]
+        cli.cmd_transfer(cfg, "FreezeDense", "fm1", jobs=jobs)
+    for stage in ("pretrain", "transfer/FreezeDense/fm1"):
+        files_a = sorted((cfg_a[1] / stage).glob("ckpt_*.json"))
+        files_b = sorted((cfg_b[1] / stage).glob("ckpt_*.json"))
+        assert len(files_a) == 2
+        assert [p.read_bytes() for p in files_a] == [p.read_bytes() for p in files_b]
 
 
 def test_map_opens_no_more_workers_than_tasks(monkeypatch):

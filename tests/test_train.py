@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -159,6 +160,29 @@ def test_backward_respects_freeze_mask():
     assert_array_equal(grads["lstm.w_xf"], np.zeros_like(grads["lstm.w_xf"]))
     assert_array_equal(grads["dense0.b"], np.zeros_like(grads["dense0.b"]))
     assert np.any(grads["lstm.w_xi"] != 0.0)
+
+
+def test_stacked_backward_peak_memory():
+    # Four H=64 networks over 512 steps. The per-step buffers are
+    # realization-major and read in place: the gates, their derivatives
+    # and dz (4H wide each); c, h, tanh(c), its derivative and dh from the
+    # dense stack (H wide each); and the dense stack's cache and gradients,
+    # narrower than 3H in all. A copy of any gate-sized buffer breaks it.
+    rng = np.random.default_rng(0)
+    R, H, T = 4, 64, 512
+    params = nn.stack([nn.init_params(12, H, (32, 16), rng) for _ in range(R)])
+    inputs = rng.normal(size=(R, T, 12))
+    targets = rng.normal(size=(R, T))
+    mask = np.ones((R, T))
+    tracemalloc.start()
+    try:
+        grads, losses, _ = train.backward(params, inputs, targets, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert losses.shape == (R,) and grads["lstm.w_hf"].shape == (R, H, H)
+    bound = (3 * 4 * H + 5 * H + 3 * H) * R * (T + 1) * 8
+    assert peak < bound, (peak, bound)
 
 
 def identity_task(seed=42, T=300):
