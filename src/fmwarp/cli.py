@@ -35,7 +35,6 @@ from fmwarp.errors import (
     EvaluationError,
     FmwarpError,
     InvalidInputError,
-    NumericOverflowError,
     ParseError,
     SearchFailedError,
     SplitError,
@@ -124,7 +123,7 @@ LOCKSTEP_MAX = 8
 EXIT_CODES = (
     (ConfigError, 2),
     ((ParseError, SplitError, AlignmentError, InvalidInputError, DegenerateMaskError), 3),
-    ((TrainingDivergedError, NumericOverflowError), 4),
+    (TrainingDivergedError, 4),
     ((SearchFailedError, EvaluationError, ZeroVarianceError), 5),
     (OSError, 6),
 )
@@ -363,10 +362,13 @@ def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
          replace(config, seed=config.seed + lo), hi - lo)
         for lo, hi in zip(cuts, cuts[1:])
     ]
-    results = [
-        ("diverged", real.last_good) if isinstance(real, TrainingDivergedError) else ("ok", real)
-        for chunk in _map(train.replicate, tasks, jobs) for real in chunk
-    ]
+    results = []
+    for k, real in enumerate(itertools.chain.from_iterable(_map(train.replicate, tasks, jobs))):
+        if isinstance(real, TrainingDivergedError):
+            print(f"realization {k}: {real}", file=sys.stderr)
+            results.append(("diverged", real.last_good))
+        else:
+            results.append(("ok", real))
     with stage_dir(cfg, "pretrain") as out:
         for k, (_, real) in enumerate(results):
             save_checkpoint(out / f"ckpt_{k:04d}.json", real.trained, normalizer, scaler,

@@ -42,17 +42,9 @@ class DegenerateMaskError(FmwarpError):
     """A loss mask selects no observations."""
 
 
-class NumericOverflowError(FmwarpError):
-    """Forward or backward values became non-finite; for a stack of
-    networks, ``rows`` lists the realizations at fault."""
-
-    def __init__(self, message, rows=()):
-        super().__init__(message)
-        self.rows = rows
-
-
 class TrainingDivergedError(FmwarpError):
-    """Training loss became non-finite; carries the last finite snapshot."""
+    """A training step's gradients or an epoch's losses became non-finite;
+    carries the last good snapshot."""
 
     def __init__(self, message, last_good=None):
         super().__init__(message)

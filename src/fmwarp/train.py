@@ -18,6 +18,9 @@ stacked on a leading realization axis (``nn.stack``), and each lockstep
 step runs one batched ``backward`` and Adam update. Every reduction (loss
 sums, the clip norm) stays per realization and in the order a lone run
 uses, so a realization comes out bit for bit as ``fit`` trains it alone.
+Divergence is read from each step's gradients: a realization whose
+gradients are not all finite drops out and the others take the update;
+nothing is re-run.
 
 All randomness flows from integer seeds through named substreams
 (init / shuffle / valsplit), so a realization is a pure function of
@@ -33,12 +36,7 @@ import numpy as np
 
 from fmwarp import data as datamod
 from fmwarp import nn
-from fmwarp.errors import (
-    DegenerateMaskError,
-    InvalidInputError,
-    NumericOverflowError,
-    TrainingDivergedError,
-)
+from fmwarp.errors import DegenerateMaskError, InvalidInputError, TrainingDivergedError
 
 # Adam moment decay and stabilizer; the gradient global-norm clip guards
 # against divergence on rain spikes.
@@ -128,12 +126,6 @@ def masked_mse(pred, obs, mask):
     return float(loss) if loss.ndim == 0 else loss
 
 
-def _rows_at_fault(arr: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """Flat indices of the realizations (the ``lead`` axes) whose slice of
-    ``arr`` holds a non-finite value; [0] for a single network."""
-    return np.flatnonzero(~np.isfinite(arr).all(axis=tuple(range(len(lead), arr.ndim))))
-
-
 def backward(
     params: nn.RnnParams,
     inputs: np.ndarray,
@@ -149,9 +141,8 @@ def backward(
     inference kernel itself, so loss and final state match ``nn.forward``
     bit for bit. A stack of R networks takes (R, T, input) inputs, (R, T)
     targets and masks and (R, H) initial states, and returns stacked
-    gradients, R losses and (R, H) final states. Non-finite values raise
-    :class:`NumericOverflowError`, whose ``rows`` name the realizations
-    at fault.
+    gradients, R losses and (R, H) final states. Nothing is checked:
+    non-finite losses and gradients come back as they are.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -175,9 +166,6 @@ def backward(
         gates_t[t], c_t[t + 1], h_t[t + 1] = z, c, h
     dense_cache = []
     preds = nn.dense_forward(params.dense, h_all[..., 1:, :], dense_cache)[..., 0]
-    if not np.isfinite(preds).all():
-        raise NumericOverflowError("forward pass produced non-finite predictions",
-                                   rows=_rows_at_fault(preds, lead))
     loss = masked_mse(preds, targets, mask)
 
     grads = {}
@@ -233,10 +221,6 @@ def backward(
     for name, frozen in params.freeze_mask.items():
         if frozen:
             grads[name] = np.zeros_like(grads[name])
-    for name, arr in grads.items():
-        if not np.isfinite(arr).all():
-            raise NumericOverflowError(f"non-finite gradient in {name}",
-                                       rows=_rows_at_fault(arr, lead))
     return grads, loss, nn.LstmState(c=c_all[..., -1, :], h=h_all[..., -1, :])
 
 
@@ -335,14 +319,15 @@ def fit_lockstep(
     ``seeds[r]`` (its segment order) and validation series ``vals[r]``
     (all with the same inputs), and comes back as ``fit`` would return it
     alone, bit for bit. Each keeps its own segment order, Adam state and
-    early stopping. One whose values become non-finite comes back as the
-    :class:`TrainingDivergedError` ``fit`` would raise, carrying its
-    ``last_good`` snapshot, and the others go on. At each lockstep step the
-    realizations whose segments have the same length share one
-    ``backward`` and Adam update; one whose segment holds no observations
-    sits the step out, and its next segment's start state is not
-    refreshed. A lone network is not stacked: it runs the plain layout,
-    whose per-step arrays are smaller.
+    early stopping. At each lockstep step the realizations whose segments
+    have the same length share one ``backward`` and Adam update. One whose
+    gradients in that step are not all finite, or whose epoch losses are
+    not finite, comes back as the :class:`TrainingDivergedError` ``fit``
+    would raise, carrying its ``last_good`` snapshot; the others take the
+    step's update as computed, with no re-run. One whose segment holds no
+    observations sits the step out, and its next segment's start state is
+    not refreshed. A lone network is not stacked: it runs the plain
+    layout, whose per-step arrays are smaller.
     """
     if len(train) == 0 or any(len(val) == 0 for val in vals):
         raise InvalidInputError("training and validation series must be non-empty")
@@ -378,36 +363,38 @@ def fit_lockstep(
 
     def train_step(members, length, epoch):
         """One backward and Adam update for the (realization, segment) pairs
-        ``members``, all segments ``length`` long; returns the per-member
-        losses, or drops the diverged members and tries again."""
-        while members:
-            rows = np.array([r for r, _ in members])
-            segs = np.array([k for _, k in members])
-            whole = len(members) == n  # then rows are 0 .. n-1 in order
-            sub = stack if whole else stack.take(rows)
-            steps = np.array([bounds[k][0] for k in segs])[:, None] + np.arange(length)
+        ``members``, all segments ``length`` long. A member whose gradients
+        are not all finite diverges and is left out of the update; returns
+        the losses of the others."""
+        rows = np.array([r for r, _ in members])
+        segs = np.array([k for _, k in members])
+        whole = len(members) == n  # then rows are 0 .. n-1 in order
+        sub = stack if whole else stack.take(rows)
+        steps = np.array([bounds[k][0] for k in segs])[:, None] + np.arange(length)
 
-            def per_row(a):  # one row per member, in the layout of ``sub``
-                return a.reshape(*sub.stack_shape, *a.shape[1:])
+        def per_row(a):  # one row per member, in the layout of ``sub``
+            return a.reshape(*sub.stack_shape, *a.shape[1:])
 
-            try:
-                grads, losses, final = backward(
-                    sub, per_row(train.inputs[steps]), per_row(train.targets[steps]),
-                    per_row(train.mask[steps]),
-                    initial=nn.LstmState(c=per_row(start_c[rows, segs]),
-                                         h=per_row(start_h[rows, segs])),
-                )
-            except NumericOverflowError as exc:
-                for q in exc.rows:
-                    diverge(rows[q], f"training diverged at epoch {epoch}: {exc}")
-                members = [m for m in members if outcome[m[0]] is None]
-                continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads, losses, final = backward(
+                sub, per_row(train.inputs[steps]), per_row(train.targets[steps]),
+                per_row(train.mask[steps]),
+                initial=nn.LstmState(c=per_row(start_c[rows, segs]),
+                                     h=per_row(start_h[rows, segs])),
+            )
+        finite = np.logical_and.reduce(
+            [np.isfinite(g).reshape(len(rows), -1).all(axis=1) for g in grads.values()])
+        for r in rows[~finite]:
+            diverge(r, f"training diverged at epoch {epoch}: non-finite gradient")
+        if finite.all():
             adam.step(stack, grads, config.learning_rate, rows=None if whole else rows)
-            more = segs + 1 < len(bounds)
-            start_c[rows[more], segs[more] + 1] = final.c.reshape(len(rows), -1)[more]
-            start_h[rows[more], segs[more] + 1] = final.h.reshape(len(rows), -1)[more]
-            return zip(members, np.atleast_1d(losses))
-        return ()
+        elif finite.any():  # then the members are a stack's rows
+            adam.step(stack, {name: g[finite] for name, g in grads.items()},
+                      config.learning_rate, rows=rows[finite])
+        more = finite & (segs + 1 < len(bounds))
+        start_c[rows[more], segs[more] + 1] = final.c.reshape(len(rows), -1)[more]
+        start_h[rows[more], segs[more] + 1] = final.h.reshape(len(rows), -1)[more]
+        return [(m, loss) for m, loss, ok in zip(members, np.atleast_1d(losses), finite) if ok]
 
     for epoch in range(1, config.max_epochs + 1):
         live = [r for r in range(n) if outcome[r] is None]

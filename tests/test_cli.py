@@ -90,6 +90,22 @@ def test_pretrain_writes_checkpoints_and_manifest(tmp_path):
     assert before == after
 
 
+def test_diverged_pretrain_names_each_realization_on_stderr(tmp_path, capsys):
+    # Both realizations diverge at their first step: the stage still exits
+    # 0 and writes both checkpoints; stderr names each one, stdout does not.
+    cfg_path, out, _ = write_cfg(tmp_path, train__learning_rate="1e300")
+    assert cli.run(["synth", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert cli.run(["pretrain", "--config", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out / 'pretrain'}\n"
+    assert captured.err.splitlines() == [
+        f"realization {k}: training diverged at epoch 1: non-finite gradient" for k in range(2)]
+    manifest = json.loads((out / "pretrain" / "manifest.json").read_text())
+    assert manifest["statuses"] == ["diverged", "diverged"]
+    assert len(list((out / "pretrain").glob("ckpt_*.json"))) == 2
+
+
 def test_transfer_timewarp_touches_only_bias_entries(tmp_path):
     cfg_path, out, _ = write_cfg(tmp_path)
     cfg = cli.Config.load(str(cfg_path))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from fmwarp import nn, train
+from fmwarp import nn, train, transfer
 from fmwarp.errors import DegenerateMaskError, InvalidInputError, TrainingDivergedError
 
 
@@ -283,37 +283,38 @@ def assert_same_realization(a, b):
         assert_array_equal(arr, b.trained.tensors()[name])
 
 
-@pytest.mark.parametrize("linear_gates", [False, True])
-def test_fit_lockstep_matches_solo_fits_bitwise(linear_gates):
-    # T = 263 is not a multiple of batch_length 40, so the last segment is
-    # short; segment 2 holds no observation; lstm.w_hi is frozen. With
-    # sigmoid gates the realizations stop early at different epochs. With
-    # linear gates, realization 1 (b_f = 1e6) diverges at once and
-    # realization 0 later, while realization 2 stops early.
-    T, batch_length = 263, 40
+def lockstep_task(T=263, batch_length=40):
+    """Training and validation series for the lockstep fixtures. T = 263 is
+    not a multiple of batch_length 40, so the last segment is short;
+    segment 2 holds no observation."""
     rng = np.random.default_rng(31)
     x = rng.normal(size=(T + 60, 3)) * 0.5
     y = 0.8 * x[:, 0] - 0.4 * np.roll(x[:, 1], 3) + 0.2 * rng.normal(size=T + 60)
     mask = (rng.random(T + 60) < 0.6).astype(float)
     mask[2 * batch_length : 3 * batch_length] = 0.0
     y = np.where(mask > 0, y, 0.0)
-    train_s = train.SupervisedSeries(x[:T], y[:T], mask[:T])
-    val_s = train.SupervisedSeries(x[T:], y[T:], mask[T:])
-    cfg = train.TrainConfig(learning_rate=0.005 if linear_gates else 0.05,
-                            batch_length=batch_length, max_epochs=12,
-                            patience=1 if linear_gates else 2, seed=0)
+    return (train.SupervisedSeries(x[:T], y[:T], mask[:T]),
+            train.SupervisedSeries(x[T:], y[T:], mask[T:]))
+
+
+def linear_gate_nets():
+    """Three small linear-gate networks; realization 1 (b_f = 1e6)
+    overflows in its first segment."""
     nets = []
     for k in range(3):
         params = random_params(40 + k, hidden=3)
-        if linear_gates:
-            for arr in params.tensors().values():
-                arr *= 0.2
-            params.lstm.linear_gates = True
-        params.freeze_mask["lstm.w_hi"] = True
+        for arr in params.tensors().values():
+            arr *= 0.2
+        params.lstm.linear_gates = True
         nets.append(params)
-    if linear_gates:
-        nets[1].tensors()["lstm.b_f"][:] = 1e6
-    seeds = [5, 6, 7]
+    nets[1].tensors()["lstm.b_f"][:] = 1e6
+    return nets
+
+
+def lockstep_and_solo(nets, train_s, val_s, cfg, seeds):
+    """Train ``nets`` in lockstep and each alone; assert that every outcome
+    equals its solo one bit for bit (a diverged one in its message and
+    ``last_good``), and return the lockstep outcomes."""
     vals, selections = zip(*(train.subsample_validation(val_s, seed) for seed in seeds))
     with np.errstate(over="ignore", invalid="ignore"):
         lockstep = train.fit_lockstep(nets, train_s, list(vals), cfg, seeds, list(selections))
@@ -324,20 +325,59 @@ def test_fit_lockstep_matches_solo_fits_bitwise(linear_gates):
                                       val_selection_id=selections[k]))
             except TrainingDivergedError as exc:
                 solo.append(exc)
+    for a, b in zip(lockstep, solo):
+        assert isinstance(a, TrainingDivergedError) == isinstance(b, TrainingDivergedError)
+        if isinstance(a, TrainingDivergedError):
+            assert str(a) == str(b)
+            a, b = a.last_good, b.last_good
+        assert_same_realization(a, b)
+    return lockstep
+
+
+@pytest.mark.parametrize("linear_gates", [False, True])
+def test_fit_lockstep_matches_solo_fits_bitwise(linear_gates):
+    # lstm.w_hi is frozen. With sigmoid gates the realizations stop early
+    # at different epochs. With linear gates, realization 1 diverges at
+    # once and realization 0 later, while realization 2 stops early.
+    train_s, val_s = lockstep_task()
+    cfg = train.TrainConfig(learning_rate=0.005 if linear_gates else 0.05,
+                            batch_length=40, max_epochs=12,
+                            patience=1 if linear_gates else 2, seed=0)
+    nets = linear_gate_nets() if linear_gates else [random_params(40 + k, hidden=3)
+                                                      for k in range(3)]
+    for params in nets:
+        params.freeze_mask["lstm.w_hi"] = True
+    lockstep = lockstep_and_solo(nets, train_s, val_s, cfg, [5, 6, 7])
     diverged = [isinstance(r, TrainingDivergedError) for r in lockstep]
-    assert diverged == [isinstance(r, TrainingDivergedError) for r in solo]
     if linear_gates:
         assert diverged == [True, True, False]
         assert lockstep[1].last_good.history == [] and len(lockstep[0].last_good.history) > 1
-        assert str(lockstep[1]) == str(solo[1])
     else:
         assert not any(diverged)
         assert len({len(r.history) for r in lockstep}) == 3
-    for k, (a, b) in enumerate(zip(lockstep, solo)):
-        if isinstance(a, TrainingDivergedError):
-            a, b = a.last_good, b.last_good
-        assert_same_realization(a, b)
-        assert_array_equal(a.trained.tensors()["lstm.w_hi"], nets[k].tensors()["lstm.w_hi"])
+    for k, real in enumerate(lockstep):
+        real = real.last_good if isinstance(real, TrainingDivergedError) else real
+        assert_array_equal(real.trained.tensors()["lstm.w_hi"], nets[k].tensors()["lstm.w_hi"])
+
+
+@pytest.mark.parametrize("frozen", sorted({p.frozen for p in transfer.PROTOCOLS.values()
+                                           if p.fine_tune}, key=str))
+def test_lockstep_divergence_under_each_transfer_freeze_mask(frozen):
+    # Divergence is read from the step's gradients. Under the dense freeze
+    # the dense gradients are zeroed, so the LSTM gradients alone must carry
+    # realization 1's non-finite predictions; under the recurrent freeze
+    # the dense ones must.
+    train_s, val_s = lockstep_task()
+    nets = linear_gate_nets()
+    for params in nets:  # as transfer.run_method sets it
+        params.freeze_mask = {name: frozen is not None and name.startswith(frozen)
+                              for name in params.tensor_names()}
+    cfg = train.TrainConfig(learning_rate=0.005, batch_length=40, max_epochs=12, patience=1,
+                            seed=0)
+    lockstep = lockstep_and_solo(nets, train_s, val_s, cfg, [5, 6, 7])
+    assert isinstance(lockstep[1], TrainingDivergedError)
+    assert str(lockstep[1]).startswith("training diverged at epoch 1:")
+    assert lockstep[1].last_good.history == []
 
 
 def reference_fit(params, train_s, val_s, config, selection):
