@@ -41,11 +41,14 @@ it, and every row comes out as one product over its whole block gives it.
 
 A stack of R networks (``stack``) holds every tensor with a leading
 realization axis: (R, 4H, input), (R, 4H, H), (R, out, in) and so on.
-The kernel, the dense stack and ``forward`` take either layout. In the
-kernel a stack's states are (R, H, 1) columns, so every product runs per
-realization as one batched ``np.matmul`` making the call a single
-network makes, and each realization of a stack computes bit for bit
-what it computes alone. Outside the kernel every per-step buffer
+The kernel, the dense stack and ``forward`` take either layout. The
+kernel's loop holds a stack in the search's layout: states (H, R, B)
+and gates (4H, R, B), B = 1 without shifts, so every gate block is one
+contiguous leading-axis slice. Each recurrent product runs per
+realization as one batched ``np.matmul`` over (R, H, B) views, making
+the call a single network makes, so each realization of a stack
+computes bit for bit what it computes alone; the kernel yields such
+(R, 4H, B) and (R, H, B) views. Outside it every per-step buffer
 (``forward``'s hidden states, ``train.backward``'s gates and states) is
 realization-major, the layout ``dense_forward`` reads, and is filled
 and read step by step through its ``time_major`` view.
@@ -288,12 +291,12 @@ def lstm_steps(
     ``gates`` holds the activated gates, rows in ``GATE_NAMES`` order:
     gates are (4H,) and c, h are (H,). With ``shifts`` (B, 2), candidate b
     adds shifts[b] to (b_f, b_i) and a candidate axis trails: gates are
-    (4H, B), c and h are (H, B). A stack of R networks takes (R, H)
-    initial states and shared (T, input) or per-realization (R, T, input)
-    inputs, and yields (R, 4H, 1) gates and (R, H, 1) states: the trailing
-    column makes each recurrent product the one a single network runs.
-    With shifts a stack yields (R, 4H, B) gates and (R, H, B) states, each
-    realization's slice bit for bit its own run with the same shifts.
+    (4H, B), c and h are (H, B). A stack of R networks takes (R, H) initial
+    states and shared (T, input) or per-realization (R, T, input) inputs.
+    Its loop runs in the search's layout, gates (4H, R, B) and states
+    (H, R, B) with B = 1 without shifts, and yields their (R, 4H, B) and
+    (R, H, B) views, each realization's slice bit for bit its own run: the
+    (R, H, B) view makes each recurrent product the one a single network runs.
     Input projections are hoisted out of the recurrent loop, one product
     per ``PROJECTION_SUB_BLOCK`` steps of each ``PROJECTION_BLOCK`` block
     (a block's lone last row joins the product before it), into one buffer
@@ -303,20 +306,23 @@ def lstm_steps(
     """
     size = lstm.hidden_size
     stacked = lstm.b.ndim > 1
-    # Row blocks of the gate axis, which follows the realization axis:
-    # sigmoid gates, b_f and b_i, then f, i, o and g alone. Built once, as
-    # plain slices: an Ellipsis index costs more per step.
+    # Row blocks of the leading gate axis: sigmoid gates, b_f and b_i, then
+    # f, i, o and g alone. Built once, as plain slices: an Ellipsis index
+    # costs more per step.
     sigmoid_rows, shifted_rows, *gate_rows = (
-        (slice(None), slice(lo, hi)) if stacked else slice(lo, hi)
-        for lo, hi in ((0, 3 * size), (0, 2 * size),
-                       *((k * size, (k + 1) * size) for k in range(4)))
+        slice(lo, hi) for lo, hi in ((0, 3 * size), (0, 2 * size),
+                                    *((k * size, (k + 1) * size) for k in range(4)))
     )
-    column = (..., None) if stacked or shifts is not None else (...,)
-    c, h = initial.c[column], initial.h[column]
+    # Rows lead, then a stack's realization axis, then the candidate axis:
+    # states (H,), (H, B) or (H, R, B), with B = 1 until the shifts repeat it.
+    c, h = initial.c.T, initial.h.T
+    if stacked or shifts is not None:
+        c, h = c[..., None], h[..., None]
     w_x, w_h, bias = lstm.w_x, lstm.w_h, lstm.b
     bias_shift = None
     if shifts is not None:
-        bias_shift = np.repeat(shifts.T, size, axis=0)  # (2H, B): b_f rows, then b_i
+        # (2H, B), or (2H, 1, B) in a stack: b_f rows, then b_i.
+        bias_shift = np.repeat(shifts.T[:, None] if stacked else shifts.T, size, axis=0)
         c = np.repeat(c, len(shifts), axis=-1)
         h = np.repeat(h, len(shifts), axis=-1)
     if not lstm.linear_gates:
@@ -337,8 +343,13 @@ def lstm_steps(
     for lo, hi in _projection_bounds(steps):
         z_in = np.matmul(inputs[..., lo:hi, :], w_x_t, out=buffer[..., : hi - lo, :])
         z_in += bias
-        for z_t in z_in.swapaxes(0, -2)[column]:  # time-major
-            z = w_h @ h
+        rows = z_in.transpose(1, 2, 0) if stacked else z_in  # time-major, gate rows lead
+        for z_t in rows if c.ndim == 1 else rows[..., None]:  # in the states' layout
+            if stacked:  # one product per realization, written into the gate-major z
+                z = np.empty((4 * size, *h.shape[1:]))
+                np.matmul(w_h, h.swapaxes(0, 1), out=z.swapaxes(0, 1))
+            else:
+                z = w_h @ h
             z += z_t
             if bias_shift is not None:
                 z[shifted_rows] += bias_shift
@@ -350,7 +361,7 @@ def lstm_steps(
             f, i, o, g = map(z.__getitem__, gate_rows)
             c = f * c + i * g
             h = o * (c if lstm.linear_gates else np.tanh(c))
-            yield z, c, h
+            yield (z.swapaxes(0, 1), c.swapaxes(0, 1), h.swapaxes(0, 1)) if stacked else (z, c, h)
 
 
 def dense_forward(

@@ -420,15 +420,16 @@ def fit_lockstep(
         live = [r for r in live if outcome[r] is None]
         if not live:
             continue
-        val_losses = validation_loss(
-            stack if len(live) == n else stack.take(np.array(live)), train,
-            [vals[r] for r in live],
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            val_losses = validation_loss(
+                stack if len(live) == n else stack.take(np.array(live)), train,
+                [vals[r] for r in live],
+            )
         for r, val_loss in zip(live, np.atleast_1d(val_losses).tolist()):
             train_loss = sq_sum[r] / n_obs[r] if n_obs[r] else math.nan
             histories[r].append((epoch, float(train_loss), val_loss))
             if not math.isfinite(val_loss) or not math.isfinite(train_loss):
-                diverge(r, f"non-finite loss at epoch {epoch}")
+                diverge(r, f"training diverged at epoch {epoch}: non-finite loss")
             elif val_loss < best_val[r]:
                 best_val[r] = val_loss
                 best_snapshot[r] = snapshot(r)

@@ -105,6 +105,30 @@ def test_stacked_forward_rows_equal_solo_forwards(steps, hidden, n, seed):
         assert_array_equal(state.h[r], solo_state.h)
 
 
+@settings(max_examples=20, deadline=None)
+@given(steps=st.integers(1, 300), hidden=st.integers(1, 6), n=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_stacked_rows_from_own_nonzero_states_equal_solo_runs(steps, hidden, n, seed):
+    # Zero initial states read the same in any layout, so only random ones
+    # show a transposed state; with n = hidden it even keeps its shape.
+    rng = np.random.default_rng(seed)
+    nets = [random_net(rng, hidden) for _ in range(n)]
+    x = rng.normal(size=(steps, 3))
+    initial = nn.LstmState(c=rng.normal(size=(n, hidden)), h=rng.normal(size=(n, hidden)))
+    preds, state = nn.forward(nn.stack(nets), x, initial)
+    mask = (rng.random(steps) < 0.5).astype(float)
+    mask[-1] = 1.0
+    vals = [train.SupervisedSeries(x, rng.normal(size=steps) * mask, mask) for _ in range(n)]
+    train_s = train.SupervisedSeries(x[::-1].copy(), np.zeros(steps), np.ones(steps))
+    losses = np.atleast_1d(train.validation_loss(nn.stack(nets), train_s, vals))
+    for r, net in enumerate(nets):
+        solo, solo_state = nn.forward(net, x, nn.LstmState(c=initial.c[r], h=initial.h[r]))
+        assert_array_equal(preds[r], solo)
+        assert_array_equal(state.c[r], solo_state.c)
+        assert_array_equal(state.h[r], solo_state.h)
+        assert losses[r] == train.validation_loss(net, train_s, vals[r])
+
+
 @settings(max_examples=15, deadline=None)
 @given(steps=st.integers(1, 40), hidden=st.integers(1, 6), n=st.integers(1, 4),
        n_shifts=st.integers(1, 12), seed=st.integers(0, 2**16))

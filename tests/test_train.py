@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -378,6 +379,24 @@ def test_lockstep_divergence_under_each_transfer_freeze_mask(frozen):
     assert isinstance(lockstep[1], TrainingDivergedError)
     assert str(lockstep[1]).startswith("training diverged at epoch 1:")
     assert lockstep[1].last_good.history == []
+
+
+def test_lockstep_epoch_divergence_is_quiet_and_worded_like_a_step_one():
+    # Realization 0 of the linear-gate fixture first overflows in the
+    # validation pass of epoch 8, outside any caller's errstate.
+    train_s, val_s = lockstep_task()
+    nets = linear_gate_nets()
+    for params in nets:
+        params.freeze_mask["lstm.w_hi"] = True
+    cfg = train.TrainConfig(learning_rate=0.005, batch_length=40, max_epochs=12, patience=1,
+                            seed=0)
+    seeds = [5, 6, 7]
+    vals, selections = zip(*(train.subsample_validation(val_s, seed) for seed in seeds))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lockstep = train.fit_lockstep(nets, train_s, list(vals), cfg, seeds, list(selections))
+    assert isinstance(lockstep[0], TrainingDivergedError)
+    assert str(lockstep[0]).startswith("training diverged at epoch 8")
 
 
 def reference_fit(params, train_s, val_s, config, selection):
