@@ -380,40 +380,69 @@ def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     return cfg.get("out") / "pretrain"
 
 
+def _pretrained_checkpoints(pretrain_dir: Path) -> list[tuple[int, Path]]:
+    """(k, path) of each pretrained realization k to adapt, in order.
+
+    When ``manifest.json`` lists ``statuses``, only the realizations marked
+    ``ok`` are taken; each other one gets a stderr line, and none ``ok``
+    raises :class:`TrainingDivergedError`. Without them every checkpoint
+    is taken."""
+    ckpts = list(enumerate(sorted(pretrain_dir.glob("ckpt_*.json"))))
+    if not ckpts:
+        raise ConfigError(f"no pretrained checkpoints under {pretrain_dir}")
+    manifest = pretrain_dir / "manifest.json"
+    try:
+        statuses = json.loads(manifest.read_text()).get("statuses") if manifest.is_file() else None
+        if statuses is not None and len(statuses) != len(ckpts):
+            raise ValueError(f"{len(statuses)} statuses for {len(ckpts)} checkpoints")
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise InvalidInputError(f"corrupt pretrain manifest {manifest}: {exc!r}") from exc
+    if statuses is None:
+        return ckpts
+    for k, status in enumerate(statuses):
+        if status != "ok":
+            print(f"realization {k}: skipped, pretrain diverged", file=sys.stderr)
+    ckpts = [(k, path) for k, path in ckpts if statuses[k] == "ok"]
+    if not ckpts:
+        raise TrainingDivergedError(
+            f"training diverged in every pretrained realization under {pretrain_dir}")
+    return ckpts
+
+
 def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | None = None) -> Path:
-    """Adapt every pretrained realization to a target fuel class.
+    """Adapt every pretrained realization that trained to a target fuel class.
 
     Each checkpoint is read once; each realization is one
     ``transfer.run_method`` call, whose search also yields the surface.
+    A realization keeps its pretrain index in its file names, its shifts
+    row and its seed.
     """
     if fuel_class not in datamod.FUEL_CLASSES:
         raise ConfigError(f"unknown fuel class {fuel_class!r}")
     jobs = cfg.get("jobs", jobs)
     method = transfer.TransferMethod.parse(method_name)
     from_pretrained = transfer.PROTOCOLS[method].pretrained
-    pretrain_dir = cfg.get("out") / "pretrain"
-    ckpts = sorted(pretrain_dir.glob("ckpt_*.json"))
-    if from_pretrained and not ckpts:
-        raise ConfigError(f"no pretrained checkpoints under {pretrain_dir}")
+    ckpts = _pretrained_checkpoints(cfg.get("out") / "pretrain") if from_pretrained else []
 
     parts = split_dataset(cfg, *load_dataset(cfg))
     config = cfg.train_config()
     grid = cfg.grid_spec()
     arch = (datamod.N_FEATURES, cfg.get("arch.hidden_size"), cfg.get("arch.dense_sizes"))
 
-    # (pretrained params, normalizer, target scaler) per realization.
-    sources = ([load_checkpoint(path) for path in ckpts] if from_pretrained
-               else [(None, *fit_scalers(parts, fuel_class))] * cfg.get("realizations"))
+    # (k, (pretrained params, normalizer, target scaler)) per realization.
+    sources = ([(k, load_checkpoint(path)) for k, path in ckpts] if from_pretrained
+               else list(enumerate([(None, *fit_scalers(parts, fuel_class))]
+                                   * cfg.get("realizations"))))
     tasks = [
         (method, pretrained, *train_val_series(parts, normalizer, fuel_class, scaler),
          replace(config, seed=config.seed + k), grid, arch)
-        for k, (pretrained, normalizer, scaler) in enumerate(sources)
+        for k, (pretrained, normalizer, scaler) in sources
     ]
     results = _map(transfer.run_method, tasks, jobs)
 
     shift_rows = []
     with stage_dir(cfg, "transfer", method.value, fuel_class) as out:
-        for k, ((_, normalizer, scaler), result) in enumerate(zip(sources, results)):
+        for (k, (_, normalizer, scaler)), result in zip(sources, results):
             extra = {"method": method.value, "fuel_class": fuel_class}
             if result.shift is not None:
                 af, ai = result.shift.alpha_f, result.shift.alpha_i

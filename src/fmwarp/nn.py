@@ -48,7 +48,10 @@ contiguous leading-axis slice. Each recurrent product runs per
 realization as one batched ``np.matmul`` over (R, H, B) views, making
 the call a single network makes, so each realization of a stack
 computes bit for bit what it computes alone; the kernel yields such
-(R, 4H, B) and (R, H, B) views. Outside it every per-step buffer
+(R, 4H, B) and (R, H, B) views. The kernel allocates its step arrays
+(gates, states copied from the initial ones, one scratch) and builds
+their views once per call, and writes every step into them: what it
+yields is overwritten by the next step. Outside it every per-step buffer
 (``forward``'s hidden states, ``train.backward``'s gates and states) is
 realization-major, the layout ``dense_forward`` reads, and is filled
 and read step by step through its ``time_major`` view.
@@ -301,21 +304,17 @@ def lstm_steps(
     per ``PROJECTION_SUB_BLOCK`` steps of each ``PROJECTION_BLOCK`` block
     (a block's lone last row joins the product before it), into one buffer
     of at most ``PROJECTION_SUB_BLOCK + 1`` rows. Every row comes out bit
-    for bit as it would from one product over its whole block. Each
-    yielded array is new, never reused.
+    for bit as it would from one product over its whole block. The
+    yielded arrays are views of step arrays allocated once per call, valid
+    until the next step overwrites them; ``initial`` is copied, never
+    written.
     """
     size = lstm.hidden_size
     stacked = lstm.b.ndim > 1
-    # Row blocks of the leading gate axis: sigmoid gates, b_f and b_i, then
-    # f, i, o and g alone. Built once, as plain slices: an Ellipsis index
-    # costs more per step.
-    sigmoid_rows, shifted_rows, *gate_rows = (
-        slice(lo, hi) for lo, hi in ((0, 3 * size), (0, 2 * size),
-                                    *((k * size, (k + 1) * size) for k in range(4)))
-    )
     # Rows lead, then a stack's realization axis, then the candidate axis:
     # states (H,), (H, B) or (H, R, B), with B = 1 until the shifts repeat it.
-    c, h = initial.c.T, initial.h.T
+    # Float copies, as the loop writes them in place.
+    c, h = (np.array(state.T, dtype=float, order="C") for state in (initial.c, initial.h))
     if stacked or shifts is not None:
         c, h = c[..., None], h[..., None]
     w_x, w_h, bias = lstm.w_x, lstm.w_h, lstm.b
@@ -335,6 +334,15 @@ def lstm_steps(
             bias_shift *= 0.5
     w_x_t = w_x.swapaxes(-1, -2)
     bias = bias[..., None, :]
+    # The step arrays and every view of them, built once: gate-major z, its
+    # sigmoid rows, b_f and b_i rows and gate blocks, and a state scratch.
+    z = np.empty((4 * size, *h.shape[1:]))
+    fio, shifted, tmp = z[: 3 * size], z[: 2 * size], np.empty_like(c)
+    f, i, o, g = split_gates(z, 0)
+    # What the loop yields; in a stack, realization-major views, so that
+    # each recurrent product is the one a single network makes.
+    views = tuple(a.swapaxes(0, 1) for a in (z, c, h)) if stacked else (z, c, h)
+    z_out, _, h_in = views
     # One projection buffer, reused sub-block after sub-block, so a stack's
     # R-fold larger sub-block is never allocated twice at once.
     steps = inputs.shape[-2]
@@ -345,23 +353,23 @@ def lstm_steps(
         z_in += bias
         rows = z_in.transpose(1, 2, 0) if stacked else z_in  # time-major, gate rows lead
         for z_t in rows if c.ndim == 1 else rows[..., None]:  # in the states' layout
-            if stacked:  # one product per realization, written into the gate-major z
-                z = np.empty((4 * size, *h.shape[1:]))
-                np.matmul(w_h, h.swapaxes(0, 1), out=z.swapaxes(0, 1))
-            else:
-                z = w_h @ h
+            np.matmul(w_h, h_in, out=z_out)
             z += z_t
             if bias_shift is not None:
-                z[shifted_rows] += bias_shift
+                shifted += bias_shift
             if not lstm.linear_gates:
                 np.tanh(z, out=z)
-                fio = z[sigmoid_rows]
                 fio *= 0.5
                 fio += 0.5
-            f, i, o, g = map(z.__getitem__, gate_rows)
-            c = f * c + i * g
-            h = o * (c if lstm.linear_gates else np.tanh(c))
-            yield (z.swapaxes(0, 1), c.swapaxes(0, 1), h.swapaxes(0, 1)) if stacked else (z, c, h)
+            np.multiply(f, c, out=c)
+            np.multiply(i, g, out=tmp)
+            c += tmp
+            if lstm.linear_gates:
+                np.multiply(o, c, out=h)
+            else:
+                np.tanh(c, out=h)
+                h *= o
+            yield views
 
 
 def dense_forward(

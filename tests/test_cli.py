@@ -106,6 +106,52 @@ def test_diverged_pretrain_names_each_realization_on_stderr(tmp_path, capsys):
     assert len(list((out / "pretrain").glob("ckpt_*.json"))) == 2
 
 
+def test_transfer_adapts_only_the_realizations_pretrain_marks_ok(tmp_path, monkeypatch, capsys):
+    # A diverged realization's checkpoint is its untrained last_good: it is
+    # skipped, and the others keep their pretrain index in names and seeds.
+    cfg_path, out, _ = write_cfg(tmp_path, grid__n_per_axis=5)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    tdir = out / "transfer" / "TimeWarp" / "fm1"
+    manifest_path = out / "pretrain" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["statuses"] == ["ok", "ok"]
+    cli.cmd_transfer(cfg, "TimeWarp", "fm1")
+    all_ok = snapshot(tdir)
+    shift_rows = all_ok["shifts.csv"].decode().splitlines()
+    for statuses, kept in ((["ok", "diverged"], 0), (["diverged", "ok"], 1)):
+        manifest_path.write_text(json.dumps({**manifest, "statuses": statuses}))
+        capsys.readouterr()
+        cli.cmd_transfer(cfg, "TimeWarp", "fm1")
+        skipped = 1 - kept
+        assert capsys.readouterr().err == f"realization {skipped}: skipped, pretrain diverged\n"
+        files = snapshot(tdir)
+        assert sorted(files) == [f"ckpt_{kept:04d}.json", "manifest.json", "shifts.csv",
+                                 f"surface_{kept:04d}.csv"]
+        for name in (f"ckpt_{kept:04d}.json", f"surface_{kept:04d}.csv"):
+            assert files[name] == all_ok[name]
+        assert files["shifts.csv"].decode().splitlines() == [shift_rows[0], shift_rows[1 + kept]]
+    manifest_path.write_text(json.dumps({**manifest, "statuses": ["diverged", "diverged"]}))
+    shutil.rmtree(out / "transfer")
+    args = ("transfer", "--config", str(cfg_path), "--class", "fm1")
+    assert run_main(monkeypatch, *args, "--method", "TimeWarp") == 4
+    err = capsys.readouterr().err
+    assert "training diverged" in err and str(out / "pretrain") in err
+    assert not (out / "transfer").exists()
+
+
+def test_a_fine_tune_that_diverges_from_trained_checkpoints_exits_4(tmp_path, monkeypatch, capsys):
+    cfg_path, out, _ = write_cfg(tmp_path, train__max_epochs=1)
+    huge_lr, _, _ = write_cfg(tmp_path, "huge.cfg", train__learning_rate="1e300")
+    assert cli.run(["synth", "--config", str(cfg_path)]) == 0
+    assert cli.run(["pretrain", "--config", str(cfg_path)]) == 0
+    args = ("transfer", "--config", str(huge_lr), "--class", "fm1", "--method", "FullFineTune")
+    assert run_main(monkeypatch, *args) == 4
+    assert "training diverged at epoch 1" in capsys.readouterr().err
+    assert not (out / "transfer").exists()
+
+
 def test_transfer_timewarp_touches_only_bias_entries(tmp_path):
     cfg_path, out, _ = write_cfg(tmp_path)
     cfg = cli.Config.load(str(cfg_path))

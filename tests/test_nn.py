@@ -117,6 +117,26 @@ def test_forward_stateful_split():
     assert_array_equal(end.h, full_state.h)
 
 
+@pytest.mark.parametrize("realizations", [None, 1, 3])
+@pytest.mark.parametrize("n_shifts", [None, 5])
+def test_kernel_never_writes_the_initial_state(realizations, n_shifts):
+    # The kernel updates its states in place; the caller's must stay as given.
+    rng = np.random.default_rng(21)
+    nets = [nn.init_params(3, 4, (4, 2), rng=rng) for _ in range(realizations or 1)]
+    params = nets[0] if realizations is None else nn.stack(nets)
+    shape = (*params.stack_shape, 4)
+    initial = nn.LstmState(c=rng.normal(size=shape), h=rng.normal(size=shape))
+    c, h = initial.c.copy(), initial.h.copy()
+    x = rng.normal(size=(40, 3))
+    shifts = None if n_shifts is None else rng.uniform(-3.0, 3.0, size=(n_shifts, 2))
+    for _ in nn.lstm_steps(params.lstm, x, initial, shifts):
+        pass
+    if shifts is None:
+        nn.forward(params, x, initial)
+    assert_array_equal(initial.c, c)
+    assert_array_equal(initial.h, h)
+
+
 def test_forward_rejects_empty():
     params = nn.init_params(3, 4, (4, 2), rng=np.random.default_rng(0))
     with pytest.raises(InvalidInputError):

@@ -73,7 +73,7 @@ def test_streamed_forward_equals_scan_then_one_dense_pass(steps, hidden, seed):
     params = random_net(rng, hidden)
     x = rng.normal(size=(steps, 3))
     initial = nn.LstmState(c=rng.normal(size=hidden), h=rng.normal(size=hidden))
-    cells = list(nn.lstm_steps(params.lstm, x, initial))
+    cells = [tuple(a.copy() for a in step) for step in nn.lstm_steps(params.lstm, x, initial)]
     hidden_states = np.array([h for _, _, h in cells])
     preds, state = nn.forward(params, x, initial=initial)
     assert_array_equal(state.c, cells[-1][1])
@@ -140,7 +140,8 @@ def test_stacked_steps_with_shifts_equal_solo_runs(steps, hidden, n, n_shifts, s
     x = rng.normal(size=(steps, 3))
     shifts = rng.uniform(-3.0, 3.0, size=(n_shifts, 2))
     initial = nn.LstmState(c=rng.normal(size=(n, hidden)), h=rng.normal(size=(n, hidden)))
-    stacked = list(nn.lstm_steps(nn.stack(nets).lstm, x, initial, shifts))
+    stacked = [tuple(a.copy() for a in step)
+               for step in nn.lstm_steps(nn.stack(nets).lstm, x, initial, shifts)]
     for r, net in enumerate(nets):
         solo = nn.lstm_steps(net.lstm, x, nn.LstmState(c=initial.c[r], h=initial.h[r]), shifts)
         for stacked_step, solo_step in zip(stacked, solo, strict=True):

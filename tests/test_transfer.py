@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,30 @@ def test_grid_search_self_transfer_returns_zero_shift():
     shift, surface = transfer.grid_search(params, series_from(inputs, targets))
     assert shift == BiasShift(0.0, 0.0)
     assert surface.shape == (626, 3)
+
+
+def test_grid_search_peak_memory():
+    # 626 candidates at H=16 over 300 steps. The search holds one (4H, B)
+    # gate array, three (H, B) state arrays (c, h and a scratch), the
+    # (2H, B) bias shifts, one step's dense stack (its 16- and 8-wide
+    # layer outputs) and the (129, 4H) input projection. Half a gate array
+    # of room is left for the candidate table and small arrays; a second
+    # gate array breaks the bound.
+    rng = np.random.default_rng(0)
+    H, T = 16, 300
+    params = nn.init_params(8, H, (16, 8), rng)
+    series = series_from(rng.normal(size=(T, 8)), rng.normal(size=T))
+    tracemalloc.start()
+    try:
+        _, surface = transfer.grid_search(params, series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    B = len(surface)
+    assert B == 626
+    gates = 4 * H * B
+    bound = 8 * (gates + 3 * H * B + 2 * H * B + (16 + 8) * B + 129 * 4 * H + gates // 2)
+    assert peak < bound, (peak, bound)
 
 
 def test_grid_search_optimal_not_worse_than_zero_shot():
