@@ -386,15 +386,18 @@ def _pretrained_checkpoints(pretrain_dir: Path) -> list[tuple[int, Path]]:
     When ``manifest.json`` lists ``statuses``, only the realizations marked
     ``ok`` are taken; each other one gets a stderr line, and none ``ok``
     raises :class:`TrainingDivergedError`. Without them every checkpoint
-    is taken."""
+    is taken. A manifest that is not JSON, or whose ``statuses`` is not one
+    ``ok`` or ``diverged`` per checkpoint, raises :class:`InvalidInputError`."""
     ckpts = list(enumerate(sorted(pretrain_dir.glob("ckpt_*.json"))))
     if not ckpts:
         raise ConfigError(f"no pretrained checkpoints under {pretrain_dir}")
     manifest = pretrain_dir / "manifest.json"
     try:
         statuses = json.loads(manifest.read_text()).get("statuses") if manifest.is_file() else None
-        if statuses is not None and len(statuses) != len(ckpts):
-            raise ValueError(f"{len(statuses)} statuses for {len(ckpts)} checkpoints")
+        if statuses is not None and not (isinstance(statuses, list) and len(statuses) == len(ckpts)
+                                         and all(s in ("ok", "diverged") for s in statuses)):
+            raise ValueError(f"statuses {statuses!r} are not one 'ok' or 'diverged' for each of "
+                             f"{len(ckpts)} checkpoints")
     except (ValueError, TypeError, AttributeError) as exc:
         raise InvalidInputError(f"corrupt pretrain manifest {manifest}: {exc!r}") from exc
     if statuses is None:

@@ -511,8 +511,6 @@ def nearest_hour_mask(
     n = times.size
     targets = np.zeros(n)
     mask = np.zeros(n)
-    if obs_times.size == 0:
-        return targets, mask
     grid = times.astype("datetime64[s]").astype(np.int64)
     obs = obs_times.astype("datetime64[s]").astype(np.int64)
     idx = np.clip(np.round((obs - grid[0]) / 3600.0).astype(int), 0, n - 1)

@@ -319,11 +319,12 @@ def fit_lockstep(
     ``seeds[r]`` (its segment order) and validation series ``vals[r]``
     (all with the same inputs), and comes back as ``fit`` would return it
     alone, bit for bit. Each keeps its own segment order, Adam state and
-    early stopping. At each lockstep step the realizations whose segments
-    have the same length share one ``backward`` and Adam update. One whose
+    early stopping, and its ``Realization`` record, updated in place each
+    epoch. At each lockstep step the realizations whose segments have the
+    same length share one ``backward`` and Adam update. One whose
     gradients in that step are not all finite, or whose epoch losses are
     not finite, comes back as the :class:`TrainingDivergedError` ``fit``
-    would raise, carrying its ``last_good`` snapshot; the others take the
+    would raise, with that record as ``last_good``; the others take the
     step's update as computed, with no re-run. One whose segment holds no
     observations sits the step out, and its next segment's start state is
     not refreshed. A lone network is not stacked: it runs the plain
@@ -341,25 +342,19 @@ def fit_lockstep(
     adam = AdamState(stack)
     bounds = _segment_bounds(len(train), config.batch_length)
     seg_mask_counts = [train.mask[s:e].sum() for s, e in bounds]
+    # A realization live at an epoch's end has trained on every observed
+    # segment once; the counts are whole numbers, so the sum is exact.
+    n_obs = sum(seg_mask_counts)
     # The cached state at each segment start, per realization.
     start_c = np.zeros((n, len(bounds), stack.lstm.hidden_size))
     start_h = np.zeros_like(start_c)
 
-    histories: list[list[tuple[int, float, float]]] = [[] for _ in range(n)]
-    best_val = [math.inf] * n
-    best_snapshot = [snapshot(r) for r in range(n)]
-    best_epoch = [0] * n
-    since_improve = [0] * n
+    records = [Realization(seed, selection, trained=snapshot(r), history=[], best_epoch=0)
+               for r, (seed, selection) in enumerate(zip(seeds, selections))]
     outcome: list = [None] * n  # set when a realization stops early or diverges
 
-    def best(r) -> Realization:
-        return Realization(
-            seed=seeds[r], validation_selection=selections[r], trained=best_snapshot[r],
-            history=histories[r], best_epoch=best_epoch[r],
-        )
-
     def diverge(r, message):
-        outcome[r] = TrainingDivergedError(message, last_good=best(r))
+        outcome[r] = TrainingDivergedError(message, last_good=records[r])
 
     def train_step(members, length, epoch):
         """One backward and Adam update for the (realization, segment) pairs
@@ -405,7 +400,6 @@ def fit_lockstep(
             for r in live
         }
         sq_sum = dict.fromkeys(live, 0.0)
-        n_obs = dict.fromkeys(live, 0.0)
         for j in range(len(bounds)):
             by_length: dict[int, list[tuple[int, int]]] = {}
             for r in live:
@@ -416,7 +410,6 @@ def fit_lockstep(
             for length, members in by_length.items():
                 for (r, k), seg_loss in train_step(members, length, epoch):
                     sq_sum[r] += seg_loss * seg_mask_counts[k]
-                    n_obs[r] += seg_mask_counts[k]
         live = [r for r in live if outcome[r] is None]
         if not live:
             continue
@@ -426,20 +419,17 @@ def fit_lockstep(
                 [vals[r] for r in live],
             )
         for r, val_loss in zip(live, np.atleast_1d(val_losses).tolist()):
-            train_loss = sq_sum[r] / n_obs[r] if n_obs[r] else math.nan
-            histories[r].append((epoch, float(train_loss), val_loss))
+            rec = records[r]
+            best_val = rec.history[rec.best_epoch - 1][2] if rec.best_epoch else math.inf
+            train_loss = float(sq_sum[r] / n_obs) if n_obs else math.nan
+            rec.history.append((epoch, train_loss, val_loss))
             if not math.isfinite(val_loss) or not math.isfinite(train_loss):
                 diverge(r, f"training diverged at epoch {epoch}: non-finite loss")
-            elif val_loss < best_val[r]:
-                best_val[r] = val_loss
-                best_snapshot[r] = snapshot(r)
-                best_epoch[r] = epoch
-                since_improve[r] = 0
-            else:
-                since_improve[r] += 1
-                if since_improve[r] >= config.patience:
-                    outcome[r] = best(r)
-    return [best(r) if done is None else done for r, done in enumerate(outcome)]
+            elif val_loss < best_val:
+                rec.trained, rec.best_epoch = snapshot(r), epoch
+            elif epoch - rec.best_epoch >= config.patience:
+                outcome[r] = rec
+    return [rec if done is None else done for rec, done in zip(records, outcome)]
 
 
 def subsample_validation(val: SupervisedSeries, seed: int) -> tuple[SupervisedSeries, str]:

@@ -299,6 +299,75 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert exc.value.code == 5
 
 
+def drop_observations(cfg, dataset, fuel_class, partition):
+    """Rewrite the dataset without its ``fuel_class`` observations in ``partition``."""
+    frame, series = data.load_csv(dataset)
+    span = getattr(cli.split_dataset(cfg, frame, series), partition).weather.times
+    data.write_csv(dataset, frame, [
+        data.FmcSeries(s.fuel_class, s.times[keep], s.values[keep]) for s in series
+        for keep in [(s.fuel_class != fuel_class) | (s.times < span[0]) | (s.times > span[-1])]])
+
+
+@pytest.mark.parametrize("dropped, class_dir, argv, code, message", [
+    ("train", False, ("transfer", "--method", "NoTransfer", "--class", "fm1"), 2,
+     "no fm1 observations in the training span"),
+    ("val", False, ("transfer", "--method", "NoTransfer", "--class", "fm1"), 2,
+     "no fm1 observations in train or validation span"),
+    ("test", True, ("evaluate",), 5, "no fm1 observations in the test span"),
+    (None, True, ("evaluate",), 5, "no checkpoints under {out}/transfer/TimeWarp/fm1"),
+    (None, True, ("evaluate", "--method", "NoTransfer"), 5,
+     "nothing to evaluate (check --method/--class filters)"),
+    (None, False, ("report",), 5,
+     "no per-realization table at {out}/evaluate/per_realization.csv; run evaluate first"),
+], ids=["no train obs", "no val obs", "no test obs", "empty class dir", "filtered out",
+        "report first"])
+def test_documented_exits_name_what_is_missing(tmp_path, monkeypatch, capsys, dropped, class_dir,
+                                               argv, code, message):
+    # Each exit writes nothing: the files under out are the same before and after.
+    cfg_path, out, dataset = write_cfg(tmp_path)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    if dropped:
+        drop_observations(cfg, dataset, "fm1", dropped)
+    if class_dir:
+        (out / "transfer" / "TimeWarp" / "fm1").mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_main(monkeypatch, argv[0], "--config", str(cfg_path), *argv[1:]) == code
+    assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.fixture(scope="module")
+def pretrained_run(tmp_path_factory):
+    """A dataset and a two-realization pretrain, both ``ok``."""
+    root = tmp_path_factory.mktemp("pretrained")
+    cfg = cli.Config.load(str(write_cfg(root, train__max_epochs=1)[0]))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    return root
+
+
+@pytest.mark.parametrize("text", [
+    b'{"statuses": "ok"}', b'{"statuses": ["ok", 5]}', b"{not JSON", b"\xff\xfe",
+    b'{"statuses": ["ok"]}',
+], ids=["a string", "a number", "not JSON", "not UTF-8", "one status for two"])
+def test_a_corrupt_pretrain_manifest_exits_with_data_error(pretrained_run, tmp_path, monkeypatch,
+                                                           capsys, text):
+    # Only a list of "ok" and "diverged", one per checkpoint, says which
+    # realizations to adapt; anything else is a corrupt manifest.
+    shutil.copytree(pretrained_run, tmp_path, dirs_exist_ok=True)
+    cfg_path, out, _ = write_cfg(tmp_path, grid__n_per_axis=5)
+    manifest = out / "pretrain" / "manifest.json"
+    manifest.write_bytes(text)
+    args = ("transfer", "--config", str(cfg_path), "--method", "TimeWarp", "--class", "fm1")
+    assert run_main(monkeypatch, *args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: corrupt pretrain manifest {manifest}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "transfer").exists()
+
+
 def test_cli_run_synth_via_argv(tmp_path):
     cfg_path, _, dataset = write_cfg(tmp_path)
     assert cli.run(["synth", "--config", str(cfg_path)]) == 0

@@ -332,6 +332,10 @@ def test_nearest_hour_mask():
     targets, mask = data.nearest_hour_mask(frame.times, obs_t, np.array([5.0, 7.0]))
     assert mask.sum() == 2
     assert targets[3] == 5.0 and targets[10] == 7.0
+    # No observations: zero targets and an all-zero mask over the grid.
+    targets, mask = data.nearest_hour_mask(frame.times, obs_t[:0], np.empty(0))
+    assert_array_equal(targets, np.zeros(len(frame)))
+    assert_array_equal(mask, np.zeros(len(frame)))
 
 
 def test_synth_weather_deterministic():
