@@ -218,18 +218,12 @@ def build_series(
     requested fuel class, which must have an observation there."""
     obs = partition.observations.get(fuel_class)
     if obs is None or len(obs) == 0:
-        raise ConfigError(f"no {fuel_class} observations in train or validation span")
+        raise ConfigError(f"no {fuel_class} observations in the {partition.span} span")
     targets, mask = datamod.nearest_hour_mask(partition.weather.times, obs.times, obs.values)
     targets = np.where(mask > 0, scaler.scale(targets), 0.0)
     return train.SupervisedSeries(
         inputs=normalizer.transform(partition.weather), targets=targets, mask=mask
     )
-
-
-def train_val_series(parts: datamod.Split, normalizer, fuel_class: str, scaler):
-    """The (train, validation) series pair."""
-    return (build_series(parts.train, normalizer, fuel_class, scaler),
-            build_series(parts.val, normalizer, fuel_class, scaler))
 
 
 def _pid_gone(pid: int) -> bool:
@@ -332,6 +326,13 @@ def load_checkpoint(path) -> tuple[nn.RnnParams, datamod.Normalizer, datamod.Tar
         ) from exc
 
 
+def _chunks(items: list, jobs: int) -> list[list]:
+    """``items`` in ``min(jobs, len(items))`` contiguous runs of near equal
+    length, in order: the realizations of one lockstep call per worker."""
+    n = min(jobs, len(items))
+    return [items[len(items) * c // n:len(items) * (c + 1) // n] for c in range(n)]
+
+
 def _map(fn, tasks, jobs: int) -> list:
     """``[fn(*task) for task in tasks]``, run in ``jobs`` worker processes,
     but never more than there are tasks, when that is above 1; results come
@@ -349,19 +350,13 @@ def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     parts = split_dataset(cfg, *load_dataset(cfg))
     source_class = cfg.get("source.class")
     normalizer, scaler = fit_scalers(parts, source_class)
-    train_s, val_s = train_val_series(parts, normalizer, source_class, scaler)
-    hidden, dense_sizes = cfg.get("arch.hidden_size"), cfg.get("arch.dense_sizes")
+    series = [build_series(part, normalizer, source_class, scaler)
+              for part in (parts.train, parts.val)]
+    arch = (datamod.N_FEATURES, cfg.get("arch.hidden_size"), cfg.get("arch.dense_sizes"))
     config = cfg.train_config()
-    n = cfg.get("realizations")
-    seeds = [config.seed + k for k in range(n)]
-    # One contiguous chunk of realizations per worker, trained in lockstep.
-    chunks = min(jobs, n)
-    cuts = [n * c // chunks for c in range(chunks + 1)]
-    tasks = [
-        (datamod.N_FEATURES, hidden, dense_sizes, train_s, val_s,
-         replace(config, seed=config.seed + lo), hi - lo)
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
+    seeds = [config.seed + k for k in range(cfg.get("realizations"))]
+    tasks = [(*arch, *series, replace(config, seed=chunk[0]), len(chunk))
+             for chunk in _chunks(seeds, jobs)]
     results = []
     for k, real in enumerate(itertools.chain.from_iterable(_map(train.replicate, tasks, jobs))):
         if isinstance(real, TrainingDivergedError):
@@ -415,10 +410,12 @@ def _pretrained_checkpoints(pretrain_dir: Path) -> list[tuple[int, Path]]:
 def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | None = None) -> Path:
     """Adapt every pretrained realization that trained to a target fuel class.
 
-    Each checkpoint is read once; each realization is one
-    ``transfer.run_method`` call, whose search also yields the surface.
-    A realization keeps its pretrain index in its file names, its shifts
-    row and its seed.
+    Each checkpoint is read once. Consecutive realizations that share a
+    ``_lockstep_key`` and target scaler share their series and are cut into
+    contiguous chunks, one ``transfer.adapt`` call per worker: each searches
+    alone, and the chunk fine-tunes in lockstep. The first realization whose
+    fine-tune diverges fails the stage. A realization keeps its pretrain
+    index in its file names, its shifts row and its seed.
     """
     if fuel_class not in datamod.FUEL_CLASSES:
         raise ConfigError(f"unknown fuel class {fuel_class!r}")
@@ -432,20 +429,27 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     grid = cfg.grid_spec()
     arch = (datamod.N_FEATURES, cfg.get("arch.hidden_size"), cfg.get("arch.dense_sizes"))
 
-    # (k, (pretrained params, normalizer, target scaler)) per realization.
-    sources = ([(k, load_checkpoint(path)) for k, path in ckpts] if from_pretrained
-               else list(enumerate([(None, *fit_scalers(parts, fuel_class))]
-                                   * cfg.get("realizations"))))
-    tasks = [
-        (method, pretrained, *train_val_series(parts, normalizer, fuel_class, scaler),
-         replace(config, seed=config.seed + k), grid, arch)
-        for k, (pretrained, normalizer, scaler) in sources
-    ]
-    results = _map(transfer.run_method, tasks, jobs)
+    # (k, pretrained params, normalizer, target scaler) per realization.
+    sources = ([(k, *load_checkpoint(path)) for k, path in ckpts] if from_pretrained
+               else [(k, None, *scalers) for k, scalers in
+                     enumerate([fit_scalers(parts, fuel_class)] * cfg.get("realizations"))])
+    tasks = []
+    for _, run in itertools.groupby(sources, key=lambda src: (
+            from_pretrained and _lockstep_key(*src[1:3]), src[3].to_dict())):
+        run = list(run)
+        _, _, normalizer, scaler = run[0]
+        series = [build_series(part, normalizer, fuel_class, scaler)
+                  for part in (parts.train, parts.val)]
+        tasks += [(method, [src[1] for src in chunk], *series, config,
+                   [config.seed + src[0] for src in chunk], grid, arch)
+                  for chunk in _chunks(run, jobs)]
+    results = list(itertools.chain.from_iterable(_map(transfer.adapt, tasks, jobs)))
+    if diverged := [result for result in results if isinstance(result, TrainingDivergedError)]:
+        raise diverged[0]
 
     shift_rows = []
     with stage_dir(cfg, "transfer", method.value, fuel_class) as out:
-        for (k, (_, normalizer, scaler)), result in zip(sources, results):
+        for (k, _, normalizer, scaler), result in zip(sources, results):
             extra = {"method": method.value, "fuel_class": fuel_class}
             if result.shift is not None:
                 af, ai = result.shift.alpha_f, result.shift.alpha_i

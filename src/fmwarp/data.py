@@ -170,6 +170,7 @@ class Partition:
 
     weather: WeatherFrame
     observations: dict[str, FmcSeries]
+    span: str  # "training", "validation" or "test", as messages name it
 
 
 @dataclass(frozen=True)
@@ -469,8 +470,8 @@ def split(frame: WeatherFrame, series: list[FmcSeries], spec: SplitSpec) -> Spli
         raise SplitError("split boundaries outside the data span")
 
     def masks(times: np.ndarray) -> dict[str, np.ndarray]:
-        return {"train": times <= spec.train_end,
-                "val": (times > spec.train_end) & (times <= spec.val_end),
+        return {"training": times <= spec.train_end,
+                "validation": (times > spec.train_end) & (times <= spec.val_end),
                 "test": times > spec.val_end}
 
     obs_masks = [(s, masks(s.times)) for s in series]
@@ -482,8 +483,8 @@ def split(frame: WeatherFrame, series: list[FmcSeries], spec: SplitSpec) -> Spli
             s.fuel_class: FmcSeries(s.fuel_class, s.times[sel[name]], s.values[sel[name]])
             for s, sel in obs_masks
         }
-        parts[name] = Partition(weather=frame.slice(mask), observations=obs)
-    return Split(**parts)
+        parts[name] = Partition(weather=frame.slice(mask), observations=obs, span=name)
+    return Split(*parts.values())
 
 
 def align_for_eval(

@@ -8,23 +8,25 @@ training observations; 2 x hidden tensor entries change and nothing else.
 
 Six protocols are supported, one row each of :data:`PROTOCOLS`: its
 start, its frozen tensors, whether it searches a shift and whether it
-fine-tunes. No protocol ever sees the test partition: the interface
-takes only the training and validation series.
+fine-tunes. :func:`adapt` runs one on a stack of realizations in
+lockstep. No protocol ever sees the test partition: the interface takes
+only the training and validation series.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from fmwarp import data as datamod
 from fmwarp import nn
-from fmwarp.errors import ConfigError, InvalidInputError, SearchFailedError
-from fmwarp.train import STREAM_INIT, SupervisedSeries, TrainConfig, fit, substream
+from fmwarp.errors import (ConfigError, InvalidInputError, SearchFailedError,
+                           TrainingDivergedError)
+from fmwarp.train import STREAM_INIT, SupervisedSeries, TrainConfig, fit_lockstep, substream
 
 
 @dataclass(frozen=True)
@@ -178,39 +180,52 @@ class TransferResult:
     surface: np.ndarray | None = None
 
 
-def run_method(
-    method: TransferMethod,
-    pretrained: nn.RnnParams | None,
-    train: SupervisedSeries,
-    val: SupervisedSeries,
-    config: TrainConfig,
-    grid: GridSpec = DEFAULT_GRID,
-    arch: tuple[int, int, tuple[int, ...]] | None = None,
-    forced_shift: BiasShift | None = None,
-) -> TransferResult:
-    """Run one transfer protocol using only training and validation data.
-
-    A protocol that starts fresh (NoTransfer) ignores ``pretrained`` and
-    needs ``arch``, the (input_size, hidden_size, dense_sizes) of its
-    network. ``forced_shift`` bypasses the grid search in the warp methods,
-    for diagnostics and contract tests; the result then has no surface.
+def adapt(method: TransferMethod, pretrained: list[nn.RnnParams | None], train: SupervisedSeries,
+          val: SupervisedSeries, config: TrainConfig, seeds: list[int],
+          grid: GridSpec = DEFAULT_GRID, arch: tuple[int, int, tuple[int, ...]] | None = None,
+          forced_shift: BiasShift | None = None) -> list[TransferResult | TrainingDivergedError]:
+    """Run one transfer protocol on R realizations using only training and
+    validation data: realization r starts from ``pretrained[r]``, or for
+    NoTransfer from a fresh init of sizes ``arch`` (input, hidden, dense)
+    drawn from ``seeds[r]``, which also orders its segments. Each searches
+    on its own; ``forced_shift`` bypasses the search, for diagnostics and
+    contract tests, and leaves no surface. The fine-tunes share one
+    :func:`fit_lockstep` call, so each realization comes back bit for bit
+    as it would alone, and one that diverges as its error.
     """
     protocol = PROTOCOLS[method]
-    if protocol.pretrained:
-        if pretrained is None:
-            raise ConfigError(f"{method.value} requires a pretrained model")
-        start = pretrained.copy()
+    if protocol.pretrained and any(net is None for net in pretrained):
+        raise ConfigError(f"{method.value} requires a pretrained model")
+    if not protocol.pretrained and arch is None:
+        raise ConfigError(f"{method.value} needs the arch sizes of its fresh start")
+    results = []
+    for net, seed in zip(pretrained, seeds, strict=True):
+        start = (net.copy() if protocol.pretrained
+                 else nn.init_params(*arch, rng=substream(seed, STREAM_INIT)))
         start.freeze_mask = {name: protocol.frozen is not None and name.startswith(protocol.frozen)
                              for name in start.tensor_names()}
-    elif arch is None:
-        raise ConfigError(f"{method.value} needs the arch sizes of its fresh start")
-    else:
-        start = nn.init_params(*arch, rng=substream(config.seed, STREAM_INIT))
-    shift = surface = None
-    if protocol.search:  # on the training observations only
-        shift, surface = (grid_search(start, train, grid) if forced_shift is None
-                          else (forced_shift, None))
-        start = apply_shift(start, shift)
-    if protocol.fine_tune:
-        start = fit(start, train, val, config).trained
-    return TransferResult(params=start, shift=shift, surface=surface)
+        shift = surface = None
+        if protocol.search:  # on the training observations only
+            shift, surface = (grid_search(start, train, grid) if forced_shift is None
+                              else (forced_shift, None))
+            start = apply_shift(start, shift)
+        results.append(TransferResult(start, shift, surface))
+    if not protocol.fine_tune:
+        return results
+    n = len(results)
+    fits = fit_lockstep([r.params for r in results], train, [val] * n, config, seeds, ["full"] * n)
+    return [fit if isinstance(fit, TrainingDivergedError) else replace(r, params=fit.trained)
+            for r, fit in zip(results, fits)]
+
+
+def run_method(method: TransferMethod, pretrained: nn.RnnParams | None, train: SupervisedSeries,
+               val: SupervisedSeries, config: TrainConfig, grid: GridSpec = DEFAULT_GRID,
+               arch: tuple[int, int, tuple[int, ...]] | None = None,
+               forced_shift: BiasShift | None = None) -> TransferResult:
+    """One realization of :func:`adapt`, seeded by ``config.seed``; a
+    fine-tune that diverges raises its :class:`TrainingDivergedError`."""
+    [result] = adapt(method, [pretrained], train, val, config, [config.seed], grid, arch,
+                     forced_shift)
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return result

@@ -312,7 +312,7 @@ def drop_observations(cfg, dataset, fuel_class, partition):
     ("train", False, ("transfer", "--method", "NoTransfer", "--class", "fm1"), 2,
      "no fm1 observations in the training span"),
     ("val", False, ("transfer", "--method", "NoTransfer", "--class", "fm1"), 2,
-     "no fm1 observations in train or validation span"),
+     "no fm1 observations in the validation span"),
     ("test", True, ("evaluate",), 5, "no fm1 observations in the test span"),
     (None, True, ("evaluate",), 5, "no checkpoints under {out}/transfer/TimeWarp/fm1"),
     (None, True, ("evaluate", "--method", "NoTransfer"), 5,
@@ -401,6 +401,36 @@ def test_jobs_flag_matches_sequential(tmp_path):
         files_b = sorted((cfg_b[1] / stage).glob("ckpt_*.json"))
         assert len(files_a) == 2
         assert [p.read_bytes() for p in files_a] == [p.read_bytes() for p in files_b]
+
+
+def test_transfer_of_mixed_checkpoints_matches_each_checkpoint_alone(tmp_path):
+    # A hand-assembled pretrain directory: checkpoints 0 and 1 from the base
+    # run, 2 with another target scaler (source class fm100) and 3 with
+    # another normalizer (a shorter training span). Each adapted realization
+    # must be the bytes of a run over its checkpoint alone, selected through
+    # the manifest's statuses so that it keeps its index and seed.
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=4, train__max_epochs=1)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    mixed = out / "pretrain"
+    mixed.mkdir(parents=True)
+    for k, overrides in enumerate(({}, {}, {"source.class": "fm100"},
+                                   {"split.train_frac": "0.5"})):
+        overrides["out"] = tmp_path / f"r{k}"
+        run = cli.cmd_pretrain(cli.Config.load(str(cfg_path), overrides))
+        shutil.copy(run / f"ckpt_{k:04d}.json", mixed)
+    scalers = [cli.load_checkpoint(path)[1:] for path in sorted(mixed.glob("ckpt_*.json"))]
+    normalizers, targets = ([x.to_dict() for x in xs] for xs in zip(*scalers))
+    assert normalizers[0] == normalizers[1] == normalizers[2] != normalizers[3]
+    assert targets[0] == targets[1] != targets[2]
+    statuses = mixed / "manifest.json"
+    statuses.write_text(json.dumps({"statuses": ["ok"] * 4}))
+    together = snapshot(cli.cmd_transfer(cfg, "FullFineTune", "fm1", jobs=2))
+    for k in range(4):
+        alone = ["ok" if j == k else "diverged" for j in range(4)]
+        statuses.write_text(json.dumps({"statuses": alone}))
+        files = snapshot(cli.cmd_transfer(cfg, "FullFineTune", "fm1"))
+        assert files[f"ckpt_{k:04d}.json"] == together[f"ckpt_{k:04d}.json"]
 
 
 def test_map_opens_no_more_workers_than_tasks(monkeypatch):

@@ -1,15 +1,17 @@
 import inspect
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from fmwarp import nn, timelag, train, transfer
-from fmwarp.errors import ConfigError, SearchFailedError
+from fmwarp.errors import ConfigError, SearchFailedError, TrainingDivergedError
 from fmwarp.train import SupervisedSeries, TrainConfig
 from fmwarp.transfer import BiasShift, GridSpec, TransferMethod
 from helpers import parameter_count, trainable_count
+from test_train import linear_gate_nets, lockstep_task
 
 
 def small_net(seed=0, input_size=3, hidden=4):
@@ -280,6 +282,71 @@ def test_run_method_warp_finetune_composes_search_shift_and_fit():
     assert_array_equal(result.surface, surface)
     for name, arr in composed.tensors().items():
         assert_array_equal(result.params.tensors()[name], arr)
+
+
+ARCH = (3, 4, (4, 3))  # of small_net, for NoTransfer's fresh starts
+
+
+def adapt_and_run_method(method, nets, train_s, val_s, cfg, seeds, grid=transfer.DEFAULT_GRID):
+    """``adapt`` over ``nets`` in one stack, and ``run_method`` on each alone;
+    assert that every realization's outcome is its solo one bit for bit (a
+    diverged one in its message and ``last_good``), and return the outcomes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = transfer.adapt(method, nets, train_s, val_s, cfg, seeds, grid, ARCH)
+        solo = []
+        for net, seed in zip(nets, seeds):
+            try:
+                solo.append(transfer.run_method(method, net, train_s, val_s,
+                                                replace(cfg, seed=seed), grid, ARCH))
+            except TrainingDivergedError as exc:
+                solo.append(exc)
+    assert len(stacked) == len(nets)
+    for a, b in zip(stacked, solo):
+        assert type(a) is type(b)
+        if isinstance(a, TrainingDivergedError):
+            assert str(a) == str(b)
+            assert_array_equal(np.array(a.last_good.history), np.array(b.last_good.history))
+            a, b = a.last_good.trained, b.last_good.trained
+        else:
+            assert a.shift == b.shift
+            assert (a.surface is None) == (b.surface is None)
+            if a.surface is not None:
+                assert_array_equal(a.surface, b.surface)
+            a, b = a.params, b.params
+        assert a.freeze_mask == b.freeze_mask
+        for name, arr in a.tensors().items():
+            assert_array_equal(arr, b.tensors()[name])
+    return stacked
+
+
+@pytest.mark.parametrize("method", list(TransferMethod))
+def test_adapt_gives_each_realization_its_run_method_result_bitwise(method):
+    # Three different pretrained networks: the warps pick a shift each, so
+    # TimeWarpFineTune's starts differ in their gate biases as well.
+    train_s, val_s = tiny_task(6)
+    nets = [small_net(20 + k) for k in range(3)]
+    results = adapt_and_run_method(method, nets, train_s, val_s, CFG, [7, 8, 9],
+                                   GridSpec(n_per_axis=5))
+    assert not any(isinstance(r, TrainingDivergedError) for r in results)
+    if transfer.PROTOCOLS[method].search:
+        assert len({r.shift for r in results}) > 1
+
+
+@pytest.mark.parametrize("method, diverged", [
+    (TransferMethod.FULL_FINE_TUNE, [True, True, False]),
+    (TransferMethod.FREEZE_RECURRENT, [False, True, False]),
+    (TransferMethod.FREEZE_DENSE, [True, True, True]),
+])
+def test_adapt_returns_a_diverged_realization_as_its_error(method, diverged):
+    # The linear-gate fixture of the lockstep trainer tests: realization 1
+    # (b_f = 1e6) diverges in its first segment, and the others train on in
+    # the stack; with no frozen tensor, or the dense ones frozen, some of
+    # them diverge too, epochs later.
+    train_s, val_s = lockstep_task()
+    cfg = TrainConfig(learning_rate=0.005, batch_length=40, max_epochs=12, patience=1, seed=0)
+    results = adapt_and_run_method(method, linear_gate_nets(), train_s, val_s, cfg, [5, 6, 7])
+    assert [isinstance(r, TrainingDivergedError) for r in results] == diverged
+    assert str(results[1]).startswith("training diverged at epoch 1:")
 
 
 def test_every_method_has_a_protocol():
