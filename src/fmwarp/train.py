@@ -22,6 +22,15 @@ Divergence is read from each step's gradients: a realization whose
 gradients are not all finite drops out and the others take the update;
 nothing is re-run.
 
+A step is a few large numpy calls rather than many small ones, with the
+arithmetic unchanged: each element goes through the same operations in
+the same order, so the outputs are bit for bit those of a per-gate,
+per-tensor loop. The BPTT loop runs one product per step on all four
+gates (``_bptt``), and is skipped when every LSTM tensor is frozen.
+``AdamState`` keeps its moments flat, one row per realization, and
+updates them in place; the same flat gradient gives each realization's
+divergence verdict.
+
 All randomness flows from integer seeds through named substreams
 (init / shuffle / valsplit), so a realization is a pure function of
 (seed, data, config).
@@ -136,8 +145,9 @@ def backward(
     """Gradients of the masked MSE over one segment, by backprop through time.
 
     Returns (gradients keyed like ``params.tensors()``, loss, final state).
-    Frozen tensors get zero gradient; gradients do not flow into the
-    initial state (truncation boundary). The forward pass is the
+    Frozen tensors get zero gradient; when every LSTM tensor is frozen
+    the backprop through time is not run at all. Gradients do not flow
+    into the initial state (truncation boundary). The forward pass is the
     inference kernel itself, so loss and final state match ``nn.forward``
     bit for bit. A stack of R networks takes (R, T, input) inputs, (R, T)
     targets and masks and (R, H) initial states, and returns stacked
@@ -181,42 +191,15 @@ def backward(
         grads[f"dense{j}.w"] = dz.swapaxes(-1, -2) @ v
         grads[f"dense{j}.b"] = dz.sum(axis=-2)
         dv = dz @ layer.weights
-    dh_dense = nn.time_major(dv)
 
-    # LSTM backward: activation derivatives batched over time, then one
-    # recurrent product W_h^T dz[t] per step.
-    # Row blocks in nn.GATE_NAMES order (f, i, o, g).
-    gate_axis = 1 + len(lead)  # of the time-major views
-    f, i, o, g = nn.split_gates(gates_t, gate_axis)
-    if lstm.linear_gates:
-        phi = c_t[1:]
-        dphi, dact = np.ones_like(phi), np.ones_like(gates_t)
+    if all(frozen for name, frozen in params.freeze_mask.items() if name.startswith("lstm.")):
+        # The recurrence is frozen: its gradients are zeros, with no BPTT.
+        stacked = tuple(np.zeros_like(a) for a in (lstm.w_x, lstm.w_h, lstm.b))
     else:
-        phi = np.tanh(c_t[1:])
-        dphi = 1.0 - phi * phi
-        dact = gates_t * (1.0 - gates_t)  # sigmoid rows; the candidate rows are tanh
-        nn.split_gates(dact, gate_axis)[3][:] = 1.0 - g * g
-    dz = np.empty_like(gates)
-    dz_t = nn.time_major(dz)
-    dz_f, dz_i, dz_o, dz_g = nn.split_gates(dz_t, gate_axis)
-    w_h_t = lstm.w_h.swapaxes(-1, -2)
-    dh_next = np.zeros_like(h_t[0])
-    dc_next = np.zeros_like(c_t[0])
-    for t in range(T - 1, -1, -1):
-        dh = dh_dense[t] + dh_next
-        dc = dc_next + dh * o[t] * dphi[t]
-        dz_f[t] = dc * c_t[t]
-        dz_i[t] = dc * g[t]
-        dz_o[t] = dh * phi[t]
-        dz_g[t] = dc * i[t]
-        dz_t[t] *= dact[t]
-        dh_next = w_h_t @ dz_t[t]
-        dc_next = dc * f[t]
+        stacked = _bptt(lstm, inputs, gates, c_all, h_all, nn.time_major(dv))
     # Row order (f, i, o, g): AdamState.step sums the clip norm in the
     # order of ``grads``, so this order fixes its rounding.
-    by_gate = dz.swapaxes(-1, -2)  # (..., 4H, T)
-    lstm_grads = nn.gate_blocks(by_gate @ inputs, by_gate @ h_all[..., :-1, :], dz.sum(axis=-2))
-    grads.update({f"lstm.{name}": grad for name, grad in lstm_grads.items()})
+    grads.update({f"lstm.{name}": grad for name, grad in nn.gate_blocks(*stacked).items()})
 
     for name, frozen in params.freeze_mask.items():
         if frozen:
@@ -224,42 +207,140 @@ def backward(
     return grads, loss, nn.LstmState(c=c_all[..., -1, :], h=h_all[..., -1, :])
 
 
+def _bptt(lstm, inputs, gates, c_all, h_all, dh_dense):
+    """The stacked LSTM gradients (w_x, w_h, b) of one segment, from the
+    forward pass's realization-major gates and states and the time-major
+    dh of the dense stack.
+
+    The activation derivatives are batched over time. Before the loop, the
+    gate rows (f, i, o, g) of ``dz`` hold each step's multiplicands c_{t-1},
+    g, tanh(c_t) and i. Each step writes dh into the o rows of one
+    gate-sized ``left`` buffer and dc into its other rows, multiplies
+    ``dz[t]`` by ``left`` and then by the activation derivatives, and runs
+    one recurrent product W_h^T dz[t]: a per-gate loop's products, each
+    element's in the same order.
+    """
+    gate_axis = gates.ndim - 1  # of the time-major views: (T, 4H) or (T, R, 4H, 1)
+    gates_t, c_t = nn.time_major(gates), nn.time_major(c_all)
+    f, i, o, g = nn.split_gates(gates_t, gate_axis)
+    dz = np.empty_like(gates)
+    dz_t = nn.time_major(dz)
+    c_prev, dz_i, phi, dz_g = nn.split_gates(dz_t, gate_axis)
+    c_prev[...], dz_i[...], dz_g[...] = c_t[:-1], g, i
+    if lstm.linear_gates:
+        phi[...] = c_t[1:]
+        dphi, dact = np.ones_like(phi), np.ones_like(gates_t)
+    else:
+        # Each derivative is written in place, with no temporary: 1 - phi^2, the
+        # sigmoid rows' (1 - s) s and the candidate rows' 1 - g^2.
+        np.tanh(c_t[1:], out=phi)
+        dphi = np.multiply(phi, phi)
+        np.subtract(1.0, dphi, out=dphi)
+        dact = np.subtract(1.0, gates_t)
+        dact *= gates_t
+        dact_g = nn.split_gates(dact, gate_axis)[3]
+        np.multiply(g, g, out=dact_g)
+        np.subtract(1.0, dact_g, out=dact_g)
+    # Step buffers, C-ordered like the fresh arrays of a per-gate loop, so
+    # that the recurrent product into dh_next makes the same BLAS call.
+    left = np.empty(dz_t.shape[1:])
+    dc, dc_i, dh, dc_g = nn.split_gates(left, gate_axis - 1)
+    dh_next, dc_next, tmp = (np.zeros(dc.shape) for _ in range(3))
+    w_h_t = lstm.w_h.swapaxes(-1, -2)
+    # Step t's views of every per-step array, from the last step back.
+    for dense_s, o_s, dphi_s, f_s, dz_s, dact_s in zip(
+            *(a[::-1] for a in (dh_dense, o, dphi, f, dz_t, dact))):
+        np.add(dense_s, dh_next, out=dh)
+        np.multiply(dh, o_s, out=tmp)
+        tmp *= dphi_s
+        np.add(dc_next, tmp, out=dc)
+        dc_i[...] = dc
+        dc_g[...] = dc
+        np.multiply(dc, f_s, out=dc_next)
+        dz_s *= left
+        dz_s *= dact_s
+        np.matmul(w_h_t, dz_s, out=dh_next)
+    by_gate = dz.swapaxes(-1, -2)  # (..., 4H, T)
+    return by_gate @ inputs, by_gate @ h_all[..., :-1, :], dz.sum(axis=-2)
+
+
 class AdamState:
-    """Per-tensor Adam moments; frozen tensors are never touched. In a stack
-    each realization keeps its own step count, bias correction and clip
-    norm."""
+    """Adam over the live (not frozen) tensors, kept flat: m and v hold one
+    row of P entries per realization (one row for a lone network), each
+    live tensor's slice in ``tensors()`` order. A step gathers the
+    gradients once into a preallocated row per member and updates m, v and
+    the parameters in place, each element through the operations of a
+    per-tensor update, in their order. The clip norm adds one sum per
+    tensor, over its slice, in the order of ``grads``. Frozen tensors are
+    never touched. In a stack each realization keeps its own step count,
+    bias correction and clip norm."""
 
     def __init__(self, params: nn.RnnParams):
-        self.m = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-        self.t = np.zeros(params.stack_shape, dtype=int)
+        lead = params.stack_shape
+        self.parts, size = {}, 0
+        for name, tensor in params.tensors().items():
+            if not params.freeze_mask[name]:
+                count = math.prod(tensor.shape[len(lead):])
+                self.parts[name] = slice(size, size + count)
+                size += count
+        self.m = np.zeros((math.prod(lead), size))
+        self.v, self.grad, self.scratch = (np.zeros_like(self.m) for _ in range(3))
+        self.t = np.zeros(len(self.m), dtype=int)
 
     def step(
         self, params: nn.RnnParams, grads: dict[str, np.ndarray], lr: float, rows=None
-    ) -> None:
+    ) -> np.ndarray:
         """One update. For a stack, ``grads`` may cover only the realizations
-        ``rows`` (an index array); the others stay as they are."""
-        sel = Ellipsis if rows is None else rows
-        live = {k: g for k, g in grads.items() if not params.freeze_mask[k]}
-        self.t[sel] += 1
-        t = self.t[sel]
+        ``rows`` (an index array); the others stay as they are. A member whose
+        gradients are not all finite is left out; returns, per member,
+        whether it took the update."""
+        n = len(self.t) if rows is None else len(rows)
+        if not self.parts:  # every tensor is frozen
+            return np.ones(n, dtype=bool)
+        g = self.grad[:n]
+        np.concatenate([grads[name].reshape(n, -1) for name in self.parts], axis=1, out=g)
+        finite = np.isfinite(g).all(axis=1)
+        sel = rows
+        if not finite.all():
+            if not finite.any():
+                return finite
+            sel = (np.arange(n) if rows is None else rows)[finite]
+            g = g[finite]
+        index = ... if sel is None else sel
+        m, v = self.m[index], self.v[index]  # views of the whole, else copies
+        self.t[index] += 1
         # Per realization, the norm sums the tensors in the order of
         # ``grads``; that order fixes its rounding. The scale is exactly 1.0
         # below the clip.
-        norm = np.sqrt(sum((g * g).reshape(*t.shape, -1).sum(axis=-1) for g in live.values()))
-        scale = GRAD_CLIP_NORM / np.maximum(norm, GRAD_CLIP_NORM)
+        sq = np.multiply(g, g, out=self.scratch[: len(g)])
+        norm = np.sqrt(sum(sq[:, self.parts[name]].sum(axis=1)
+                           for name in grads if name in self.parts))
+        g *= (GRAD_CLIP_NORM / np.maximum(norm, GRAD_CLIP_NORM))[:, None]
         # Python floats: ``**`` on them is libm pow, where numpy's vector
         # power may round differently on another CPU.
-        step_size = np.reshape([lr * (math.sqrt(1.0 - ADAM_BETA2**n) / (1.0 - ADAM_BETA1**n))
-                                for n in t.ravel().tolist()], t.shape)
-        tensors = params.tensors()
-        for name, g in live.items():
-            per_row = (...,) + (None,) * (g.ndim - t.ndim)  # broadcasts over the tensor
-            g = g * scale[per_row]
-            m = ADAM_BETA1 * self.m[name][sel] + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * self.v[name][sel] + (1.0 - ADAM_BETA2) * g * g
-            self.m[name][sel], self.v[name][sel] = m, v
-            tensors[name][sel] -= step_size[per_row] * m / (np.sqrt(v) + ADAM_EPS)
+        step_size = np.array([lr * (math.sqrt(1.0 - ADAM_BETA2**k) / (1.0 - ADAM_BETA1**k))
+                              for k in self.t[index].tolist()])
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=sq)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=sq)
+        sq *= g
+        v += sq
+        if sel is not None:
+            self.m[sel], self.v[sel] = m, v
+        # The update, step_size m / (sqrt(v) + eps), overwrites g.
+        np.sqrt(v, out=sq)
+        sq += ADAM_EPS
+        np.multiply(m, step_size[:, None], out=g)
+        g /= sq
+        for name, tensor in params.tensors().items():
+            if name in self.parts:
+                delta = g[:, self.parts[name]]
+                if sel is None:
+                    tensor -= delta.reshape(tensor.shape)
+                else:
+                    tensor[sel] -= delta.reshape(len(sel), *tensor.shape[1:])
+        return finite
 
 
 def _segment_bounds(n: int, batch_length: int) -> list[tuple[int, int]]:
@@ -377,15 +458,9 @@ def fit_lockstep(
                 initial=nn.LstmState(c=per_row(start_c[rows, segs]),
                                      h=per_row(start_h[rows, segs])),
             )
-        finite = np.logical_and.reduce(
-            [np.isfinite(g).reshape(len(rows), -1).all(axis=1) for g in grads.values()])
+        finite = adam.step(stack, grads, config.learning_rate, rows=None if whole else rows)
         for r in rows[~finite]:
             diverge(r, f"training diverged at epoch {epoch}: non-finite gradient")
-        if finite.all():
-            adam.step(stack, grads, config.learning_rate, rows=None if whole else rows)
-        elif finite.any():  # then the members are a stack's rows
-            adam.step(stack, {name: g[finite] for name, g in grads.items()},
-                      config.learning_rate, rows=rows[finite])
         more = finite & (segs + 1 < len(bounds))
         start_c[rows[more], segs[more] + 1] = final.c.reshape(len(rows), -1)[more]
         start_h[rows[more], segs[more] + 1] = final.h.reshape(len(rows), -1)[more]

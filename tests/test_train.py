@@ -1,9 +1,12 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from fmwarp import nn, train, transfer
@@ -163,12 +166,233 @@ def test_backward_respects_freeze_mask():
     assert np.any(grads["lstm.w_xi"] != 0.0)
 
 
+# The per-step BPTT loop and the per-tensor Adam update that the fused loop
+# and the flat in-place update replaced, kept as oracles: the trainer must
+# match them bit for bit.
+
+
+def reference_backward(params, inputs, targets, mask, initial=None):
+    """``train.backward`` with one product and one copy per gate and step."""
+    lstm, size, lead = params.lstm, params.lstm.hidden_size, params.stack_shape
+    if initial is None:
+        initial = nn.LstmState.zeros((*lead, size))
+    T = inputs.shape[-2]
+    gates = np.empty((*lead, T, 4 * size))
+    c_all = np.empty((*lead, T + 1, size))
+    h_all = np.empty_like(c_all)
+    c_all[..., 0, :], h_all[..., 0, :] = initial.c, initial.h
+    gates_t, c_t, h_t = map(nn.time_major, (gates, c_all, h_all))
+    for t, (z, c, h) in enumerate(nn.lstm_steps(lstm, inputs, initial)):
+        gates_t[t], c_t[t + 1], h_t[t + 1] = z, c, h
+    dense_cache = []
+    preds = nn.dense_forward(params.dense, h_all[..., 1:, :], dense_cache)[..., 0]
+    loss = train.masked_mse(preds, targets, mask)
+    grads = {}
+    dpred = 2.0 * mask * (preds - targets) / mask.sum(axis=-1, keepdims=True)
+    dv = dpred[..., None]
+    for j in range(len(params.dense) - 1, -1, -1):
+        layer = params.dense[j]
+        v, z = dense_cache[j]
+        dz = dv * (z > 0.0) if layer.activation == "relu" else dv
+        grads[f"dense{j}.w"] = dz.swapaxes(-1, -2) @ v
+        grads[f"dense{j}.b"] = dz.sum(axis=-2)
+        dv = dz @ layer.weights
+    dh_dense = nn.time_major(dv)
+    gate_axis = 1 + len(lead)
+    f, i, o, g = nn.split_gates(gates_t, gate_axis)
+    if lstm.linear_gates:
+        phi = c_t[1:]
+        dphi, dact = np.ones_like(phi), np.ones_like(gates_t)
+    else:
+        phi = np.tanh(c_t[1:])
+        dphi = 1.0 - phi * phi
+        dact = gates_t * (1.0 - gates_t)
+        nn.split_gates(dact, gate_axis)[3][:] = 1.0 - g * g
+    dz = np.empty_like(gates)
+    dz_t = nn.time_major(dz)
+    dz_f, dz_i, dz_o, dz_g = nn.split_gates(dz_t, gate_axis)
+    w_h_t = lstm.w_h.swapaxes(-1, -2)
+    dh_next, dc_next = np.zeros_like(h_t[0]), np.zeros_like(c_t[0])
+    for t in range(T - 1, -1, -1):
+        dh = dh_dense[t] + dh_next
+        dc = dc_next + dh * o[t] * dphi[t]
+        dz_f[t] = dc * c_t[t]
+        dz_i[t] = dc * g[t]
+        dz_o[t] = dh * phi[t]
+        dz_g[t] = dc * i[t]
+        dz_t[t] *= dact[t]
+        dh_next = w_h_t @ dz_t[t]
+        dc_next = dc * f[t]
+    by_gate = dz.swapaxes(-1, -2)
+    lstm_grads = nn.gate_blocks(by_gate @ inputs, by_gate @ h_all[..., :-1, :], dz.sum(axis=-2))
+    grads.update({f"lstm.{name}": grad for name, grad in lstm_grads.items()})
+    for name, frozen in params.freeze_mask.items():
+        if frozen:
+            grads[name] = np.zeros_like(grads[name])
+    return grads, loss, nn.LstmState(c=c_all[..., -1, :], h=h_all[..., -1, :])
+
+
+class ReferenceAdam:
+    """``train.AdamState`` with one moment array and one update per tensor."""
+
+    def __init__(self, params):
+        self.m = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+        self.t = np.zeros(params.stack_shape, dtype=int)
+
+    def step(self, params, grads, lr, rows=None):
+        sel = Ellipsis if rows is None else rows
+        live = {k: g for k, g in grads.items() if not params.freeze_mask[k]}
+        self.t[sel] += 1
+        t = self.t[sel]
+        norm = np.sqrt(sum((g * g).reshape(*t.shape, -1).sum(axis=-1) for g in live.values()))
+        scale = train.GRAD_CLIP_NORM / np.maximum(norm, train.GRAD_CLIP_NORM)
+        step_size = np.reshape(
+            [lr * (math.sqrt(1.0 - train.ADAM_BETA2**n) / (1.0 - train.ADAM_BETA1**n))
+             for n in t.ravel().tolist()], t.shape)
+        tensors = params.tensors()
+        for name, g in live.items():
+            per_row = (...,) + (None,) * (g.ndim - t.ndim)
+            g = g * scale[per_row]
+            m = train.ADAM_BETA1 * self.m[name][sel] + (1.0 - train.ADAM_BETA1) * g
+            v = train.ADAM_BETA2 * self.v[name][sel] + (1.0 - train.ADAM_BETA2) * g * g
+            self.m[name][sel], self.v[name][sel] = m, v
+            tensors[name][sel] -= step_size[per_row] * m / (np.sqrt(v) + train.ADAM_EPS)
+
+
+TENSOR_NAMES = random_params(0).tensor_names()
+LSTM_NAMES = [name for name in TENSOR_NAMES if name.startswith("lstm.")]
+DENSE_NAMES = [name for name in TENSOR_NAMES if name not in LSTM_NAMES]
+
+
+@st.composite
+def training_cases(draw, freeze=None):
+    """A network or a stack of 1, 2 or 5 (``stack`` None or R), random
+    inputs, targets, masks and initial states, and a freeze mask: ``freeze``
+    "lstm" freezes every LSTM tensor, "partial" all but one of them, and
+    None draws any subset."""
+    seed = draw(st.integers(0, 2**16))
+    stack = draw(st.sampled_from([None, 1, 2, 5]))
+    hidden, T = draw(st.integers(1, 5)), draw(st.integers(1, 20))
+    linear = draw(st.booleans())
+    if freeze == "lstm":
+        frozen = set(LSTM_NAMES) | set(draw(st.sets(st.sampled_from(DENSE_NAMES))))
+    elif freeze == "partial":
+        frozen = set(LSTM_NAMES) - {draw(st.sampled_from(LSTM_NAMES))}
+    else:
+        frozen = draw(st.sets(st.sampled_from(TENSOR_NAMES)))
+    rng = np.random.default_rng(seed)
+    nets = []
+    for k in range(stack or 1):
+        params = random_params(seed + k, hidden=hidden)
+        if linear:
+            for arr in params.tensors().values():
+                arr *= 0.3  # keep the linear recursion stable over the segment
+            params.lstm.linear_gates = True
+        params.freeze_mask.update(dict.fromkeys(frozen, True))
+        nets.append(params)
+    params = nets[0] if stack is None else nn.stack(nets)
+    lead = params.stack_shape
+    inputs = rng.normal(size=(*lead, T, 3))
+    targets = rng.normal(size=(*lead, T))
+    mask = (rng.random((*lead, T)) < 0.6).astype(float)
+    mask[..., draw(st.integers(0, T - 1))] = 1.0
+    initial = None
+    if draw(st.booleans()):
+        initial = nn.LstmState(c=rng.normal(size=(*lead, hidden)),
+                               h=rng.normal(size=(*lead, hidden)))
+    return params, inputs, targets, mask, initial
+
+
+def assert_same_backward(got, want):
+    (grads, loss, final), (ref_grads, ref_loss, ref_final) = got, want
+    assert list(grads) == list(ref_grads)  # the order fixes the clip norm's rounding
+    for name in ref_grads:
+        assert_array_equal(grads[name], ref_grads[name])
+    assert_array_equal(loss, ref_loss)
+    assert_array_equal(final.c, ref_final.c)
+    assert_array_equal(final.h, ref_final.h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=training_cases())
+def test_backward_matches_per_step_reference_loop(case):
+    assert_same_backward(train.backward(*case), reference_backward(*case))
+
+
+@settings(max_examples=50, deadline=None)
+@given(freeze=st.sampled_from(["lstm", "partial"]), draw=st.data())
+def test_bptt_is_skipped_only_when_every_lstm_tensor_is_frozen(freeze, draw):
+    # With every LSTM tensor frozen, the zero LSTM gradients come without
+    # the loop; one live LSTM tensor runs it. Both bit for bit the reference.
+    case = draw.draw(training_cases(freeze))
+    calls, bptt = [], train._bptt
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train, "_bptt", lambda *args: calls.append(1) or bptt(*args))
+        got = train.backward(*case)
+    assert len(calls) == (freeze == "partial")
+    assert_same_backward(got, reference_backward(*case))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=training_cases(), draw=st.data())
+def test_adam_matches_per_tensor_reference(case, draw):
+    # Several steps, each on the whole stack or a subset of its rows, with
+    # gradients that sometimes exceed the clip norm and rows that sometimes
+    # are not finite: backward matches the reference loop at every step's
+    # parameters, and the flat update moves every tensor as the per-tensor
+    # one does and skips exactly the rows that are not all finite.
+    params, *data = case
+    reference = params.copy()
+    adam, ref_adam = train.AdamState(params), ReferenceAdam(reference)
+    n = params.stack_shape[0] if params.stack_shape else 1
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**16)))
+    for _ in range(draw.draw(st.integers(1, 4))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = train.backward(params, *data)
+            assert_same_backward(got, reference_backward(reference, *data))
+        grads = got[0]
+        rows = None
+        if params.stack_shape and draw.draw(st.booleans()):
+            rows = np.array(sorted(draw.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        members = n if rows is None else len(rows)
+        scale = draw.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        step = {name: g[rows] * scale if rows is not None else g * scale
+                for name, g in grads.items()}
+        step = {name: g + rng.normal(size=g.shape) * (not params.freeze_mask[name])
+                for name, g in step.items()}
+        bad = draw.draw(st.sets(st.integers(0, members - 1)))
+        live = [name for name in TENSOR_NAMES if not params.freeze_mask[name]]
+        for r in bad if live else ():
+            name = draw.draw(st.sampled_from(live))
+            if params.stack_shape:
+                step[name][r].flat[0] = np.nan
+            else:
+                step[name].flat[0] = np.inf
+        lr = draw.draw(st.floats(1e-4, 0.5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = adam.step(params, step, lr, rows=rows)
+        # The per-tensor verdict: frozen gradients are zeros.
+        expected = np.logical_and.reduce(
+            [np.isfinite(g).reshape(members, -1).all(axis=1) for g in step.values()])
+        assert_array_equal(finite, expected)
+        if expected.all():
+            ref_adam.step(reference, step, lr, rows=rows)
+        elif expected.any():
+            ok = np.flatnonzero(expected) if rows is None else rows[expected]
+            ref_adam.step(reference, {name: g[expected] for name, g in step.items()}, lr,
+                          rows=ok)
+        for name, arr in reference.tensors().items():
+            assert_array_equal(params.tensors()[name], arr)
+
+
 def test_stacked_backward_peak_memory():
     # Four H=64 networks over 512 steps. The per-step buffers are
     # realization-major and read in place: the gates, their derivatives
-    # and dz (4H wide each); c, h, tanh(c), its derivative and dh from the
-    # dense stack (H wide each); and the dense stack's cache and gradients,
-    # narrower than 3H in all. A copy of any gate-sized buffer breaks it.
+    # and dz, which also holds tanh(c) (4H wide each); c, h, the
+    # derivative of tanh(c) and dh from the dense stack (H wide each); and
+    # the dense stack's cache and gradients, narrower than 3H in all. A
+    # copy of any gate-sized buffer breaks it.
     rng = np.random.default_rng(0)
     R, H, T = 4, 64, 512
     params = nn.stack([nn.init_params(12, H, (32, 16), rng) for _ in range(R)])
@@ -419,8 +643,9 @@ def reference_fit(params, train_s, val_s, config, selection):
             count = train_s.mask[s:e].sum()
             if count == 0:
                 continue
-            grads, loss, final = train.backward(params, train_s.inputs[s:e], train_s.targets[s:e],
-                                                train_s.mask[s:e], initial=states[k])
+            grads, loss, final = reference_backward(
+                params, train_s.inputs[s:e], train_s.targets[s:e], train_s.mask[s:e],
+                initial=states[k])
             live = {n: g for n, g in grads.items() if not params.freeze_mask[n]}
             norm = np.sqrt(sum(float(np.sum(g * g)) for g in live.values()))
             scale = train.GRAD_CLIP_NORM / norm if norm > train.GRAD_CLIP_NORM else 1.0
