@@ -51,10 +51,11 @@ computes bit for bit what it computes alone; the kernel yields such
 (R, 4H, B) and (R, H, B) views. The kernel allocates its step arrays
 (gates, states copied from the initial ones, one scratch) and builds
 their views once per call, and writes every step into them: what it
-yields is overwritten by the next step. Outside it every per-step buffer
-(``forward``'s hidden states, ``train.backward``'s gates and states) is
-realization-major, the layout ``dense_forward`` reads, and is filled
-and read step by step through its ``time_major`` view.
+yields is overwritten by the next step. Outside it the hidden states of
+``forward`` and ``train.backward`` are realization-major, the layout
+``dense_forward`` reads, and are filled step by step through their
+``time_major`` view; ``train.backward`` keeps its gates and cell states
+in the loop's own layout, (T, 4H, R, 1) and (T + 1, H, R, 1).
 
 ``LstmParams.linear_gates`` switches every sigma/tanh above to the
 identity. In that mode a single-unit cell with zero gate weights,

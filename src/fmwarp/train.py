@@ -25,8 +25,11 @@ nothing is re-run.
 A step is a few large numpy calls rather than many small ones, with the
 arithmetic unchanged: each element goes through the same operations in
 the same order, so the outputs are bit for bit those of a per-gate,
-per-tensor loop. The BPTT loop runs one product per step on all four
-gates (``_bptt``), and is skipped when every LSTM tensor is frozen.
+per-tensor loop. ``backward`` records the gates and cell states in the
+kernel's gate-major layout, so the BPTT loop (``_bptt``) works on one
+contiguous gate block per step and runs one product per step on all four
+gates. When every LSTM tensor is frozen, the loop is skipped, and the
+validation spin-up runs once per lockstep call rather than every epoch.
 ``AdamState`` keeps its moments flat, one row per realization, and
 updates them in place; the same flat gradient gives each realization's
 divergence verdict.
@@ -153,6 +156,11 @@ def backward(
     targets and masks and (R, H) initial states, and returns stacked
     gradients, R losses and (R, H) final states. Nothing is checked:
     non-finite losses and gradients come back as they are.
+
+    The forward pass is recorded in the kernel's step layout: gates
+    (T, 4H, R, 1) and cell states (T + 1, H, R, 1) in a stack, (T, 4H) and
+    (T + 1, H) for one network. The hidden states are realization-major,
+    as the dense stack and the w_h gradient product read them.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -164,16 +172,18 @@ def backward(
         initial = nn.LstmState.zeros((*lead, size))
 
     # Forward: the recurrence is sequential; the dense stack is batched
-    # over time. The per-step buffers are realization-major, filled and
-    # read through time-major views. Row 0 of c_all/h_all is the initial state.
+    # over time. Step 0 of c_all and h_all is the initial state.
     T = inputs.shape[-2]
-    gates = np.empty((*lead, T, 4 * size))
-    c_all = np.empty((*lead, T + 1, size))
-    h_all = np.empty_like(c_all)
-    c_all[..., 0, :], h_all[..., 0, :] = initial.c, initial.h
-    gates_t, c_t, h_t = map(nn.time_major, (gates, c_all, h_all))
+    tail = (*lead, 1) if lead else ()
+    gates = np.empty((T, 4 * size, *tail))
+    c_all = np.empty((T + 1, size, *tail))
+    h_all = np.empty((*lead, T + 1, size))
+    # Step t as the kernel yields it: (R, 4H, 1) and (R, H, 1) in a stack.
+    gates_k, c_k = (a.swapaxes(1, 2) if lead else a for a in (gates, c_all))
+    h_t = nn.time_major(h_all)
+    c_k[0], h_t[0] = (state.reshape(h_t[0].shape) for state in (initial.c, initial.h))
     for t, (z, c, h) in enumerate(nn.lstm_steps(lstm, inputs, initial)):
-        gates_t[t], c_t[t + 1], h_t[t + 1] = z, c, h
+        gates_k[t], c_k[t + 1], h_t[t + 1] = z, c, h
     dense_cache = []
     preds = nn.dense_forward(params.dense, h_all[..., 1:, :], dense_cache)[..., 0]
     loss = masked_mse(preds, targets, mask)
@@ -182,21 +192,26 @@ def backward(
     k = mask.sum(axis=-1, keepdims=True)
     dpred = 2.0 * mask * (preds - targets) / k
 
-    # Dense stack backward, batched over time (no cross-step coupling).
+    # Dense stack backward, batched over time (no cross-step coupling). Each
+    # layer's cache entry is dropped once read, and the BPTT below runs
+    # without the dense stack's arrays.
     dv = dpred[..., None]
     for j in range(len(params.dense) - 1, -1, -1):
         layer = params.dense[j]
-        v, z = dense_cache[j]
+        v, z = dense_cache.pop()
         dz = dv * (z > 0.0) if layer.activation == "relu" else dv
         grads[f"dense{j}.w"] = dz.swapaxes(-1, -2) @ v
         grads[f"dense{j}.b"] = dz.sum(axis=-2)
         dv = dz @ layer.weights
+    del v, z, dz
 
-    if all(frozen for name, frozen in params.freeze_mask.items() if name.startswith("lstm.")):
+    if _lstm_frozen(params):
         # The recurrence is frozen: its gradients are zeros, with no BPTT.
         stacked = tuple(np.zeros_like(a) for a in (lstm.w_x, lstm.w_h, lstm.b))
     else:
-        stacked = _bptt(lstm, inputs, gates, c_all, h_all, nn.time_major(dv))
+        if lead:  # dh in the states' layout, (T, H, R, 1), in place of dv
+            dv = np.ascontiguousarray(dv.transpose(1, 2, 0)[..., None])
+        stacked = _bptt(lstm, inputs, gates, c_all, h_all, dv)
     # Row order (f, i, o, g): AdamState.step sums the clip norm in the
     # order of ``grads``, so this order fixes its rounding.
     grads.update({f"lstm.{name}": grad for name, grad in nn.gate_blocks(*stacked).items()})
@@ -204,53 +219,60 @@ def backward(
     for name, frozen in params.freeze_mask.items():
         if frozen:
             grads[name] = np.zeros_like(grads[name])
-    return grads, loss, nn.LstmState(c=c_all[..., -1, :], h=h_all[..., -1, :])
+    return grads, loss, nn.LstmState(c=c_k[-1].reshape(*lead, size), h=h_all[..., -1, :])
 
 
 def _bptt(lstm, inputs, gates, c_all, h_all, dh_dense):
     """The stacked LSTM gradients (w_x, w_h, b) of one segment, from the
-    forward pass's realization-major gates and states and the time-major
-    dh of the dense stack.
+    forward pass's gates (T, 4H) and cell states (T + 1, H), or (T, 4H, R, 1)
+    and (T + 1, H, R, 1) in a stack, its realization-major hidden states,
+    and dh of the dense stack in the cell states' layout.
 
-    The activation derivatives are batched over time. Before the loop, the
-    gate rows (f, i, o, g) of ``dz`` hold each step's multiplicands c_{t-1},
-    g, tanh(c_t) and i. Each step writes dh into the o rows of one
-    gate-sized ``left`` buffer and dc into its other rows, multiplies
-    ``dz[t]`` by ``left`` and then by the activation derivatives, and runs
-    one recurrent product W_h^T dz[t]: a per-gate loop's products, each
-    element's in the same order.
+    The activation derivatives are batched over time, and ``dz`` takes the
+    gates' layout, so every step's gate block is contiguous. Before the
+    loop, the gate rows (f, i, o, g) of ``dz`` hold each step's
+    multiplicands c_{t-1}, g, tanh(c_t) and i. Each step writes dh into the
+    o rows of one gate-sized ``left`` buffer and dc into its other rows,
+    multiplies ``dz[t]`` by ``left`` and then by the activation
+    derivatives, and runs one recurrent product W_h^T dz[t]: a per-gate
+    loop's products, each element's in the same order.
     """
-    gate_axis = gates.ndim - 1  # of the time-major views: (T, 4H) or (T, R, 4H, 1)
-    gates_t, c_t = nn.time_major(gates), nn.time_major(c_all)
-    f, i, o, g = nn.split_gates(gates_t, gate_axis)
+    lead = lstm.b.shape[:-1]
+    f, i, o, g = nn.split_gates(gates, 1)
     dz = np.empty_like(gates)
-    dz_t = nn.time_major(dz)
-    c_prev, dz_i, phi, dz_g = nn.split_gates(dz_t, gate_axis)
-    c_prev[...], dz_i[...], dz_g[...] = c_t[:-1], g, i
+    c_prev, dz_i, phi, dz_g = nn.split_gates(dz, 1)
+    c_prev[...], dz_i[...], dz_g[...] = c_all[:-1], g, i
     if lstm.linear_gates:
-        phi[...] = c_t[1:]
-        dphi, dact = np.ones_like(phi), np.ones_like(gates_t)
+        phi[...] = c_all[1:]
+        dphi, dact = np.ones_like(phi), np.ones_like(gates)
     else:
         # Each derivative is written in place, with no temporary: 1 - phi^2, the
         # sigmoid rows' (1 - s) s and the candidate rows' 1 - g^2.
-        np.tanh(c_t[1:], out=phi)
+        np.tanh(c_all[1:], out=phi)
         dphi = np.multiply(phi, phi)
         np.subtract(1.0, dphi, out=dphi)
-        dact = np.subtract(1.0, gates_t)
-        dact *= gates_t
-        dact_g = nn.split_gates(dact, gate_axis)[3]
+        dact = np.subtract(1.0, gates)
+        dact *= gates
+        dact_g = nn.split_gates(dact, 1)[3]
         np.multiply(g, g, out=dact_g)
         np.subtract(1.0, dact_g, out=dact_g)
-    # Step buffers, C-ordered like the fresh arrays of a per-gate loop, so
-    # that the recurrent product into dh_next makes the same BLAS call.
-    left = np.empty(dz_t.shape[1:])
-    dc, dc_i, dh, dc_g = nn.split_gates(left, gate_axis - 1)
-    dh_next, dc_next, tmp = (np.zeros(dc.shape) for _ in range(3))
+    left = np.empty(dz.shape[1:])
+    dc, dc_i, dh, dc_g = nn.split_gates(left, 0)
+    dc_next, tmp = np.zeros(dc.shape), np.empty(dc.shape)
+    # The recurrent product reads dz[t] from a C-ordered (R, 4H, 1) copy and
+    # writes a C-ordered (R, H, 1) dh_next, the arrays of a per-gate loop,
+    # so that it makes the same BLAS call; the loop reads and writes them
+    # through their gate-major views.
+    size, column = lstm.hidden_size, (1,) if lead else ()
     w_h_t = lstm.w_h.swapaxes(-1, -2)
+    operand = np.empty((*lead, 4 * size, *column))
+    dh_next = np.zeros((*lead, size, *column))
+    operand_by_gate, dh_next_by_gate = (a.swapaxes(0, 1) if lead else a
+                                        for a in (operand, dh_next))
     # Step t's views of every per-step array, from the last step back.
     for dense_s, o_s, dphi_s, f_s, dz_s, dact_s in zip(
-            *(a[::-1] for a in (dh_dense, o, dphi, f, dz_t, dact))):
-        np.add(dense_s, dh_next, out=dh)
+            *(a[::-1] for a in (dh_dense, o, dphi, f, dz, dact))):
+        np.add(dense_s, dh_next_by_gate, out=dh)
         np.multiply(dh, o_s, out=tmp)
         tmp *= dphi_s
         np.add(dc_next, tmp, out=dc)
@@ -259,9 +281,20 @@ def _bptt(lstm, inputs, gates, c_all, h_all, dh_dense):
         np.multiply(dc, f_s, out=dc_next)
         dz_s *= left
         dz_s *= dact_s
-        np.matmul(w_h_t, dz_s, out=dh_next)
-    by_gate = dz.swapaxes(-1, -2)  # (..., 4H, T)
-    return by_gate @ inputs, by_gate @ h_all[..., :-1, :], dz.sum(axis=-2)
+        operand_by_gate[...] = dz_s
+        np.matmul(w_h_t, operand, out=dh_next)
+    # The (4H, T) products and the time sum, one realization at a time
+    # through one C-ordered (T, 4H) copy of its dz.
+    grads = tuple(map(np.empty_like, (lstm.w_x, lstm.w_h, lstm.b)))
+    by_time = np.empty(dz.shape[:2])
+    by_realization = dz.reshape(*by_time.shape, -1)  # (T, 4H, R), R = 1 for one network
+    for r, (x, h, grad_x, grad_h, grad_b) in enumerate(zip(
+            *(a.reshape(-1, *a.shape[len(lead):]) for a in (inputs, h_all, *grads)))):
+        by_time[...] = by_realization[..., r]
+        np.matmul(by_time.T, x, out=grad_x)
+        np.matmul(by_time.T, h[:-1], out=grad_h)
+        np.sum(by_time, axis=0, out=grad_b)
+    return grads
 
 
 class AdamState:
@@ -347,19 +380,32 @@ def _segment_bounds(n: int, batch_length: int) -> list[tuple[int, int]]:
     return [(s, min(s + batch_length, n)) for s in range(0, n, batch_length)]
 
 
-def validation_loss(params: nn.RnnParams, train: SupervisedSeries, val):
-    """Masked validation MSE after a stateful spin-up over the training span.
+def _lstm_frozen(params: nn.RnnParams) -> bool:
+    """Whether every LSTM tensor is frozen: training never changes the recurrence."""
+    return all(frozen for name, frozen in params.freeze_mask.items() if name.startswith("lstm."))
 
-    For a stack of R networks, ``val`` is a list of R series with the same
-    inputs, and the result holds one loss per realization.
-    """
-    series = val if isinstance(val, list) else [val]
+
+def _spin_up(params: nn.RnnParams, train: SupervisedSeries) -> nn.LstmState:
+    """The state at the end of a stateful pass over the training span, from
+    zeros: (H,) states, or (R, H) for a stack."""
     initial = nn.LstmState.zeros((*params.stack_shape, params.lstm.hidden_size))
     c, h = initial.c, initial.h
     for _, c, h in nn.lstm_steps(params.lstm, train.inputs, initial):
         pass  # the spin-up needs only the state at the end of the training span
-    state = nn.LstmState(c=c.reshape(initial.c.shape), h=h.reshape(initial.h.shape))
-    preds, _ = nn.forward(params, series[0].inputs, initial=state)
+    return nn.LstmState(c=c.reshape(initial.c.shape), h=h.reshape(initial.h.shape))
+
+
+def validation_loss(params: nn.RnnParams, train: SupervisedSeries, val, start=None):
+    """Masked validation MSE after a stateful spin-up over the training span.
+
+    For a stack of R networks, ``val`` is a list of R series with the same
+    inputs, and the result holds one loss per realization. ``start``, when
+    given, is the spin-up's end state, and the spin-up is not run.
+    """
+    series = val if isinstance(val, list) else [val]
+    if start is None:
+        start = _spin_up(params, train)
+    preds, _ = nn.forward(params, series[0].inputs, initial=start)
     targets = np.array([s.targets for s in series]).reshape(preds.shape)
     mask = np.array([s.mask for s in series]).reshape(preds.shape)
     return masked_mse(preds, targets, mask)
@@ -430,6 +476,12 @@ def fit_lockstep(
     start_c = np.zeros((n, len(bounds), stack.lstm.hidden_size))
     start_h = np.zeros_like(start_c)
 
+    # With every LSTM tensor frozen, the spin-up of each epoch's validation
+    # pass ends in the same state: it runs once, and each epoch takes the
+    # rows of the realizations still live.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spun = _spin_up(stack, train) if _lstm_frozen(stack) else None
+
     records = [Realization(seed, selection, trained=snapshot(r), history=[], best_epoch=0)
                for r, (seed, selection) in enumerate(zip(seeds, selections))]
     outcome: list = [None] * n  # set when a realization stops early or diverges
@@ -488,10 +540,12 @@ def fit_lockstep(
         live = [r for r in live if outcome[r] is None]
         if not live:
             continue
+        index = ... if len(live) == n else np.array(live)
         with np.errstate(over="ignore", invalid="ignore"):
             val_losses = validation_loss(
-                stack if len(live) == n else stack.take(np.array(live)), train,
+                stack if len(live) == n else stack.take(index), train,
                 [vals[r] for r in live],
+                None if spun is None else nn.LstmState(c=spun.c[index], h=spun.h[index]),
             )
         for r, val_loss in zip(live, np.atleast_1d(val_losses).tolist()):
             rec = records[r]

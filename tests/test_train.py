@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from fmwarp import nn, train, transfer
+from fmwarp import data, nn, train, transfer
 from fmwarp.errors import DegenerateMaskError, InvalidInputError, TrainingDivergedError
 
 
@@ -314,8 +314,23 @@ def assert_same_backward(got, want):
     assert_array_equal(final.h, ref_final.h)
 
 
+def pretrain_shape_case():
+    """The shape of the pretrain benchmark: a stack of R = 5 networks with
+    H = 16 and dense layers of 16 and 8 over one 72-step segment, with
+    random initial states and a sparse mask."""
+    rng = np.random.default_rng(72)
+    R, T = 5, 72
+    params = nn.stack([random_params(72 + k, input_size=data.N_FEATURES, hidden=16,
+                                     dense=(16, 8)) for k in range(R)])
+    mask = (rng.random((R, T)) < 0.6).astype(float)
+    mask[:, 0] = 1.0
+    initial = nn.LstmState(c=rng.normal(size=(R, 16)), h=rng.normal(size=(R, 16)))
+    return params, rng.normal(size=(R, T, data.N_FEATURES)), rng.normal(size=(R, T)), mask, initial
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=training_cases())
+@example(case=pretrain_shape_case())
 def test_backward_matches_per_step_reference_loop(case):
     assert_same_backward(train.backward(*case), reference_backward(*case))
 
@@ -387,12 +402,13 @@ def test_adam_matches_per_tensor_reference(case, draw):
 
 
 def test_stacked_backward_peak_memory():
-    # Four H=64 networks over 512 steps. The per-step buffers are
-    # realization-major and read in place: the gates, their derivatives
-    # and dz, which also holds tanh(c) (4H wide each); c, h, the
-    # derivative of tanh(c) and dh from the dense stack (H wide each); and
-    # the dense stack's cache and gradients, narrower than 3H in all. A
-    # copy of any gate-sized buffer breaks it.
+    # Four H=64 networks over 512 steps. The gates, their derivatives and
+    # dz, which also holds tanh(c), are 4H wide each, in the kernel's
+    # gate-major layout and read in place. c, h, the derivative of tanh(c)
+    # and dh from the dense stack are H wide each; the dense stack's cache
+    # and gradients, narrower than 3H in all, are dropped before the BPTT
+    # loop. The gradient products copy one realization's dz at a time. A
+    # copy of any whole gate-sized buffer breaks it.
     rng = np.random.default_rng(0)
     R, H, T = 4, 64, 512
     params = nn.stack([nn.init_params(12, H, (32, 16), rng) for _ in range(R)])
@@ -583,6 +599,55 @@ def test_fit_lockstep_matches_solo_fits_bitwise(linear_gates):
     for k, real in enumerate(lockstep):
         real = real.last_good if isinstance(real, TrainingDivergedError) else real
         assert_array_equal(real.trained.tensors()["lstm.w_hi"], nets[k].tensors()["lstm.w_hi"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(freeze=st.sampled_from(["lstm", "partial"]), draw=st.data())
+def test_spin_up_runs_once_only_when_every_lstm_tensor_is_frozen(freeze, draw):
+    # With every LSTM tensor frozen, the validation spin-up over the training
+    # span runs once per lockstep call; with one live LSTM tensor, once per
+    # validated epoch. Either way histories and snapshots are bit for bit
+    # those of a spin-up run every epoch. Under linear gates realization 1
+    # diverges at once, so later epochs validate a sub-stack.
+    train_s, val_s = lockstep_task()
+    n = draw.draw(st.integers(1, 3))
+    linear = draw.draw(st.booleans())
+    nets = linear_gate_nets()[:n] if linear else [random_params(40 + k, hidden=3)
+                                                  for k in range(n)]
+    if freeze == "lstm":
+        frozen = set(LSTM_NAMES) | set(draw.draw(st.sets(st.sampled_from(DENSE_NAMES))))
+    else:
+        frozen = set(LSTM_NAMES) - {draw.draw(st.sampled_from(LSTM_NAMES))}
+    for params in nets:
+        params.freeze_mask.update(dict.fromkeys(frozen, True))
+    cfg = train.TrainConfig(learning_rate=draw.draw(st.sampled_from([0.005, 0.05])),
+                            batch_length=40, max_epochs=4,
+                            patience=draw.draw(st.integers(1, 3)), seed=0)
+    seeds = list(range(5, 5 + n))
+    vals, selections = zip(*(train.subsample_validation(val_s, seed) for seed in seeds))
+
+    def fit():
+        return train.fit_lockstep(nets, train_s, list(vals), cfg, seeds, list(selections))
+
+    def record(outcome):
+        return outcome.last_good if isinstance(outcome, TrainingDivergedError) else outcome
+
+    calls, lstm_steps = [], nn.lstm_steps
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "lstm_steps",
+                      lambda lstm, inputs, *args: calls.append(inputs is train_s.inputs)
+                      or lstm_steps(lstm, inputs, *args))
+        got = fit()
+    epochs = {row[0] for outcome in got for row in record(outcome).history}
+    assert sum(calls) == (1 if freeze == "lstm" else len(epochs))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train, "_lstm_frozen", lambda params: False)
+        want = fit()
+    for a, b in zip(got, want):
+        assert isinstance(a, TrainingDivergedError) == isinstance(b, TrainingDivergedError)
+        if isinstance(a, TrainingDivergedError):
+            assert str(a) == str(b)
+        assert_same_realization(record(a), record(b))
 
 
 @pytest.mark.parametrize("frozen", sorted({p.frozen for p in transfer.PROTOCOLS.values()
