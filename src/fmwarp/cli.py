@@ -174,7 +174,7 @@ class Config:
         except (ValueError, LookupError, FmwarpError):
             raise ConfigError(f"config key {key!r} must be {accepts}, got {text!r}") from None
 
-    get_int = get_float = get_bool = get  # old names, still called by perfbench and a test
+    get_int = get_float = get  # old names, still called by perfbench
 
     def train_config(self) -> train.TrainConfig:
         return train.TrainConfig(seed=self.get("seed"), **{

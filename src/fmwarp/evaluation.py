@@ -49,7 +49,6 @@ class EvalReport:
     n: int  # pairs per realization
     per_realization: tuple[MetricSet, ...]
     median_realization: int  # index of the realization with median rmse
-    degenerate_std: bool  # single realization: std reported as 0
 
 
 def metrics(pred, obs) -> MetricSet:
@@ -130,26 +129,20 @@ def pacf(series, max_lag: int) -> CorrelogramResult:
     return CorrelogramResult(values=out, band=correlogram.band)
 
 
-def write_correlogram_csv(result: CorrelogramResult, path) -> None:
-    rows = ((k, v, result.band) for k, v in enumerate(result.values.tolist()))
-    datamod.write_table(path, ("lag", "value", "band"), rows)
-
-
 def aggregate(
     per_realization: list[MetricSet], method: str, fuel_class: str, filter_label: str
 ) -> EvalReport:
-    """Sample mean and standard deviation (n-1 denominator) per metric,
-    plus the index of the realization whose RMSE sits at the median."""
+    """Sample mean and standard deviation (n-1 denominator, 0 for one
+    realization) per metric, plus the median-RMSE realization's index."""
     if not per_realization:
         raise InvalidInputError("aggregate needs at least one realization")
-    degenerate = len(per_realization) == 1
     mean: dict[str, float] = {}
     std: dict[str, float] = {}
     for name in METRIC_NAMES:
         # Sorted reduction makes the statistics exactly permutation invariant.
         vals = np.sort([getattr(m, name) for m in per_realization])
         mean[name] = float(vals.mean())
-        std[name] = 0.0 if degenerate else float(vals.std(ddof=1))
+        std[name] = 0.0 if len(per_realization) == 1 else float(vals.std(ddof=1))
     rmses = np.array([m.rmse for m in per_realization])
     # Lower-median convention keeps the pick well defined for even counts.
     order = np.argsort(rmses, kind="stable")
@@ -163,7 +156,6 @@ def aggregate(
         n=per_realization[0].n,
         per_realization=tuple(per_realization),
         median_realization=median_idx,
-        degenerate_std=degenerate,
     )
 
 

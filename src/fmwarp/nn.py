@@ -557,8 +557,6 @@ def load_params(path) -> tuple[RnnParams, dict]:
         shapes = {name: arr.shape for name, arr in arrays.items()}
         if {name: arr.shape for name, arr in params.tensors().items()} != shapes:
             raise ValueError("tensor names or shapes do not fit")
-        if params.stack_shape:
-            raise ValueError("a checkpoint holds one network, not a stack")
         return params, meta.get("extra", {})
     except (ValueError, LookupError, TypeError, AttributeError, DimensionError,
             InvalidInputError) as exc:

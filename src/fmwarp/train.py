@@ -13,11 +13,12 @@ clean stateful pass over the training span followed by the validation
 span, and is used only for early stopping: the returned snapshot is the
 one with the best validation loss.
 
-Realizations train in lockstep (``fit_lockstep``): their networks are
-stacked on a leading realization axis (``nn.stack``), and each lockstep
-step runs one batched ``backward`` and Adam update. Every reduction (loss
-sums, the clip norm) stays per realization and in the order a lone run
-uses, so a realization comes out bit for bit as ``fit`` trains it alone.
+Realizations train in lockstep (``fit_lockstep``, the one trainer entry):
+their networks are stacked on a leading realization axis (``nn.stack``),
+and each lockstep step runs one batched ``backward`` and Adam update.
+Every reduction (loss sums, the clip norm) stays per realization and in
+the order a lone run uses, so a realization comes out bit for bit as a
+``fit_lockstep`` call on it alone trains it.
 Divergence is read from each step's gradients: a realization whose
 gradients are not all finite drops out and the others take the update;
 nothing is re-run.
@@ -411,27 +412,6 @@ def validation_loss(params: nn.RnnParams, train: SupervisedSeries, val, start=No
     return masked_mse(preds, targets, mask)
 
 
-def fit(
-    params: nn.RnnParams,
-    train: SupervisedSeries,
-    val: SupervisedSeries,
-    config: TrainConfig,
-    val_selection_id: str = "full",
-) -> Realization:
-    """Truncated-BPTT training with validation-controlled early stopping.
-
-    Returns the snapshot with the best validation loss; stops after
-    ``patience`` epochs without improvement. Frozen tensors come back
-    bit-identical to their initial values. On divergence the raised
-    :class:`TrainingDivergedError` carries that snapshot as ``last_good``.
-    This is the one-realization case of :func:`fit_lockstep`.
-    """
-    [outcome] = fit_lockstep([params], train, [val], config, [config.seed], [val_selection_id])
-    if isinstance(outcome, TrainingDivergedError):
-        raise outcome
-    return outcome
-
-
 def fit_lockstep(
     params: list[nn.RnnParams],
     train: SupervisedSeries,
@@ -444,18 +424,19 @@ def fit_lockstep(
 
     Realization r trains ``params[r]`` under ``config`` with seed
     ``seeds[r]`` (its segment order) and validation series ``vals[r]``
-    (all with the same inputs), and comes back as ``fit`` would return it
-    alone, bit for bit. Each keeps its own segment order, Adam state and
-    early stopping, and its ``Realization`` record, updated in place each
-    epoch. At each lockstep step the realizations whose segments have the
-    same length share one ``backward`` and Adam update. One whose
-    gradients in that step are not all finite, or whose epoch losses are
-    not finite, comes back as the :class:`TrainingDivergedError` ``fit``
-    would raise, with that record as ``last_good``; the others take the
-    step's update as computed, with no re-run. One whose segment holds no
-    observations sits the step out, and its next segment's start state is
-    not refreshed. A lone network is not stacked: it runs the plain
-    layout, whose per-step arrays are smaller.
+    (all with the same inputs), and comes back bit for bit as a call with
+    it alone would return it: the snapshot with the best validation loss,
+    its frozen tensors bit-identical to their initial values. Each keeps
+    its own segment order, Adam state, early stopping and ``Realization``
+    record, updated in place each epoch. At each lockstep step the
+    realizations whose segments have the same length share one
+    ``backward`` and Adam update. One whose gradients in that step are
+    not all finite, or whose epoch losses are not finite, comes back as a
+    :class:`TrainingDivergedError` with that record as ``last_good``; the
+    others take the step's update as computed, with no re-run. One whose
+    segment holds no observations sits the step out, and its next
+    segment's start state is not refreshed. A lone network is not
+    stacked: it runs the plain layout, whose per-step arrays are smaller.
     """
     if len(train) == 0 or any(len(val) == 0 for val in vals):
         raise InvalidInputError("training and validation series must be non-empty")

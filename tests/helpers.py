@@ -2,7 +2,8 @@
 
 import math
 
-from fmwarp.errors import InvalidInputError
+from fmwarp import train
+from fmwarp.errors import InvalidInputError, TrainingDivergedError
 from fmwarp.timelag import TimeLagParams
 
 
@@ -22,3 +23,13 @@ def from_retention(a: float) -> TimeLagParams:
     if not (0.0 < a < 1.0):
         raise InvalidInputError(f"retention coefficient must lie in (0,1), got {a}")
     return TimeLagParams(tau=-1.0 / math.log(a), a=a)
+
+
+def fit(params, train_series, val, config, val_selection_id="full"):
+    """One realization through ``train.fit_lockstep``, seeded by
+    ``config.seed``; a diverged run raises its ``TrainingDivergedError``."""
+    [outcome] = train.fit_lockstep([params], train_series, [val], config, [config.seed],
+                                   [val_selection_id])
+    if isinstance(outcome, TrainingDivergedError):
+        raise outcome
+    return outcome

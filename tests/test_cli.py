@@ -49,7 +49,7 @@ def test_config_file_and_overrides(tmp_path):
     cfg = cli.Config.load(str(path), {"seed": 9})
     assert cfg.get_int("seed") == 9
     assert cfg.get_int("train.patience") == 4
-    assert cfg.get_bool("train.shuffle") is True  # default
+    assert cfg.get("train.shuffle") is True  # default
     with pytest.raises(ConfigError):
         cfg.get("no.such.key")
     bad = tmp_path / "bad.cfg"
@@ -995,3 +995,37 @@ def test_every_config_key_parses_a_text_or_raises_config_error():
                 cfg.get(key, text)
             except ConfigError as exc:
                 assert f"config key {key!r} must be" in str(exc)
+
+
+@pytest.mark.parametrize("argv, extra, prep, code, message", [
+    (("transfer", "--method", "NoTransfer", "--class", "fm7"), {}, None, 2, "'fm7'"),
+    (("pretrain",), {"data__fill": "bogus"}, None, 3, "'bogus'"),
+    (("pretrain",), {"split__train_frac": "1.5"}, None, 3, "train_frac"),
+    (("synth",), {"synth__n_days": "0"}, None, 3, "n_days"),
+    (("transfer", "--method", "TimeWarp", "--class", "fm1"), {"grid__lo": "5"}, None, 3,
+     "grid lo"),
+    (("transfer", "--method", "TimeWarp", "--class", "fm1"), {"grid__n_per_axis": "1"}, None, 3,
+     "n_per_axis"),
+    (("evaluate",), {"filter__threshold": "0"}, "transfer", 3, "threshold"),
+    (("transfer", "--method", "TimeWarp", "--class", "fm1"), {}, "checkpoint format", 3,
+     "checkpoint format 'other'"),
+], ids=["unknown class", "unknown fill", "train_frac above 1", "no synth days",
+        "empty grid range", "one grid point", "zero filter threshold", "checkpoint format"])
+def test_input_checks_exit_before_writing(pretrained_run, tmp_path, monkeypatch, capsys, argv,
+                                          extra, prep, code, message):
+    # Each refused input exits with its code and one error line, and
+    # leaves every file and directory under the run as it was.
+    shutil.copytree(pretrained_run, tmp_path, dirs_exist_ok=True)
+    cfg_path, out, _ = write_cfg(tmp_path, **{"grid__n_per_axis": 5, **extra})
+    if prep == "transfer":  # transfer does not read filter.threshold
+        cli.cmd_transfer(cli.Config.load(str(cfg_path)), "TimeWarp", "fm1")
+    elif prep == "checkpoint format":
+        ckpt = out / "pretrain" / "ckpt_0000.json"
+        ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "format": "other"}))
+    before = {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert run_main(monkeypatch, argv[0], "--config", str(cfg_path), *argv[1:]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
+    assert {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")} == before

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -301,6 +302,15 @@ def test_save_load_roundtrip(tmp_path):
     again = tmp_path / "again.json"
     nn.save_params(loaded, again, extra=extra)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_load_params_rejects_a_saved_stack(tmp_path):
+    # A checkpoint holds one network: a saved stack fails the shape check.
+    nets = [nn.init_params(5, 4, (4, 3), rng=np.random.default_rng(seed)) for seed in (1, 2)]
+    path = tmp_path / "stack.json"
+    nn.save_params(nn.stack(nets), path)
+    with pytest.raises(InvalidInputError, match=re.escape(f"corrupt checkpoint {path}: ")):
+        nn.load_params(path)
 
 
 def test_save_load_preserves_linear_mode(tmp_path):

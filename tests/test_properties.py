@@ -13,6 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from fmwarp import data, nn, timelag, train, transfer  # noqa: E402
 from fmwarp.errors import ParseError, SplitError  # noqa: E402
+from helpers import fit  # noqa: E402
 
 
 @settings(max_examples=20, deadline=None)
@@ -45,7 +46,7 @@ def test_replicate_equals_solo_fits_bitwise(n, length, batch_length, hidden, epo
         params = nn.init_params(2, hidden, (3, 2), rng=train.substream(config_k.seed,
                                                                          train.STREAM_INIT))
         val_k, selection = train.subsample_validation(val_s, config_k.seed)
-        solo = train.fit(params, train_s, val_k, config_k, val_selection_id=selection)
+        solo = fit(params, train_s, val_k, config_k, val_selection_id=selection)
         assert (real.seed, real.validation_selection) == (solo.seed, solo.validation_selection)
         assert (real.history, real.best_epoch) == (solo.history, solo.best_epoch)
         for name, arr in real.trained.tensors().items():

@@ -10,7 +10,7 @@ from fmwarp import nn, timelag, train, transfer
 from fmwarp.errors import ConfigError, SearchFailedError, TrainingDivergedError
 from fmwarp.train import SupervisedSeries, TrainConfig
 from fmwarp.transfer import BiasShift, GridSpec, TransferMethod
-from helpers import parameter_count, trainable_count
+from helpers import fit, parameter_count, trainable_count
 from test_train import linear_gate_nets, lockstep_task
 
 
@@ -277,7 +277,7 @@ def test_run_method_warp_finetune_composes_search_shift_and_fit():
     )
     shift, surface = transfer.grid_search(pretrained, train_s)
     assert shift != BiasShift(0.0, 0.0)
-    composed = train.fit(transfer.apply_shift(pretrained, shift), train_s, val_s, CFG).trained
+    composed = fit(transfer.apply_shift(pretrained, shift), train_s, val_s, CFG).trained
     assert result.shift == shift
     assert_array_equal(result.surface, surface)
     for name, arr in composed.tensors().items():
