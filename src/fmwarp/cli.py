@@ -484,8 +484,8 @@ def cmd_evaluate(
 ) -> Path:
     """Evaluate adapted checkpoints on the test partition.
 
-    Hourly predictions run over the full span (recurrent state spun up
-    through train and validation), are interpolated to the exact test
+    Hourly predictions of the test span, from a state spun up through train
+    and validation by the kernel alone, are interpolated to the exact test
     observation times, and scored per (method, class, filter) with the
     <=30% filter applied only to the fine fuel classes. Only the filter
     ``filter_name``, if given, is scored; a cell without pairs, or whose
@@ -505,7 +505,7 @@ def cmd_evaluate(
 
     # Of the split, only the test observations and where the test span
     # starts outlive it: the forward pass runs without the partitions.
-    test_sel = frame.times > parts.val.weather.times[-1]
+    test_start = len(parts.train.weather) + len(parts.val.weather)
     test_obs = parts.test.observations
     del series, parts
 
@@ -531,10 +531,11 @@ def cmd_evaluate(
     for _, group in itertools.groupby(checkpoints(), key=lambda ckpt: _lockstep_key(*ckpt[3:5])):
         while run := list(itertools.islice(group, LOCKSTEP_MAX)):
             _, _, _, nets, normalizers, _ = zip(*run)
-            preds, _ = nn.forward(nn.stack(nets), normalizers[0].transform(frame))
+            preds, _ = nn.forward(nn.stack(nets), normalizers[0].transform(frame),
+                                  from_step=test_start)
             for (method, cls, obs, _, _, scaler), row in zip(run, preds):
                 pred_pairs, obs_pairs = datamod.align_for_eval(
-                    frame.times[test_sel], scaler.unscale(row)[test_sel], obs.times, obs.values
+                    frame.times[test_start:], scaler.unscale(row), obs.times, obs.values
                 )
                 filtered = [(evaluation.FILTER_ALL, pred_pairs, obs_pairs)]
                 if cls in ("fm1", "fm10"):

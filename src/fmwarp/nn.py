@@ -28,7 +28,8 @@ Two block sizes bound the memory of a long series. ``forward`` streams
 the dense stack over blocks of ``PROJECTION_BLOCK`` (1,024) steps: it
 writes the hidden state of each step straight into a block buffer laid
 out as ``dense_forward`` reads it (realization-major in a stack), and
-runs the dense stack on each full block and on the last, partial one.
+runs the dense stack on each block that ends after ``from_step``, the
+kernel alone on the rest; a block keeps its place, and so its bits.
 It copies no block and allocates nothing as long as the series but the
 predictions. The kernel projects its inputs ahead of the recurrence,
 one product per ``PROJECTION_SUB_BLOCK`` (128) steps of each such block.
@@ -404,22 +405,23 @@ def time_major(a: np.ndarray) -> np.ndarray:
 
 
 def forward(
-    params: RnnParams, inputs: np.ndarray, initial: LstmState | None = None
+    params: RnnParams, inputs: np.ndarray, initial: LstmState | None = None, from_step: int = 0
 ) -> tuple[np.ndarray, LstmState]:
-    """Map a (T, input_size) series to T scalar predictions.
+    """Map a (T, input_size) series to the predictions of steps ``from_step``..T-1.
 
     The prediction at step t depends only on inputs[0..t], up to its last
     bits: those also depend on the row count of its dense block, because
     BLAS may round a product of few rows (one, say) differently from a
     longer one. The final state is returned so a long series can be
     processed in chunks. A stack of R networks maps the shared series to
-    (R, T) predictions from (R, H) initial states.
+    (R, T - from_step) predictions from (R, H) initial states.
 
     The dense stack streams: the hidden states of each ``PROJECTION_BLOCK``
     steps (fewer in the last block) go straight into one (block, H) or
     (R, block, H) buffer, the layout ``dense_forward`` reads, and through
     one ``dense_forward`` call into the preallocated predictions, the only
-    array as long as the series.
+    array as long as the series. Blocks ending at or before ``from_step``
+    run the kernel alone; the rest keep their places, and so their bits.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[0] < 1:
@@ -428,16 +430,21 @@ def forward(
         raise DimensionError(
             f"inputs have {inputs.shape[1]} features, network expects {params.lstm.input_size}"
         )
+    steps = len(inputs)
+    if not 0 <= from_step <= steps:
+        raise InvalidInputError(f"from_step must be in 0 .. {steps}, got {from_step}")
     shape = (*params.stack_shape, params.lstm.hidden_size)
     state = initial if initial is not None else LstmState.zeros(shape)
     if state.c.shape != shape or state.h.shape != shape:
         raise DimensionError(f"initial state must have shape {shape}")
-    steps = len(inputs)
-    preds = np.empty((*params.stack_shape, steps))
-    hidden = np.empty((*params.stack_shape, min(steps, PROJECTION_BLOCK), shape[-1]))
+    dense_start = steps if from_step == steps else from_step - from_step % PROJECTION_BLOCK
+    preds = np.empty((*params.stack_shape, steps - dense_start))
+    hidden = np.empty((*params.stack_shape, min(steps - dense_start, PROJECTION_BLOCK), shape[-1]))
     slots = time_major(hidden)  # slots[k] takes step k
     cells = lstm_steps(params.lstm, inputs, state)
-    for start in range(0, steps, PROJECTION_BLOCK):
+    for _, c, h in itertools.islice(cells, dense_start):
+        pass  # the kernel alone: these blocks return no prediction
+    for start in range(dense_start, steps, PROJECTION_BLOCK):
         rows = min(PROJECTION_BLOCK, steps - start)
         for k, (_, c, h) in enumerate(itertools.islice(cells, rows)):
             slots[k] = h
@@ -445,9 +452,9 @@ def forward(
             # The last block runs once the kernel has freed its projection
             # buffer, so a short series peaks no higher than the two phases alone.
             cells.close()
-        block = hidden[..., :rows, :]
-        preds[..., start : start + rows] = dense_forward(params.dense, block)[..., 0]
-    return preds, LstmState(c=c.reshape(shape), h=h.reshape(shape))
+        block = dense_forward(params.dense, hidden[..., :rows, :])
+        preds[..., start - dense_start : start - dense_start + rows] = block[..., 0]
+    return preds[..., from_step - dense_start :], LstmState(c=c.reshape(shape), h=h.reshape(shape))
 
 
 def construct_timelag_lstm(tau: float, eq_input_index: int, input_size: int | None = None) -> RnnParams:

@@ -9,9 +9,9 @@ across segment boundaries.
 
 Observations are sparse, so the loss is a mean of squared errors over
 masked positions only. Validation loss is computed each epoch from a
-clean stateful pass over the training span followed by the validation
-span, and is used only for early stopping: the returned snapshot is the
-one with the best validation loss.
+clean stateful pass over the training span (the kernel alone) followed by
+the validation span, and is used only for early stopping: the returned
+snapshot is the one with the best validation loss.
 
 Realizations train in lockstep (``fit_lockstep``, the one trainer entry):
 their networks are stacked on a leading realization axis (``nn.stack``),
@@ -321,6 +321,13 @@ class AdamState:
         self.v, self.grad, self.scratch = (np.zeros_like(self.m) for _ in range(3))
         self.t = np.zeros(len(self.m), dtype=int)
 
+    def _norm(self, g: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """The norm of each row of ``g``: one sum per tensor, in the order of
+        ``grads``, which fixes its rounding."""
+        sq = np.multiply(g, g, out=self.scratch[: len(g)])
+        return np.sqrt(sum(sq[:, self.parts[name]].sum(axis=1)
+                           for name in grads if name in self.parts))
+
     def step(
         self, params: nn.RnnParams, grads: dict[str, np.ndarray], lr: float, rows=None
     ) -> np.ndarray:
@@ -343,13 +350,18 @@ class AdamState:
         index = ... if sel is None else sel
         m, v = self.m[index], self.v[index]  # views of the whole, else copies
         self.t[index] += 1
-        # Per realization, the norm sums the tensors in the order of
-        # ``grads``; that order fixes its rounding. The scale is exactly 1.0
-        # below the clip.
-        sq = np.multiply(g, g, out=self.scratch[: len(g)])
-        norm = np.sqrt(sum(sq[:, self.parts[name]].sum(axis=1)
-                           for name in grads if name in self.parts))
-        g *= (GRAD_CLIP_NORM / np.maximum(norm, GRAD_CLIP_NORM))[:, None]
+        # The scale is exactly 1.0 below the clip.
+        with np.errstate(over="ignore"):
+            norm = self._norm(g, grads)
+        scale = GRAD_CLIP_NORM / np.maximum(norm, GRAD_CLIP_NORM)
+        huge = np.isinf(norm)
+        if huge.any():
+            # Finite gradients past about 1e154 overflow their squares: such
+            # a row is clipped by way of g / max|g|, whose norm is finite.
+            g[huge] /= np.abs(g[huge]).max(axis=1, keepdims=True)
+            scale[huge] = GRAD_CLIP_NORM / self._norm(g[huge], grads)
+        g *= scale[:, None]
+        sq = self.scratch[: len(g)]
         # Python floats: ``**`` on them is libm pow, where numpy's vector
         # power may round differently on another CPU.
         step_size = np.array([lr * (math.sqrt(1.0 - ADAM_BETA2**k) / (1.0 - ADAM_BETA1**k))
@@ -386,18 +398,8 @@ def _lstm_frozen(params: nn.RnnParams) -> bool:
     return all(frozen for name, frozen in params.freeze_mask.items() if name.startswith("lstm."))
 
 
-def _spin_up(params: nn.RnnParams, train: SupervisedSeries) -> nn.LstmState:
-    """The state at the end of a stateful pass over the training span, from
-    zeros: (H,) states, or (R, H) for a stack."""
-    initial = nn.LstmState.zeros((*params.stack_shape, params.lstm.hidden_size))
-    c, h = initial.c, initial.h
-    for _, c, h in nn.lstm_steps(params.lstm, train.inputs, initial):
-        pass  # the spin-up needs only the state at the end of the training span
-    return nn.LstmState(c=c.reshape(initial.c.shape), h=h.reshape(initial.h.shape))
-
-
 def validation_loss(params: nn.RnnParams, train: SupervisedSeries, val, start=None):
-    """Masked validation MSE after a stateful spin-up over the training span.
+    """Masked validation MSE after a kernel-only spin-up over the training span.
 
     For a stack of R networks, ``val`` is a list of R series with the same
     inputs, and the result holds one loss per realization. ``start``, when
@@ -405,7 +407,7 @@ def validation_loss(params: nn.RnnParams, train: SupervisedSeries, val, start=No
     """
     series = val if isinstance(val, list) else [val]
     if start is None:
-        start = _spin_up(params, train)
+        start = nn.forward(params, train.inputs, from_step=len(train))[1]
     preds, _ = nn.forward(params, series[0].inputs, initial=start)
     targets = np.array([s.targets for s in series]).reshape(preds.shape)
     mask = np.array([s.mask for s in series]).reshape(preds.shape)
@@ -461,7 +463,8 @@ def fit_lockstep(
     # pass ends in the same state: it runs once, and each epoch takes the
     # rows of the realizations still live.
     with np.errstate(over="ignore", invalid="ignore"):
-        spun = _spin_up(stack, train) if _lstm_frozen(stack) else None
+        spun = (nn.forward(stack, train.inputs, from_step=len(train))[1]
+                if _lstm_frozen(stack) else None)
 
     records = [Realization(seed, selection, trained=snapshot(r), history=[], best_epoch=0)
                for r, (seed, selection) in enumerate(zip(seeds, selections))]
@@ -491,7 +494,7 @@ def fit_lockstep(
                 initial=nn.LstmState(c=per_row(start_c[rows, segs]),
                                      h=per_row(start_h[rows, segs])),
             )
-        finite = adam.step(stack, grads, config.learning_rate, rows=None if whole else rows)
+            finite = adam.step(stack, grads, config.learning_rate, rows=None if whole else rows)
         for r in rows[~finite]:
             diverge(r, f"training diverged at epoch {epoch}: non-finite gradient")
         more = finite & (segs + 1 < len(bounds))

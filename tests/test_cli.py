@@ -804,19 +804,19 @@ def test_evaluate_rows_do_not_depend_on_the_checkpoints_run_with_them(tmp_path, 
     real_forward = nn.forward
     stacks = []
 
-    def recording_forward(params, inputs, initial=None):
-        preds, state = real_forward(params, inputs, initial)
-        stacks.append((params, inputs, preds))
+    def recording_forward(params, inputs, initial=None, from_step=0):
+        preds, state = real_forward(params, inputs, initial, from_step)
+        stacks.append((params, inputs, preds, from_step))
         return preds, state
 
     monkeypatch.setattr(nn, "forward", recording_forward)
     full = snapshot(cli.cmd_evaluate(cfg))
     # NoTransfer/fm1 (H=6), then TimeWarp/fm1 and TimeWarp/fm100 in one run.
-    assert [(p.stack_shape, p.lstm.hidden_size) for p, _, _ in stacks] == [((3,), 6), ((6,), 4)]
-    for params, inputs, preds in stacks:
+    assert [(p.stack_shape, p.lstm.hidden_size) for p, *_ in stacks] == [((3,), 6), ((6,), 4)]
+    for params, inputs, preds, from_step in stacks:
         for r in range(len(preds)):
             solo, _ = real_forward(params.take(r), inputs)
-            assert_array_equal(preds[r], solo)
+            assert_array_equal(preds[r], solo[from_step:])
     rows = full["per_realization.csv"].decode().splitlines()
     assert len(rows) == 1 + 3 * 5  # NoTransfer fm1 all/le30, TimeWarp fm1 all/le30 and fm100
 
@@ -824,12 +824,57 @@ def test_evaluate_rows_do_not_depend_on_the_checkpoints_run_with_them(tmp_path, 
     stacks.clear()
     monkeypatch.setattr(cli, "LOCKSTEP_MAX", 2)
     assert snapshot(cli.cmd_evaluate(cfg)) == full
-    assert [p.stack_shape for p, _, _ in stacks] == [(2,), (1,), (2,), (2,), (2,)]
+    assert [p.stack_shape for p, *_ in stacks] == [(2,), (1,), (2,), (2,), (2,)]
     alone = cli.cmd_evaluate(cfg, method_name="TimeWarp", fuel_class="fm100")
     alone_rows = (alone / "per_realization.csv").read_text().splitlines()
     assert alone_rows[0] == rows[0]
     assert alone_rows[1:] == [row for row in rows if row.startswith("TimeWarp,fm100,")]
     assert len(alone_rows) == 1 + 3
+
+
+def test_evaluate_runs_the_dense_stack_only_on_blocks_that_reach_the_test_span(tmp_path,
+                                                                             monkeypatch):
+    # With 32-step blocks, the blocks of the 288-hour frame that end before
+    # its test span run the kernel alone; the rows evaluate scores are those
+    # of the full forward pass, masked to the test span.
+    cfg_path, _, _ = write_cfg(tmp_path, grid__n_per_axis=5)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    for method in ("NoTransfer", "TimeWarp"):
+        cli.cmd_transfer(cfg, method, "fm1")
+    frame, series = cli.load_dataset(cfg)
+    parts = cli.split_dataset(cfg, frame, series)
+    test_sel = frame.times > parts.val.weather.times[-1]
+    test_start = len(frame) - test_sel.sum()
+    monkeypatch.setattr(nn, "PROJECTION_BLOCK", 32)
+    assert test_start > 2 * 32
+    real_forward, real_dense = nn.forward, nn.dense_forward
+    calls = []  # per forward call, the row counts of its dense blocks
+
+    def recording_forward(*args, **kwargs):
+        calls.append([])
+        return real_forward(*args, **kwargs)
+
+    def recording_dense(dense, h, cache=None):
+        calls[-1].append(h.shape[-2])
+        return real_dense(dense, h, cache)
+
+    monkeypatch.setattr(nn, "forward", recording_forward)
+    monkeypatch.setattr(nn, "dense_forward", recording_dense)
+    got = snapshot(cli.cmd_evaluate(cfg))
+    assert calls
+    for rows in calls:
+        # The blocks of one forward pass run in order, the last ending at T.
+        ends = len(frame) - sum(rows) + np.cumsum(rows)
+        assert ends[0] > test_start and ends[-1] == len(frame)
+
+    def masked_forward(params, inputs, initial=None, from_step=0):
+        preds, state = real_forward(params, inputs, initial)
+        return preds[..., test_sel], state
+
+    monkeypatch.setattr(nn, "forward", masked_forward)
+    assert snapshot(cli.cmd_evaluate(cfg)) == got
 
 
 def test_undecodable_text_exits_with_config_or_data_error(tmp_path, monkeypatch, capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fmwarp import data, nn, timelag, train, transfer  # noqa: E402
-from fmwarp.errors import ParseError, SplitError  # noqa: E402
+from fmwarp.errors import InvalidInputError, ParseError, SplitError  # noqa: E402
 from helpers import fit  # noqa: E402
 
 
@@ -104,6 +104,38 @@ def test_stacked_forward_rows_equal_solo_forwards(steps, hidden, n, seed):
         assert_array_equal(preds[r], solo)
         assert_array_equal(state.c[r], solo_state.c)
         assert_array_equal(state.h[r], solo_state.h)
+
+
+@settings(max_examples=15, deadline=None)
+@given(steps=block_steps, hidden=st.sampled_from([1, 2, 5, 64]),
+       n=st.sampled_from([None, 1, 3]), linear=st.booleans(), seed=st.integers(0, 2**16))
+def test_forward_from_step_returns_the_tail_of_the_full_forward(steps, hidden, n, linear, seed):
+    # From 0, each block edge and its neighbours, T - 1 and T: the
+    # predictions are the full forward's from that step on, bit for bit, and
+    # so is the final state, for a lone network (n None) and a stack. At
+    # H=64 a dense block that moved off its place would round differently.
+    rng = np.random.default_rng(seed)
+    dense = (32, 16) if hidden == 64 else (3, 2)
+    nets = [random_net(rng, hidden, dense) for _ in range(n or 1)]
+    for net in nets if linear else ():
+        for arr in net.tensors().values():
+            arr *= 0.2 / hidden  # keep the linear recursion in range
+        net.lstm.linear_gates = True
+    params = nets[0] if n is None else nn.stack(nets)
+    x = rng.normal(size=(steps, 3))
+    initial = nn.LstmState(c=rng.normal(size=(*params.stack_shape, hidden)),
+                           h=rng.normal(size=(*params.stack_shape, hidden)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        full, full_state = nn.forward(params, x, initial)
+        edges = [edge + d for edge in range(BLOCK, steps + 1, BLOCK) for d in (-1, 0, 1)]
+        for from_step in sorted({0, *edges, steps - 1, steps} & set(range(steps + 1))):
+            preds, state = nn.forward(params, x, initial, from_step)
+            assert_array_equal(preds, full[..., from_step:])
+            assert_array_equal(state.c, full_state.c)
+            assert_array_equal(state.h, full_state.h)
+    for from_step in (-1, steps + 1):
+        with pytest.raises(InvalidInputError):
+            nn.forward(params, x, initial, from_step)
 
 
 @settings(max_examples=20, deadline=None)

@@ -248,6 +248,15 @@ class ReferenceAdam:
         t = self.t[sel]
         norm = np.sqrt(sum((g * g).reshape(*t.shape, -1).sum(axis=-1) for g in live.values()))
         scale = train.GRAD_CLIP_NORM / np.maximum(norm, train.GRAD_CLIP_NORM)
+        huge = np.isinf(norm)  # finite gradients whose squares overflow
+        if huge.any():
+            big = np.max([np.abs(g).reshape(*t.shape, -1).max(axis=-1) for g in live.values()],
+                         axis=0)
+            big = np.where(huge, big, 1.0)
+            live = {k: g / big.reshape(big.shape + (1,) * (g.ndim - t.ndim))
+                    for k, g in live.items()}
+            unit = np.sqrt(sum((g * g).reshape(*t.shape, -1).sum(axis=-1) for g in live.values()))
+            scale = np.where(huge, train.GRAD_CLIP_NORM / unit, scale)
         step_size = np.reshape(
             [lr * (math.sqrt(1.0 - train.ADAM_BETA2**n) / (1.0 - train.ADAM_BETA1**n))
              for n in t.ravel().tolist()], t.shape)
@@ -376,7 +385,7 @@ def test_adam_matches_per_tensor_reference(case, draw):
         if params.stack_shape and draw.draw(st.booleans()):
             rows = np.array(sorted(draw.draw(st.sets(st.integers(0, n - 1), min_size=1))))
         members = n if rows is None else len(rows)
-        scale = draw.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        scale = draw.draw(st.sampled_from([1e-3, 1.0, 1e3, 1e200]))
         step = {name: g[rows] * scale if rows is not None else g * scale
                 for name, g in grads.items()}
         step = {name: g + rng.normal(size=g.shape) * (not params.freeze_mask[name])
@@ -397,7 +406,7 @@ def test_adam_matches_per_tensor_reference(case, draw):
             [np.isfinite(g).reshape(members, -1).all(axis=1) for g in step.values()])
         assert_array_equal(finite, expected)
         # The reference runs under the flat step's errstate: a finite
-        # gradient above about 1e154 overflows both clip norms alike.
+        # gradient above about 1e154 overflows its squares.
         with np.errstate(over="ignore", invalid="ignore"):
             if expected.all():
                 ref_adam.step(reference, step, lr, rows=rows)
@@ -407,6 +416,28 @@ def test_adam_matches_per_tensor_reference(case, draw):
                               rows=ok)
         for name, arr in reference.tensors().items():
             assert_array_equal(params.tensors()[name], arr)
+
+
+def test_adam_clips_huge_finite_gradients_to_a_full_first_step():
+    # Squares of 1e200 overflow; the gradients are finite all the same, so
+    # each realization takes Adam's first step, about the learning rate in
+    # every live entry, and nothing warns. Realization 1 (1e100) squares
+    # within range.
+    params = nn.stack([random_params(5), random_params(6)])
+    params.freeze_mask["dense1.w"] = True
+    before = {name: arr.copy() for name, arr in params.tensors().items()}
+    grads = {name: np.full_like(arr, 1e200) for name, arr in params.tensors().items()}
+    for g in grads.values():
+        g[1] = -1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert train.AdamState(params).step(params, grads, 0.01).tolist() == [True, True]
+    for name, arr in params.tensors().items():
+        if params.freeze_mask[name]:
+            assert_array_equal(arr, before[name])
+        else:
+            np.testing.assert_allclose(before[name][0] - arr[0], 0.01, rtol=1e-6)
+            np.testing.assert_allclose(before[name][1] - arr[1], -0.01, rtol=1e-6)
 
 
 def test_stacked_backward_peak_memory():
