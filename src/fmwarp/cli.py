@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration, 3 data (parse/split/alignment),
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import math
@@ -91,6 +92,8 @@ KEYS = {
     "realizations": ("1", _finite(int, 1), _COUNT),
     "methods": ("TimeWarp", _listed(lambda name: transfer.TransferMethod.parse(name).value),
                 "method names from " + ", ".join(m.value for m in transfer.TransferMethod)),
+    "classes": ("fm1,fm100,fm1000", _listed(_one_of(*datamod.FUEL_CLASSES)),
+                "class names from " + ", ".join(datamod.FUEL_CLASSES)),
     "data.path": ("", _path, "a non-empty path"),
     "data.fill": ("", lambda text: text or None, "a fill mode, or empty"),
     "split.rule": ("year", _one_of("year", "fraction"), "year or fraction"),
@@ -198,13 +201,18 @@ def split_dataset(cfg: Config, frame, series) -> datamod.Split:
     return datamod.split(frame, series, spec)
 
 
+def _observations(partition: datamod.Partition, fuel_class: str) -> datamod.FmcSeries:
+    """The ``fuel_class`` observations of ``partition``; none is a :class:`ConfigError`."""
+    obs = partition.observations.get(fuel_class)
+    if obs is None or len(obs) == 0:
+        raise ConfigError(f"no {fuel_class} observations in the {partition.span} span")
+    return obs
+
+
 def fit_scalers(parts: datamod.Split, fuel_class: str):
     """The input normalizer and ``fuel_class`` target scaler of the training span."""
     normalizer = datamod.Normalizer.fit(parts.train.weather)
-    obs = parts.train.observations.get(fuel_class)
-    if obs is None or len(obs) == 0:
-        raise ConfigError(f"no {fuel_class} observations in the training span")
-    return normalizer, datamod.TargetScaler.fit(obs.values)
+    return normalizer, datamod.TargetScaler.fit(_observations(parts.train, fuel_class).values)
 
 
 def build_series(
@@ -216,9 +224,7 @@ def build_series(
     """Supervised series for one partition: normalized inputs plus
     nearest-hour targets, in the units of ``scaler``, and mask for the
     requested fuel class, which must have an observation there."""
-    obs = partition.observations.get(fuel_class)
-    if obs is None or len(obs) == 0:
-        raise ConfigError(f"no {fuel_class} observations in the {partition.span} span")
+    obs = _observations(partition, fuel_class)
     targets, mask = datamod.nearest_hour_mask(partition.weather.times, obs.times, obs.values)
     targets = np.where(mask > 0, scaler.scale(targets), 0.0)
     return train.SupervisedSeries(
@@ -273,9 +279,10 @@ def stage_dir(cfg: Config, *parts: str):
 
 
 def write_manifest(out: Path, cfg: Config, command: str, **fields) -> None:
-    """The stage's ``manifest.json``. The config echo drops the execution-only
-    ``jobs`` key, so outputs stay byte-identical regardless of parallelism."""
-    config = {k: v for k, v in cfg.values.items() if k != "jobs"}
+    """The stage's ``manifest.json``. The config echo drops the keys that say
+    only how a run is executed and grouped, ``jobs`` and ``classes``, so
+    outputs stay byte-identical regardless of parallelism and grouping."""
+    config = {k: v for k, v in cfg.values.items() if k not in ("jobs", "classes")}
     manifest = {"command": command, **fields, "config": config}
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
@@ -407,7 +414,25 @@ def _pretrained_checkpoints(pretrain_dir: Path) -> list[tuple[int, Path]]:
     return ckpts
 
 
-def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | None = None) -> Path:
+# Surfaces that a sweep made for another class of the run, by _search_key,
+# each waiting for the one transfer call of its class that takes it.
+_WAITING: dict[str, np.ndarray] = {}
+
+
+def _search_key(params: nn.RnnParams, series: train.SupervisedSeries,
+                grid: transfer.GridSpec) -> str:
+    """A digest of all a search surface depends on: the pretrained tensors,
+    gate mode and dense activations, the training inputs, targets and mask,
+    and the grid."""
+    key = hashlib.sha256(repr((params.lstm.linear_gates,
+                               [layer.activation for layer in params.dense], grid)).encode())
+    for arr in (*params.tensors().values(), series.inputs, series.targets, series.mask):
+        key.update(repr((arr.dtype.str, arr.shape)).encode() + arr.tobytes())
+    return key.hexdigest()
+
+
+def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | None = None,
+                 parts: datamod.Split | None = None) -> Path:
     """Adapt every pretrained realization that trained to a target fuel class.
 
     Each checkpoint is read once. Consecutive realizations that share a
@@ -416,36 +441,56 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     alone, and the chunk fine-tunes in lockstep. The first realization whose
     fine-tune diverges fails the stage. A realization keeps its pretrain
     index in its file names, its shifts row and its seed.
+
+    A realization's search takes the surface that an earlier call in this
+    process left waiting for it and this class, and that surface is then
+    gone. Otherwise one sweep scores this class together with every other
+    class of the ``classes`` key that has training observations and no
+    waiting surface, and leaves theirs waiting. ``parts``, when given, is
+    the split dataset, which is then not read again.
     """
     if fuel_class not in datamod.FUEL_CLASSES:
         raise ConfigError(f"unknown fuel class {fuel_class!r}")
     jobs = cfg.get("jobs", jobs)
     method = transfer.TransferMethod.parse(method_name)
-    from_pretrained = transfer.PROTOCOLS[method].pretrained
-    ckpts = _pretrained_checkpoints(cfg.get("out") / "pretrain") if from_pretrained else []
+    protocol = transfer.PROTOCOLS[method]
+    ckpts = _pretrained_checkpoints(cfg.get("out") / "pretrain") if protocol.pretrained else []
 
-    parts = split_dataset(cfg, *load_dataset(cfg))
+    parts = split_dataset(cfg, *load_dataset(cfg)) if parts is None else parts
     config = cfg.train_config()
     grid = cfg.grid_spec()
     arch = (datamod.N_FEATURES, cfg.get("arch.hidden_size"), cfg.get("arch.dense_sizes"))
+    others = [cls for cls in cfg.get("classes") if protocol.search and cls != fuel_class
+              and len(parts.train.observations.get(cls, ())) > 0]
 
     # (k, pretrained params, normalizer, target scaler) per realization.
-    sources = ([(k, *load_checkpoint(path)) for k, path in ckpts] if from_pretrained
+    sources = ([(k, *load_checkpoint(path)) for k, path in ckpts] if protocol.pretrained
                else [(k, None, *scalers) for k, scalers in
                      enumerate([fit_scalers(parts, fuel_class)] * cfg.get("realizations"))])
-    tasks = []
+    tasks, parking = [], []  # parking: per realization, {key: series} its sweep leaves waiting
     for _, run in itertools.groupby(sources, key=lambda src: (
-            from_pretrained and _lockstep_key(*src[1:3]), src[3].to_dict())):
+            protocol.pretrained and _lockstep_key(*src[1:3]), src[3].to_dict())):
         run = list(run)
         _, _, normalizer, scaler = run[0]
         series = [build_series(part, normalizer, fuel_class, scaler)
                   for part in (parts.train, parts.val)]
-        tasks += [(method, [src[1] for src in chunk], *series, config,
-                   [config.seed + src[0] for src in chunk], grid, arch)
-                  for chunk in _chunks(run, jobs)]
+        alongside = [replace(build_series(parts.train, normalizer, cls, scaler),
+                             inputs=series[0].inputs) for cls in others]
+        for chunk in _chunks(run, jobs):
+            waiting = [_WAITING.pop(_search_key(src[1], series[0], grid), None)
+                       if protocol.search else None for src in chunk]
+            swept = [{} if surface is not None else {
+                key: s for s in alongside if (key := _search_key(src[1], s, grid)) not in _WAITING}
+                for src, surface in zip(chunk, waiting)]
+            parking += swept
+            tasks.append((method, [src[1] for src in chunk], *series, config,
+                          [config.seed + src[0] for src in chunk], grid, arch, None, waiting,
+                          [list(plan.values()) for plan in swept]))
     results = list(itertools.chain.from_iterable(_map(transfer.adapt, tasks, jobs)))
     if diverged := [result for result in results if isinstance(result, TrainingDivergedError)]:
         raise diverged[0]
+    for keys, result in zip(parking, results):
+        _WAITING.update(zip(keys, result.alongside))
 
     shift_rows = []
     with stage_dir(cfg, "transfer", method.value, fuel_class) as out:
@@ -590,7 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="sets the out key (data.path for synth)")
         if name in ("transfer", "evaluate"):
             p.add_argument("--method", default=None, help="transfer method name")
-            p.add_argument("--class", dest="fuel_class", default=None, help="target fuel class")
+            p.add_argument("--class", dest="fuel_class", default=None,
+                           help="target fuel class (for transfer, sets the classes key)")
         if name == "evaluate":
             p.add_argument("--filter", dest="filter_name", default=None,
                            choices=[evaluation.FILTER_ALL, evaluation.FILTER_LE30])
@@ -600,16 +646,22 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     out_key = "data.path" if args.command == "synth" else "out"
-    cfg = Config.load(args.config, {"seed": args.seed, "jobs": args.jobs, out_key: args.out})
+    overrides = {"seed": args.seed, "jobs": args.jobs, out_key: args.out}
+    if args.command == "transfer":
+        overrides["classes"] = args.fuel_class
+    cfg = Config.load(args.config, overrides)
     if args.command == "synth":
         print(f"wrote {cmd_synth(cfg)}")
     elif args.command == "pretrain":
         print(f"wrote {cmd_pretrain(cfg)}")
     elif args.command == "transfer":
-        if not args.fuel_class:
-            raise ConfigError("transfer requires --class")
-        for method in [args.method] if args.method else cfg.get("methods"):
-            print(f"wrote {cmd_transfer(cfg, method, args.fuel_class)}")
+        methods = [args.method] if args.method else cfg.get("methods")
+        classes = cfg.get("classes")
+        parts = split_dataset(cfg, *load_dataset(cfg))
+        for fuel_class, partition in itertools.product(classes, (parts.train, parts.val)):
+            _observations(partition, fuel_class)
+        for method, fuel_class in itertools.product(methods, classes):
+            print(f"wrote {cmd_transfer(cfg, method, fuel_class, parts=parts)}")
     elif args.command == "evaluate":
         print(f"wrote {cmd_evaluate(cfg, args.method, args.fuel_class, args.filter_name)}")
     elif args.command == "report":

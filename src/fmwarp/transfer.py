@@ -5,6 +5,9 @@ global scalars (alpha_f, alpha_i) rescales the learned dynamics: raising
 the forget activation slows the system down, lowering it speeds the
 system up. The shift pair is selected by grid search on the target
 training observations; 2 x hidden tensor entries change and nothing else.
+A class changes only which steps the search scores and against what, so
+one :func:`sweep` runs the kernel once for the series of several classes
+over the same inputs and returns each one's surface.
 
 Six protocols are supported, one row each of :data:`PROTOCOLS`: its
 start, its frozen tensors, whether it searches a shift and whether it
@@ -100,26 +103,54 @@ def apply_shift(params: nn.RnnParams, shift: BiasShift) -> nn.RnnParams:
     return out
 
 
-def _masked_rmse_batched(
-    params: nn.RnnParams, series: SupervisedSeries, shifts: np.ndarray
-) -> np.ndarray:
-    """Masked training RMSE for every candidate shift in one vectorized sweep.
+def sweep(params: nn.RnnParams, series: list[SupervisedSeries],
+          grid: GridSpec = DEFAULT_GRID) -> list[np.ndarray]:
+    """The objective surface of each of several series over the same inputs,
+    from one pass of the kernel over every candidate shift.
 
     Weights are shared across candidates; only the gate biases differ, so
-    the kernel carries the states with a trailing candidate axis.
+    the kernel carries the states with a trailing candidate axis. The dense
+    stack runs only at the steps some series observes, and each series adds
+    its squared errors in step order, so its surface is bit for bit the one
+    it gives alone: an (n_candidates, 3) array of (alpha_f, alpha_i, rmse)
+    rows, the masked training RMSE in the targets' units.
     """
+    inputs = series[0].inputs
+    if any(s.inputs is not inputs and not np.array_equal(s.inputs, inputs) for s in series):
+        raise InvalidInputError("the series of one sweep must share their inputs")
+    if any(s.mask.sum() < 1 for s in series):
+        raise InvalidInputError("grid search needs at least one training observation")
+    shifts = candidate_shifts(grid)
+    observed = [np.flatnonzero(col).tolist() for col in np.array([s.mask for s in series]).T]
+    sq_sum = np.zeros((len(series), len(shifts)))
     initial = nn.LstmState.zeros(params.lstm.hidden_size)
-    sq_sum = np.zeros(shifts.shape[0])
-    n_obs = series.mask.sum()
     # Extreme shifts can overflow in the linear-gate mode; those candidates
     # come back non-finite and are simply excluded from the argmin.
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = nn.lstm_steps(params.lstm, series.inputs, initial, shifts)
+        steps = nn.lstm_steps(params.lstm, inputs, initial, shifts)
         for t, (_, _, h) in enumerate(steps):
-            if series.mask[t]:
-                v = nn.dense_forward(params.dense, h.T)
-                sq_sum += (v[:, 0] - series.targets[t]) ** 2
-        return np.sqrt(sq_sum / n_obs)
+            if observed[t]:
+                v = nn.dense_forward(params.dense, h.T)[:, 0]
+                for k in observed[t]:
+                    sq_sum[k] += (v - series[k].targets[t]) ** 2
+        return [np.column_stack([shifts, np.sqrt(sq / s.mask.sum())])
+                for sq, s in zip(sq_sum, series)]
+
+
+def _pick(surface: np.ndarray) -> BiasShift:
+    """The shift of a :func:`sweep` surface with the smallest finite RMSE.
+
+    Ties are broken toward the smallest |alpha_f|+|alpha_i|, then the
+    smallest alpha_f; no finite candidate raises :class:`SearchFailedError`.
+    """
+    af, ai, values = surface.T
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise SearchFailedError("every grid candidate produced a non-finite objective")
+    af, ai = af[finite], ai[finite]
+    # lexsort is stable, so an exact tie on every key keeps the first candidate
+    k = np.lexsort((ai, af, np.abs(af) + np.abs(ai), values[finite]))[0]
+    return BiasShift(alpha_f=float(af[k]), alpha_i=float(ai[k]))
 
 
 def grid_search(
@@ -127,24 +158,10 @@ def grid_search(
     train: SupervisedSeries,
     grid: GridSpec = DEFAULT_GRID,
 ) -> tuple[BiasShift, np.ndarray]:
-    """Select the bias-shift pair minimizing the masked training RMSE.
-
-    Ties are broken toward the smallest |alpha_f|+|alpha_i|, then the
-    smallest alpha_f. Returns the winning shift and the full objective
-    surface as an (n_candidates, 3) array of (alpha_f, alpha_i, rmse) rows.
-    """
-    if train.mask.sum() < 1:
-        raise InvalidInputError("grid search needs at least one training observation")
-    shifts = candidate_shifts(grid)
-    values = _masked_rmse_batched(params, train, shifts)
-    surface = np.column_stack([shifts, values])
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise SearchFailedError("every grid candidate produced a non-finite objective")
-    af, ai = shifts[finite].T
-    # lexsort is stable, so an exact tie on every key keeps the first candidate
-    k = np.lexsort((ai, af, np.abs(af) + np.abs(ai), values[finite]))[0]
-    return BiasShift(alpha_f=float(af[k]), alpha_i=float(ai[k])), surface
+    """Select the bias-shift pair minimizing the masked training RMSE: the
+    one-series :func:`sweep`, returning the :func:`_pick` and its surface."""
+    [surface] = sweep(params, [train], grid)
+    return _pick(surface), surface
 
 
 def write_surface_csv(surface: np.ndarray, path) -> None:
@@ -172,26 +189,33 @@ PROTOCOLS = {
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Adapted parameters; for a searched warp also the picked shift and
-    the objective surface of the search that picked it."""
+    """Adapted parameters; for a searched warp also the picked shift, the
+    objective surface that picked it and the surfaces swept alongside it."""
 
     params: nn.RnnParams
     shift: BiasShift | None
     surface: np.ndarray | None = None
+    alongside: tuple[np.ndarray, ...] = ()
 
 
 def adapt(method: TransferMethod, pretrained: list[nn.RnnParams | None], train: SupervisedSeries,
           val: SupervisedSeries, config: TrainConfig, seeds: list[int],
           grid: GridSpec = DEFAULT_GRID, arch: tuple[int, int, tuple[int, ...]] | None = None,
-          forced_shift: BiasShift | None = None) -> list[TransferResult | TrainingDivergedError]:
+          forced_shift: BiasShift | None = None, waiting: list[np.ndarray | None] | None = None,
+          alongside: list[list[SupervisedSeries]] | None = None,
+          ) -> list[TransferResult | TrainingDivergedError]:
     """Run one transfer protocol on R realizations using only training and
     validation data: realization r starts from ``pretrained[r]``, or for
     NoTransfer from a fresh init of sizes ``arch`` (input, hidden, dense)
     drawn from ``seeds[r]``, which also orders its segments. Each searches
-    on its own; ``forced_shift`` bypasses the search, for diagnostics and
-    contract tests, and leaves no surface. The fine-tunes share one
-    :func:`fit_lockstep` call, so each realization comes back bit for bit
-    as it would alone, and one that diverges as its error.
+    on its own: it picks from ``waiting[r]`` when that is a surface an
+    earlier sweep left for it, and else sweeps ``train`` together with the
+    series ``alongside[r]`` over the same inputs, whose surfaces come back
+    in its result's ``alongside``. ``forced_shift`` bypasses the search,
+    for diagnostics and contract tests, and leaves no surface. The
+    fine-tunes share one :func:`fit_lockstep` call, so each realization
+    comes back bit for bit as it would alone, and one that diverges as its
+    error.
     """
     protocol = PROTOCOLS[method]
     if protocol.pretrained and any(net is None for net in pretrained):
@@ -199,17 +223,24 @@ def adapt(method: TransferMethod, pretrained: list[nn.RnnParams | None], train: 
     if not protocol.pretrained and arch is None:
         raise ConfigError(f"{method.value} needs the arch sizes of its fresh start")
     results = []
-    for net, seed in zip(pretrained, seeds, strict=True):
+    for r, (net, seed) in enumerate(zip(pretrained, seeds, strict=True)):
         start = (net.copy() if protocol.pretrained
                  else nn.init_params(*arch, rng=substream(seed, STREAM_INIT)))
         start.freeze_mask = {name: protocol.frozen is not None and name.startswith(protocol.frozen)
                              for name in start.tensor_names()}
         shift = surface = None
-        if protocol.search:  # on the training observations only
-            shift, surface = (grid_search(start, train, grid) if forced_shift is None
-                              else (forced_shift, None))
+        others = ()
+        if protocol.search and forced_shift is not None:
+            shift = forced_shift
+        elif protocol.search:  # on the training observations only
+            surface = waiting[r] if waiting else None
+            if surface is None:
+                surface, *others = sweep(start, [train, *(alongside[r] if alongside else ())],
+                                         grid)
+            shift = _pick(surface)
+        if shift is not None:
             start = apply_shift(start, shift)
-        results.append(TransferResult(start, shift, surface))
+        results.append(TransferResult(start, shift, surface, tuple(others)))
     if not protocol.fine_tune:
         return results
     n = len(results)

@@ -32,6 +32,13 @@ synth.cap = 27
 """
 
 
+@pytest.fixture(autouse=True)
+def no_waiting_picks(monkeypatch):
+    """Each test starts, as a new process does, with no search surface
+    waiting from an earlier transfer call."""
+    monkeypatch.setattr(cli, "_WAITING", {})
+
+
 def write_cfg(tmp_path, name="exp.cfg", **extra):
     out = tmp_path / "run"
     dataset = tmp_path / "synth.csv"
@@ -286,7 +293,7 @@ def test_end_to_end_determinism(tmp_path):
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
-    # transfer without --class is a configuration error: exit code 2
+    # transfer without a dataset path is a configuration error: exit code 2
     monkeypatch.setattr("sys.argv", ["fmwarp", "transfer"])
     with pytest.raises(SystemExit) as exc:
         cli.main()
@@ -556,7 +563,7 @@ def test_transfer_searches_and_reads_once_per_realization(tmp_path, monkeypatch)
     cfg = cli.Config.load(str(cfg_path))
     cli.cmd_synth(cfg)
     cli.cmd_pretrain(cfg)
-    calls = {"grid_search": 0, "load_params": 0}
+    calls = {"sweep": 0, "load_params": 0}
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -567,10 +574,112 @@ def test_transfer_searches_and_reads_once_per_realization(tmp_path, monkeypatch)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(transfer, "grid_search")
+    counting(transfer, "sweep")
     counting(nn, "load_params")
     cli.cmd_transfer(cfg, "TimeWarp", "fm1")
-    assert calls == {"grid_search": 2, "load_params": 2}
+    assert calls == {"sweep": 2, "load_params": 2}
+
+
+def shifted_passes(monkeypatch):
+    """The candidate count of each shifted kernel pass from here on."""
+    passes, inner = [], nn.lstm_steps
+
+    def wrapper(lstm, inputs, initial, shifts=None):
+        if shifts is not None:
+            passes.append(len(shifts))
+        return inner(lstm, inputs, initial, shifts)
+
+    monkeypatch.setattr(nn, "lstm_steps", wrapper)
+    return passes
+
+
+def test_a_class_takes_the_pick_an_earlier_sweep_left_once(tmp_path, monkeypatch):
+    # fm1's sweep scores fm100 and fm1000 too. fm100 then runs no shifted
+    # pass and writes the bytes of a cold run; a repeated fm1 call sweeps
+    # again, and fm1000's pick, still waiting, is taken once. Every call
+    # writes the bytes of a cold run.
+    cfg_path, _, _ = write_cfg(tmp_path, grid__n_per_axis=5)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    cold = {cls: snapshot(cli.cmd_transfer(cli.Config.load(str(cfg_path), {"classes": cls}),
+                                           "TimeWarp", cls))
+            for cls in ("fm1", "fm100", "fm1000")}
+    passes = shifted_passes(monkeypatch)
+    for cls, expected in (("fm1", 2), ("fm100", 0), ("fm1", 2), ("fm1000", 0), ("fm1000", 2),
+                          ("fm100", 0), ("fm1", 0), ("fm1", 2)):
+        del passes[:]
+        assert snapshot(cli.cmd_transfer(cfg, "TimeWarp", cls)) == cold[cls]
+        assert passes == [26] * expected, cls
+
+
+def test_a_rewritten_checkpoint_gets_no_waiting_pick(tmp_path, monkeypatch):
+    cfg_path, out, _ = write_cfg(tmp_path, grid__n_per_axis=5)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    cli.cmd_transfer(cfg, "TimeWarp", "fm1")
+    ckpt = out / "pretrain" / "ckpt_0000.json"
+    params, normalizer, scaler = cli.load_checkpoint(ckpt)
+    params.dense[-1].bias[:] += 0.5
+    cli.save_checkpoint(ckpt, params, normalizer, scaler)
+    passes = shifted_passes(monkeypatch)
+    warm = snapshot(cli.cmd_transfer(cfg, "TimeWarp", "fm100"))
+    assert len(passes) == 1  # realization 1 takes its pick; 0 sweeps again
+    monkeypatch.setattr(cli, "_WAITING", {})
+    assert snapshot(cli.cmd_transfer(cfg, "TimeWarp", "fm100")) == warm
+    assert len(passes) == 3
+
+
+def test_transfer_with_a_class_sweeps_that_class_alone(tmp_path, monkeypatch):
+    cfg_path, _, _ = write_cfg(tmp_path, grid__n_per_axis=5)
+    assert cli.run(["synth", "--config", str(cfg_path)]) == 0
+    assert cli.run(["pretrain", "--config", str(cfg_path)]) == 0
+    swept, inner = [], transfer.sweep
+    monkeypatch.setattr(transfer, "sweep", lambda params, series, grid: (
+        swept.append(len(series)) or inner(params, series, grid)))
+    assert cli.run(["transfer", "--config", str(cfg_path), "--class", "fm1"]) == 0
+    assert swept == [1, 1]
+    assert cli._WAITING == {}
+
+
+def test_transfer_without_a_class_runs_every_method_and_class_in_one_sweep_each(
+        tmp_path, monkeypatch):
+    # Method-major over methods x classes: one sweep per checkpoint and
+    # method, and every file as per-class runs write it.
+    cfg_path, out, _ = write_cfg(tmp_path, grid__n_per_axis=5, classes="fm1,fm100",
+                                 methods="TimeWarp,TimeWarpFineTune")
+    assert cli.run(["synth", "--config", str(cfg_path)]) == 0
+    assert cli.run(["pretrain", "--config", str(cfg_path)]) == 0
+    for cls in ("fm1", "fm100"):
+        assert cli.run(["transfer", "--config", str(cfg_path), "--class", cls]) == 0
+    per_class = {d: snapshot(out / "transfer" / d)
+                 for d in ("TimeWarp/fm1", "TimeWarp/fm100", "TimeWarpFineTune/fm1",
+                           "TimeWarpFineTune/fm100")}
+    shutil.rmtree(out / "transfer")
+    passes = shifted_passes(monkeypatch)
+    assert cli.run(["transfer", "--config", str(cfg_path)]) == 0
+    assert {d: snapshot(out / "transfer" / d) for d in per_class} == per_class
+    assert len(passes) == 2 * 2
+
+
+@pytest.mark.parametrize("extra, dropped, message", [
+    ({"classes": "fm1,fm5"}, None, "config key 'classes' must be"),
+    ({}, "train", "no fm1000 observations in the training span"),
+    ({}, "val", "no fm1000 observations in the validation span"),
+], ids=["unknown class", "no train obs", "no val obs"])
+def test_a_class_without_observations_exits_before_any_method_runs(
+        pretrained_run, tmp_path, monkeypatch, capsys, extra, dropped, message):
+    shutil.copytree(pretrained_run, tmp_path, dirs_exist_ok=True)
+    cfg_path, out, dataset = write_cfg(tmp_path, grid__n_per_axis=5, **extra)
+    if dropped:
+        drop_observations(cli.Config.load(str(cfg_path)), dataset, "fm1000", dropped)
+    before = {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert run_main(monkeypatch, "transfer", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
 def snapshot(directory):

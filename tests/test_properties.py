@@ -12,7 +12,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fmwarp import data, nn, timelag, train, transfer  # noqa: E402
-from fmwarp.errors import InvalidInputError, ParseError, SplitError  # noqa: E402
+from fmwarp.errors import (InvalidInputError, ParseError, SearchFailedError,  # noqa: E402
+                           SplitError)
 from helpers import fit  # noqa: E402
 
 
@@ -255,6 +256,51 @@ def test_grid_search_picks_the_naive_oracle_minimum(steps, hidden, n_per_axis, s
     np.testing.assert_allclose(surface[:, 2], values, rtol=1e-9)
     picked = oracle(shift.alpha_f, shift.alpha_i)
     assert picked <= values.min() * (1.0 + 1e-9)
+
+
+SUB = nn.PROJECTION_SUB_BLOCK
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.one_of(st.sampled_from([1, 2, SUB - 1, SUB, SUB + 1, SUB + 2, 2 * SUB,
+                                        2 * SUB + 1]), st.integers(1, 2 * SUB + 2)),
+       hidden=st.integers(1, 8), n_series=st.integers(1, 4),
+       masks=st.sampled_from(["disjoint", "overlapping", "one step"]),
+       linear=st.booleans(), seed=st.integers(0, 2**16))
+def test_one_sweep_gives_each_series_its_solo_surface(steps, hidden, n_series, masks, linear,
+                                                      seed):
+    # Several series over the same inputs: each surface of one sweep is
+    # the one grid_search gives that series alone, NaNs included, whichever
+    # series share the sweep and in whatever order.
+    rng = np.random.default_rng(seed)
+    params = random_net(rng, hidden)
+    params = replace(params, lstm=replace(params.lstm, linear_gates=linear))
+    x = rng.normal(size=(steps, 3))
+    if masks == "disjoint":
+        n_series = min(n_series, steps)
+        owner = rng.integers(-1, n_series, size=steps)  # -1: no series observes the step
+        owner[rng.permutation(steps)[:n_series]] = np.arange(n_series)
+        observed = [owner == k for k in range(n_series)]
+    elif masks == "overlapping":
+        shared = rng.integers(steps)
+        observed = [(rng.random(steps) < 0.5) | (np.arange(steps) == shared)
+                    for _ in range(n_series)]
+    else:
+        observed = [np.arange(steps) == rng.integers(steps) for _ in range(n_series)]
+    series = [train.SupervisedSeries(x, np.where(m, rng.normal(size=steps), 0.0), m.astype(float))
+              for m in observed]
+    grid = transfer.GridSpec(lo=-3.0, hi=3.0, n_per_axis=3)
+    surfaces = transfer.sweep(params, series, grid)
+    for surface, reordered in zip(surfaces, transfer.sweep(params, series[::-1], grid)[::-1],
+                                  strict=True):
+        assert np.array_equal(surface, reordered, equal_nan=True)
+    for surface, one in zip(surfaces, series, strict=True):
+        try:
+            _, alone = transfer.grid_search(params, one, grid)
+        except SearchFailedError:
+            assert not np.isfinite(surface[:, 2]).any()
+        else:
+            assert np.array_equal(surface, alone, equal_nan=True)
 
 
 def bits(x: float) -> bytes:
