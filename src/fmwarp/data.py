@@ -194,8 +194,9 @@ def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSerie
     The file goes through the reader of :func:`read_table` (no quoting;
     CRLF accepted), whose header, cell-count and cell errors come first.
     Then the earliest duplicate or backward timestamp, gap that ``fill``
-    does not cover, or non-finite cell raises :class:`ParseError` with its
-    1-based file row. A held row repeats the weather row before it, with
+    does not cover, non-finite cell, negative rain, solar or moisture, or
+    hour outside [0, 23] raises :class:`ParseError` with its 1-based file
+    row. A held row repeats the weather row before it, with
     its own hour; observations are never held.
     """
     if fill not in (None, "hold"):
@@ -216,6 +217,7 @@ def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSerie
     weather = np.concatenate(weather, axis=1)
     fm = np.concatenate(fm, axis=2)
     fmc, observed = fm[:, 0], fm[:, 1] == 1.0
+    rain, solar, hour = (weather[WEATHER_COLUMNS.index(name)] for name in ("rain", "solar", "hour"))
     deltas, zero = np.diff(times), np.timedelta64(0, "s")
     held = (fill == "hold") & (deltas % HOUR == zero) & (deltas <= 4 * HOUR)
     defects = {  # data-row indices, in the order the checks rank within one row
@@ -223,6 +225,11 @@ def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSerie
         "gap (expected 1 hour) before": np.flatnonzero((deltas != HOUR) & ~held) + 1,
         "non-finite weather value at": np.flatnonzero(~np.isfinite(weather).all(axis=0)),
         **{f"non-finite {cls} value at": np.flatnonzero(observed[c] & ~np.isfinite(fmc[c]))
+           for c, cls in enumerate(FUEL_CLASSES)},
+        # the frame's and the series' own rules, checked here to name the row
+        "negative rain or solar value at": np.flatnonzero((rain < 0) | (solar < 0)),
+        "hour outside [0, 23] at": np.flatnonzero((hour < 0) | (hour > 23)),
+        **{f"negative {cls} value at": np.flatnonzero(observed[c] & (fmc[c] < 0))
            for c, cls in enumerate(FUEL_CLASSES)},
     }
     found = [(rows[0], k, what) for k, (what, rows) in enumerate(defects.items()) if rows.size]

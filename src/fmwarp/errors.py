@@ -56,17 +56,7 @@ class SearchFailedError(FmwarpError):
 
 
 class ZeroVarianceError(FmwarpError):
-    """R^2 is undefined because the observations have no variance.
-
-    The bias and RMSE are still well defined and are carried on the
-    exception so callers can recover them.
-    """
-
-    def __init__(self, message, bias=None, rmse=None, n=None):
-        super().__init__(message)
-        self.bias = bias
-        self.rmse = rmse
-        self.n = n
+    """R^2 is undefined because the observations have no variance."""
 
 
 class EvaluationError(FmwarpError):

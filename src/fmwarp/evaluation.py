@@ -55,8 +55,7 @@ def metrics(pred, obs) -> MetricSet:
     """R^2, bias and RMSE for paired predictions and observations.
 
     Raises :class:`ZeroVarianceError` when R^2 is undefined (fewer than
-    two pairs or constant observations); the exception carries the bias
-    and RMSE, which remain well defined.
+    two pairs or constant observations).
     """
     pred = np.asarray(pred, dtype=float)
     obs = np.asarray(obs, dtype=float)
@@ -70,9 +69,7 @@ def metrics(pred, obs) -> MetricSet:
     rmse = float(np.sqrt(np.mean(resid**2)))
     ss_tot = float(np.sum((obs - obs.mean()) ** 2))
     if n < 2 or ss_tot == 0.0:
-        raise ZeroVarianceError(
-            "R^2 undefined: observations have no variance", bias=bias, rmse=rmse, n=n
-        )
+        raise ZeroVarianceError("R^2 undefined: observations have no variance")
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot
     return MetricSet(r2=r2, bias=bias, rmse=rmse, n=n)
 

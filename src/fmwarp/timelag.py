@@ -68,17 +68,6 @@ class TimeLagParams:
         return cls(tau=float(tau), a=math.exp(-1.0 / float(tau)))
 
 
-@dataclass(frozen=True)
-class WarpFactor:
-    """Temporal rescaling factor gamma > 0; gamma > 1 speeds the dynamics up."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise InvalidInputError(f"gamma must be finite and > 0, got {self.gamma}")
-
-
 def simulate(m0: float, x_series, params: TimeLagParams) -> np.ndarray:
     """Run the recursion from m0 over a sequence of equilibrium inputs.
 
@@ -98,12 +87,6 @@ def simulate(m0: float, x_series, params: TimeLagParams) -> np.ndarray:
         m = a * m + b * x[t]
         out[t] = m
     return out
-
-
-def warp(params: TimeLagParams, gamma: WarpFactor) -> TimeLagParams:
-    """Time-warp the dynamics: a -> a**gamma, equivalently tau -> tau/gamma."""
-    a_warped = params.a ** gamma.gamma
-    return TimeLagParams(tau=params.tau / gamma.gamma, a=a_warped)
 
 
 def equilibria_arrays(temp_k, rh) -> tuple[np.ndarray, np.ndarray]:

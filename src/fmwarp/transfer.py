@@ -153,17 +153,6 @@ def _pick(surface: np.ndarray) -> BiasShift:
     return BiasShift(alpha_f=float(af[k]), alpha_i=float(ai[k]))
 
 
-def grid_search(
-    params: nn.RnnParams,
-    train: SupervisedSeries,
-    grid: GridSpec = DEFAULT_GRID,
-) -> tuple[BiasShift, np.ndarray]:
-    """Select the bias-shift pair minimizing the masked training RMSE: the
-    one-series :func:`sweep`, returning the :func:`_pick` and its surface."""
-    [surface] = sweep(params, [train], grid)
-    return _pick(surface), surface
-
-
 def write_surface_csv(surface: np.ndarray, path) -> None:
     datamod.write_table(path, ("alpha_f", "alpha_i", "rmse"), surface.tolist())
 

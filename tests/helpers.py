@@ -1,8 +1,9 @@
-"""Accounting and constructors that only the tests need."""
+"""Accounting, constructors and one-case entry points that only the tests need."""
 
 import math
+from dataclasses import dataclass
 
-from fmwarp import train
+from fmwarp import train, transfer
 from fmwarp.errors import InvalidInputError, TrainingDivergedError
 from fmwarp.timelag import TimeLagParams
 
@@ -23,6 +24,31 @@ def from_retention(a: float) -> TimeLagParams:
     if not (0.0 < a < 1.0):
         raise InvalidInputError(f"retention coefficient must lie in (0,1), got {a}")
     return TimeLagParams(tau=-1.0 / math.log(a), a=a)
+
+
+@dataclass(frozen=True)
+class WarpFactor:
+    """Temporal rescaling factor gamma > 0; gamma > 1 speeds the dynamics up."""
+
+    gamma: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise InvalidInputError(f"gamma must be finite and > 0, got {self.gamma}")
+
+
+def warp(params: TimeLagParams, gamma: WarpFactor) -> TimeLagParams:
+    """Time-warp the dynamics: a -> a**gamma, equivalently tau -> tau/gamma."""
+    a_warped = params.a ** gamma.gamma
+    return TimeLagParams(tau=params.tau / gamma.gamma, a=a_warped)
+
+
+def grid_search(params, train_series, grid=transfer.DEFAULT_GRID):
+    """Select the bias-shift pair minimizing the masked training RMSE: the
+    one-series ``transfer.sweep``, returning its ``transfer._pick`` and its
+    surface."""
+    [surface] = transfer.sweep(params, [train_series], grid)
+    return transfer._pick(surface), surface
 
 
 def fit(params, train_series, val, config, val_selection_id="full"):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from fmwarp import data, evaluation, nn, timelag, train, transfer
-from helpers import from_retention
+from helpers import WarpFactor, from_retention, grid_search, warp
 
 
 def report(criterion, detail):
@@ -35,7 +35,7 @@ def test_criterion_1_warp_equivalence():
         m0 = rng.uniform(0.0, 50.0)
         x = rng.uniform(0.0, 50.0, size=48)
         params = timelag.TimeLagParams.from_tau(tau)
-        warped = timelag.simulate(m0, x, timelag.warp(params, timelag.WarpFactor(gamma)))
+        warped = timelag.simulate(m0, x, warp(params, WarpFactor(gamma)))
         direct = timelag.simulate(
             m0, x, from_retention(math.exp(-gamma / tau))
         )
@@ -202,7 +202,7 @@ def _warp_outcomes(fx, tau):
     for real in fx["realizations"]:
         zero_preds, _ = nn.forward(real.trained, full_inputs)
         zero_rmse = float(np.sqrt(np.mean((fx["scaler"].unscale(zero_preds)[sel] - obs_test) ** 2)))
-        shift, _ = transfer.grid_search(real.trained, train_series)
+        shift, _ = grid_search(real.trained, train_series)
         warped = transfer.apply_shift(real.trained, shift)
         warp_preds, _ = nn.forward(warped, full_inputs)
         warp_rmse = float(np.sqrt(np.mean((fx["scaler"].unscale(warp_preds)[sel] - obs_test) ** 2)))

@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -775,6 +777,27 @@ def test_pretrain_sweeps_partial_directories_of_dead_runs(tmp_path):
     cli.cmd_pretrain(cfg)
     assert sorted(p.name for p in partial.iterdir()) == [planted[2]]
     assert (partial / planted[2] / "ckpt_0000.json").exists()
+
+
+def test_stage_dir_keeps_the_directories_of_live_or_impossible_pids(tmp_path):
+    # pid 1 is alive, and 2**80 overflows os.kill: both are kept. The pid of
+    # a child that has been reaped is gone, and its directory is removed.
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    cfg_path, out, _ = write_cfg(tmp_path)
+    partial = out / ".partial"
+    kept = ["pretrain.1", f"pretrain.{2**80}"]
+    for name in [*kept, f"pretrain.{child.pid}"]:
+        (partial / name).mkdir(parents=True)
+    with cli.stage_dir(cli.Config.load(str(cfg_path)), "pretrain") as tmp:
+        assert sorted(p.name for p in partial.iterdir()) == sorted([*kept, tmp.name])
+
+
+def test_transfer_rejects_a_class_outside_the_fuel_classes(tmp_path):
+    cfg_path, out, _ = write_cfg(tmp_path)
+    with pytest.raises(ConfigError, match="unknown fuel class 'fm2'"):
+        cli.cmd_transfer(cli.Config.load(str(cfg_path)), "TimeWarp", "fm2")
+    assert not out.exists()
 
 
 def test_checkpoint_of_wrong_input_width_exits_with_data_error(tmp_path, monkeypatch, capsys):

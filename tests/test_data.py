@@ -122,6 +122,28 @@ def test_load_csv_rejects_nan_weather_cell(tmp_path):
     assert err.value.row == 3
 
 
+@pytest.mark.parametrize("column, cell, what", [
+    ("rain", "-1.0", "negative rain or solar value"),
+    ("solar", "-0.5", "negative rain or solar value"),
+    ("hour", "24.0", "hour outside [0, 23]"),
+    ("hour", "-1.0", "hour outside [0, 23]"),
+    ("fm10", "-2.0", "negative fm10 value"),
+])
+def test_load_csv_names_the_row_of_a_value_out_of_range(tmp_path, column, cell, what):
+    # The frame and series constructors would reject the value too, but
+    # without its row.
+    rows = [r + ",,,," for r in make_rows(3)]
+    cells = rows[1].split(",")
+    cells[data.CSV_HEADER.index(column)] = cell
+    rows[1] = ",".join(cells)
+    path = tmp_path / "d.csv"
+    write_fixture(path, rows)
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert err.value.row == 3
+    assert str(err.value) == f"row 3: {what} at 1996-03-27T00:00:00Z"
+
+
 def test_load_csv_rejects_infinite_observation(tmp_path):
     rows = make_rows(3)
     rows[0] += ",,14.5,,"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 from fmwarp import data, nn, timelag, train, transfer  # noqa: E402
 from fmwarp.errors import (InvalidInputError, ParseError, SearchFailedError,  # noqa: E402
                            SplitError)
-from helpers import fit  # noqa: E402
+from helpers import WarpFactor, fit, grid_search, warp  # noqa: E402
 
 
 @settings(max_examples=20, deadline=None)
@@ -245,7 +245,7 @@ def test_grid_search_picks_the_naive_oracle_minimum(steps, hidden, n_per_axis, s
     targets = np.where(mask > 0, rng.normal(size=steps), 0.0)
     series = train.SupervisedSeries(x, targets, mask)
     grid = transfer.GridSpec(lo=-3.0, hi=3.0, n_per_axis=n_per_axis)
-    shift, surface = transfer.grid_search(params, series, grid)
+    shift, surface = grid_search(params, series, grid)
 
     def oracle(alpha_f, alpha_i):
         preds, _ = nn.forward(transfer.apply_shift(params, transfer.BiasShift(alpha_f, alpha_i)),
@@ -296,7 +296,7 @@ def test_one_sweep_gives_each_series_its_solo_surface(steps, hidden, n_series, m
         assert np.array_equal(surface, reordered, equal_nan=True)
     for surface, one in zip(surfaces, series, strict=True):
         try:
-            _, alone = transfer.grid_search(params, one, grid)
+            _, alone = grid_search(params, one, grid)
         except SearchFailedError:
             assert not np.isfinite(surface[:, 2]).any()
         else:
@@ -455,7 +455,7 @@ def test_warp_equals_the_recursion_on_a_held_series(tau, gamma, steps, m0, seed)
     # gamma-th state of the recursion over each input held gamma times.
     x = np.random.default_rng(seed).uniform(0.0, 60.0, size=steps)
     params = timelag.TimeLagParams.from_tau(tau)
-    warped = timelag.simulate(m0, x, timelag.warp(params, timelag.WarpFactor(gamma)))
+    warped = timelag.simulate(m0, x, warp(params, WarpFactor(gamma)))
     held = timelag.simulate(m0, np.repeat(x, gamma), params)
     np.testing.assert_allclose(warped, held[gamma - 1 :: gamma], rtol=1e-12)
 

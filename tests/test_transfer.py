@@ -10,7 +10,7 @@ from fmwarp import nn, timelag, train, transfer
 from fmwarp.errors import ConfigError, SearchFailedError, TrainingDivergedError
 from fmwarp.train import SupervisedSeries, TrainConfig
 from fmwarp.transfer import BiasShift, GridSpec, TransferMethod
-from helpers import fit, parameter_count, trainable_count
+from helpers import fit, grid_search, parameter_count, trainable_count
 from test_train import linear_gate_nets, lockstep_task
 
 
@@ -65,7 +65,7 @@ def test_grid_search_self_transfer_returns_zero_shift():
     rng = np.random.default_rng(5)
     inputs = rng.normal(size=(60, 3))
     targets, _ = nn.forward(params, inputs)
-    shift, surface = transfer.grid_search(params, series_from(inputs, targets))
+    shift, surface = grid_search(params, series_from(inputs, targets))
     assert shift == BiasShift(0.0, 0.0)
     assert surface.shape == (626, 3)
 
@@ -83,7 +83,7 @@ def test_grid_search_peak_memory():
     series = series_from(rng.normal(size=(T, 8)), rng.normal(size=T))
     tracemalloc.start()
     try:
-        _, surface = transfer.grid_search(params, series)
+        _, surface = grid_search(params, series)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -99,7 +99,7 @@ def test_grid_search_optimal_not_worse_than_zero_shot():
     rng = np.random.default_rng(6)
     inputs = rng.normal(size=(50, 3))
     targets = rng.uniform(0, 20, size=50)
-    shift, surface = transfer.grid_search(params, series_from(inputs, targets))
+    shift, surface = grid_search(params, series_from(inputs, targets))
     zero_rows = surface[(surface[:, 0] == 0.0) & (surface[:, 1] == 0.0)]
     best_rows = surface[(surface[:, 0] == shift.alpha_f) & (surface[:, 1] == shift.alpha_i)]
     assert best_rows[:, 2].min() <= zero_rows[:, 2].min()
@@ -113,7 +113,7 @@ def test_grid_search_speedup_direction_on_constructed_lstm():
     net = nn.construct_timelag_lstm(10.0, 0)
     targets = timelag.simulate(x[0], x, timelag.TimeLagParams.from_tau(1.0))
     series = series_from(x[:, None], targets)
-    shift, surface = transfer.grid_search(net, series)
+    shift, surface = grid_search(net, series)
     assert shift.alpha_f < 0.0
     zero_rmse = surface[(surface[:, 0] == 0.0) & (surface[:, 1] == 0.0)][:, 2].min()
     best_rmse = surface[np.isfinite(surface[:, 2]), 2].min()
@@ -145,7 +145,7 @@ def test_grid_search_batched_path_matches_naive_objective():
     series = series_from(inputs, targets, mask)
 
     grid = GridSpec(-2.0, 2.0, 5)
-    fast_shift, fast_surface = transfer.grid_search(params, series, grid)
+    fast_shift, fast_surface = grid_search(params, series, grid)
     slow_shift, slow_values = naive_search(params, inputs, targets, mask, grid)
     np.testing.assert_allclose(fast_surface[:, 2], slow_values, rtol=1e-10)
     assert fast_shift == slow_shift
@@ -158,7 +158,7 @@ def test_grid_search_all_non_finite_fails():
     net.tensors()["lstm.b_f"][:] = 10.0
     series = series_from(np.ones((500, 1)), np.ones(500))
     with pytest.raises(SearchFailedError):
-        transfer.grid_search(net, series)
+        grid_search(net, series)
 
 
 def test_grid_search_tie_break_prefers_smallest_shift():
@@ -166,7 +166,7 @@ def test_grid_search_tie_break_prefers_smallest_shift():
     params = small_net(4)
     params.dense[2].weights[:] = 0.0
     series = series_from(np.zeros((5, 3)), np.zeros(5))
-    shift, surface = transfer.grid_search(params, series)
+    shift, surface = grid_search(params, series)
     assert np.unique(surface[:, 2]).size == 1
     assert shift == BiasShift(0.0, 0.0)
 
@@ -252,7 +252,7 @@ def test_run_method_time_warp_touches_only_gate_biases():
     )
     assert n_diff == 2 * hidden
     # The surface is the one from the search that picked the shift.
-    assert_array_equal(result.surface, transfer.grid_search(pretrained, train_s)[1])
+    assert_array_equal(result.surface, grid_search(pretrained, train_s)[1])
 
 
 def test_run_method_warp_finetune_equals_full_finetune_at_zero_shift():
@@ -275,7 +275,7 @@ def test_run_method_warp_finetune_composes_search_shift_and_fit():
     result = transfer.run_method(
         TransferMethod.TIME_WARP_FINE_TUNE, pretrained, train_s, val_s, CFG
     )
-    shift, surface = transfer.grid_search(pretrained, train_s)
+    shift, surface = grid_search(pretrained, train_s)
     assert shift != BiasShift(0.0, 0.0)
     composed = fit(transfer.apply_shift(pretrained, shift), train_s, val_s, CFG).trained
     assert result.shift == shift
