@@ -6,13 +6,14 @@ from one root seed through named substreams, so a full pipeline run with
 fixed seeds is byte-identical across invocations, regardless of --jobs.
 
 Exit codes: 0 success, 2 configuration, 3 data (parse/split/alignment),
-4 training, 5 search/evaluation, 6 I/O, 1 anything else.
+4 training, 5 search/evaluation (each ``FmwarpError`` carries its own),
+6 I/O, 1 anything else, such as a size too large to allocate; every
+failure is one ``error:`` line, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
@@ -22,7 +23,7 @@ import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +31,10 @@ import numpy as np
 from fmwarp import data as datamod
 from fmwarp import evaluation, nn, train, transfer
 from fmwarp.errors import (
-    AlignmentError,
     ConfigError,
-    DegenerateMaskError,
     EvaluationError,
     FmwarpError,
     InvalidInputError,
-    ParseError,
-    SearchFailedError,
-    SplitError,
     TrainingDivergedError,
     ZeroVarianceError,
 )
@@ -122,14 +118,6 @@ KEYS = {
 # MB besides the predictions); past 8 the per-step overhead is already
 # spread thin.
 LOCKSTEP_MAX = 8
-
-EXIT_CODES = (
-    (ConfigError, 2),
-    ((ParseError, SplitError, AlignmentError, InvalidInputError, DegenerateMaskError), 3),
-    (TrainingDivergedError, 4),
-    ((SearchFailedError, EvaluationError, ZeroVarianceError), 5),
-    (OSError, 6),
-)
 
 
 class Config:
@@ -414,21 +402,9 @@ def _pretrained_checkpoints(pretrain_dir: Path) -> list[tuple[int, Path]]:
     return ckpts
 
 
-# Surfaces that a sweep made for another class of the run, by _search_key,
+# Surfaces a sweep made for another class of the run, by transfer.search_key,
 # each waiting for the one transfer call of its class that takes it.
 _WAITING: dict[str, np.ndarray] = {}
-
-
-def _search_key(params: nn.RnnParams, series: train.SupervisedSeries,
-                grid: transfer.GridSpec) -> str:
-    """A digest of all a search surface depends on: the pretrained tensors,
-    gate mode and dense activations, the training inputs, targets and mask,
-    and the grid."""
-    key = hashlib.sha256(repr((params.lstm.linear_gates,
-                               [layer.activation for layer in params.dense], grid)).encode())
-    for arr in (*params.tensors().values(), series.inputs, series.targets, series.mask):
-        key.update(repr((arr.dtype.str, arr.shape)).encode() + arr.tobytes())
-    return key.hexdigest()
 
 
 def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | None = None,
@@ -467,7 +443,7 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     sources = ([(k, *load_checkpoint(path)) for k, path in ckpts] if protocol.pretrained
                else [(k, None, *scalers) for k, scalers in
                      enumerate([fit_scalers(parts, fuel_class)] * cfg.get("realizations"))])
-    tasks, parking = [], []  # parking: per realization, {key: series} its sweep leaves waiting
+    tasks = []
     for _, run in itertools.groupby(sources, key=lambda src: (
             protocol.pretrained and _lockstep_key(*src[1:3]), src[3].to_dict())):
         run = list(run)
@@ -477,29 +453,27 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
         alongside = [replace(build_series(parts.train, normalizer, cls, scaler),
                              inputs=series[0].inputs) for cls in others]
         for chunk in _chunks(run, jobs):
-            waiting = [_WAITING.pop(_search_key(src[1], series[0], grid), None)
+            waiting = [_WAITING.pop(transfer.search_key(src[1], series[0], grid), None)
                        if protocol.search else None for src in chunk]
-            swept = [{} if surface is not None else {
-                key: s for s in alongside if (key := _search_key(src[1], s, grid)) not in _WAITING}
-                for src, surface in zip(chunk, waiting)]
-            parking += swept
             tasks.append((method, [src[1] for src in chunk], *series, config,
-                          [config.seed + src[0] for src in chunk], grid, arch, None, waiting,
-                          [list(plan.values()) for plan in swept]))
+                          [config.seed + src[0] for src in chunk], grid, arch, waiting,
+                          [{} if surface is not None else {
+                              key: s for s in alongside
+                              if (key := transfer.search_key(src[1], s, grid)) not in _WAITING}
+                           for src, surface in zip(chunk, waiting)]))
     results = list(itertools.chain.from_iterable(_map(transfer.adapt, tasks, jobs)))
     if diverged := [result for result in results if isinstance(result, TrainingDivergedError)]:
         raise diverged[0]
-    for keys, result in zip(parking, results):
-        _WAITING.update(zip(keys, result.alongside))
+    for result in results:
+        _WAITING.update(result.alongside)
 
     shift_rows = []
     with stage_dir(cfg, "transfer", method.value, fuel_class) as out:
         for (k, _, normalizer, scaler), result in zip(sources, results):
             extra = {"method": method.value, "fuel_class": fuel_class}
             if result.shift is not None:
-                af, ai = result.shift.alpha_f, result.shift.alpha_i
-                extra["shift"] = {"alpha_f": af, "alpha_i": ai}
-                shift_rows.append((k, af, ai))
+                extra["shift"] = asdict(result.shift)
+                shift_rows.append({"realization": k, **extra["shift"]})
             save_checkpoint(out / f"ckpt_{k:04d}.json", result.params, normalizer, scaler,
                             **extra)
             if result.surface is not None:
@@ -507,8 +481,8 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
                 transfer.write_surface_csv(result.surface * [1.0, 1.0, scaler.std],
                                            out / f"surface_{k:04d}.csv")
         if shift_rows:
-            datamod.write_table(out / "shifts.csv", ("realization", "alpha_f", "alpha_i"),
-                                shift_rows)
+            datamod.write_table(out / "shifts.csv", tuple(shift_rows[0]),
+                                [tuple(row.values()) for row in shift_rows])
         write_manifest(out, cfg, "transfer", method=method.value, fuel_class=fuel_class,
                        realizations=len(sources))
     return cfg.get("out") / "transfer" / method.value / fuel_class
@@ -583,7 +557,7 @@ def cmd_evaluate(
                     frame.times[test_start:], scaler.unscale(row), obs.times, obs.values
                 )
                 filtered = [(evaluation.FILTER_ALL, pred_pairs, obs_pairs)]
-                if cls in ("fm1", "fm10"):
+                if cls in evaluation.LE30_CLASSES:
                     filtered.append((evaluation.FILTER_LE30,
                                      *evaluation.filter_le(pred_pairs, obs_pairs, threshold)))
                 for fname, p, m in filtered:
@@ -672,12 +646,10 @@ def run(argv: list[str]) -> int:
 def main() -> None:
     try:
         sys.exit(run(sys.argv[1:]))
-    except (FmwarpError, OSError) as exc:
+    except Exception as exc:  # every failure is one error line, never a traceback
         print(f"error: {exc}", file=sys.stderr)
-        for types, code in EXIT_CODES:
-            if isinstance(exc, types):
-                sys.exit(code)
-        sys.exit(1)
+        sys.exit(exc.exit_code if isinstance(exc, FmwarpError)
+                 else 6 if isinstance(exc, OSError) else 1)
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from fmwarp.errors import EvaluationError, InvalidInputError, ZeroVarianceError
 
 FILTER_ALL = "all"
 FILTER_LE30 = "le30"
+LE30_CLASSES = ("fm1", "fm10")  # the fine fuel classes, the only ones FILTER_LE30 scores
 MOISTURE_FILTER_THRESHOLD = 30.0  # percent; moisture-of-extinction convention
 METRIC_NAMES = ("r2", "bias", "rmse")
 

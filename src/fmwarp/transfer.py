@@ -19,8 +19,9 @@ only the training and validation series.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -137,6 +138,16 @@ def sweep(params: nn.RnnParams, series: list[SupervisedSeries],
                 for sq, s in zip(sq_sum, series)]
 
 
+def search_key(params: nn.RnnParams, series: SupervisedSeries, grid: GridSpec) -> str:
+    """A digest of all a :func:`sweep` surface depends on: the tensors, gate mode
+    and dense activations, the series' inputs, targets and mask, and the grid."""
+    key = hashlib.sha256(repr((params.lstm.linear_gates,
+                               [layer.activation for layer in params.dense], grid)).encode())
+    for arr in (*params.tensors().values(), series.inputs, series.targets, series.mask):
+        key.update(repr((arr.dtype.str, arr.shape)).encode() + arr.tobytes())
+    return key.hexdigest()
+
+
 def _pick(surface: np.ndarray) -> BiasShift:
     """The shift of a :func:`sweep` surface with the smallest finite RMSE.
 
@@ -179,32 +190,32 @@ PROTOCOLS = {
 @dataclass(frozen=True)
 class TransferResult:
     """Adapted parameters; for a searched warp also the picked shift, the
-    objective surface that picked it and the surfaces swept alongside it."""
+    objective surface that picked it and the surfaces swept alongside it, by key."""
 
     params: nn.RnnParams
     shift: BiasShift | None
     surface: np.ndarray | None = None
-    alongside: tuple[np.ndarray, ...] = ()
+    alongside: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def adapt(method: TransferMethod, pretrained: list[nn.RnnParams | None], train: SupervisedSeries,
           val: SupervisedSeries, config: TrainConfig, seeds: list[int],
           grid: GridSpec = DEFAULT_GRID, arch: tuple[int, int, tuple[int, ...]] | None = None,
-          forced_shift: BiasShift | None = None, waiting: list[np.ndarray | None] | None = None,
-          alongside: list[list[SupervisedSeries]] | None = None,
-          ) -> list[TransferResult | TrainingDivergedError]:
+          waiting: list[np.ndarray | None] | None = None,
+          alongside: list[dict[str, SupervisedSeries]] | None = None,
+          forced_shift: BiasShift | None = None) -> list[TransferResult | TrainingDivergedError]:
     """Run one transfer protocol on R realizations using only training and
     validation data: realization r starts from ``pretrained[r]``, or for
     NoTransfer from a fresh init of sizes ``arch`` (input, hidden, dense)
     drawn from ``seeds[r]``, which also orders its segments. Each searches
     on its own: it picks from ``waiting[r]`` when that is a surface an
     earlier sweep left for it, and else sweeps ``train`` together with the
-    series ``alongside[r]`` over the same inputs, whose surfaces come back
-    in its result's ``alongside``. ``forced_shift`` bypasses the search,
-    for diagnostics and contract tests, and leaves no surface. The
-    fine-tunes share one :func:`fit_lockstep` call, so each realization
-    comes back bit for bit as it would alone, and one that diverges as its
-    error.
+    series of ``alongside[r]`` over the same inputs, whose surfaces come
+    back under the same keys in its result's ``alongside``.
+    ``forced_shift`` bypasses the search, for diagnostics and contract
+    tests, and leaves no surface. The fine-tunes share one
+    :func:`fit_lockstep` call, so each realization comes back bit for bit
+    as it would alone, and one that diverges as its error.
     """
     protocol = PROTOCOLS[method]
     if protocol.pretrained and any(net is None for net in pretrained):
@@ -218,18 +229,19 @@ def adapt(method: TransferMethod, pretrained: list[nn.RnnParams | None], train: 
         start.freeze_mask = {name: protocol.frozen is not None and name.startswith(protocol.frozen)
                              for name in start.tensor_names()}
         shift = surface = None
-        others = ()
+        swept = {}
         if protocol.search and forced_shift is not None:
             shift = forced_shift
         elif protocol.search:  # on the training observations only
             surface = waiting[r] if waiting else None
             if surface is None:
-                surface, *others = sweep(start, [train, *(alongside[r] if alongside else ())],
-                                         grid)
+                others = alongside[r] if alongside else {}
+                surface, *surfaces = sweep(start, [train, *others.values()], grid)
+                swept = dict(zip(others, surfaces))
             shift = _pick(surface)
         if shift is not None:
             start = apply_shift(start, shift)
-        results.append(TransferResult(start, shift, surface, tuple(others)))
+        results.append(TransferResult(start, shift, surface, swept))
     if not protocol.fine_tune:
         return results
     n = len(results)
@@ -245,7 +257,7 @@ def run_method(method: TransferMethod, pretrained: nn.RnnParams | None, train: S
     """One realization of :func:`adapt`, seeded by ``config.seed``; a
     fine-tune that diverges raises its :class:`TrainingDivergedError`."""
     [result] = adapt(method, [pretrained], train, val, config, [config.seed], grid, arch,
-                     forced_shift)
+                     forced_shift=forced_shift)
     if isinstance(result, TrainingDivergedError):
         raise result
     return result

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from fmwarp import cli, data, evaluation, nn, transfer
+from fmwarp import cli, data, errors, evaluation, nn, transfer
 from fmwarp.errors import ConfigError
 
 BASE_CFG = """
@@ -1206,3 +1206,40 @@ def test_input_checks_exit_before_writing(pretrained_run, tmp_path, monkeypatch,
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert message in err
     assert {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (("pretrain",), {"arch__hidden_size": "3000000"}),
+    (("pretrain",), {"arch__hidden_size": str(10**30)}),
+    (("pretrain",), {"arch__dense_sizes": f"4,{10**21}"}),
+    (("transfer", "--method", "TimeWarp", "--class", "fm1"), {"grid__n_per_axis": str(10**30)}),
+    (("synth",), {"synth__n_days": str(10**30)}),
+], ids=["hidden 262 TiB", "hidden beyond intp", "dense beyond intp", "grid beyond intp",
+        "synth days beyond intp"])
+def test_an_oversize_config_exits_1_before_writing(pretrained_run, tmp_path, monkeypatch, capsys,
+                                                   argv, extra):
+    # Each size is one numpy refuses before it touches memory: a shape
+    # beyond intp, or one array above the 128 TiB user address space. The
+    # failure is one error line and exit 1, and the run is left as it was.
+    shutil.copytree(pretrained_run, tmp_path, dirs_exist_ok=True)
+    cfg_path, _, _ = write_cfg(tmp_path, **{"grid__n_per_axis": 5, **extra})
+    before = {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert run_main(monkeypatch, argv[0], "--config", str(cfg_path), *argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
+def test_every_error_class_carries_its_exit_code():
+    def subclasses(cls):
+        return [cls] + [sub for child in cls.__subclasses__() for sub in subclasses(child)]
+
+    codes = {cls.__name__: cls.exit_code for cls in subclasses(errors.FmwarpError)[1:]}
+    assert codes == {
+        "ConfigError": 2,
+        "ParseError": 3, "SplitError": 3, "AlignmentError": 3, "InvalidInputError": 3,
+        "DegenerateMaskError": 3, "DimensionError": 3,
+        "TrainingDivergedError": 4,
+        "SearchFailedError": 5, "EvaluationError": 5, "ZeroVarianceError": 5,
+    }
