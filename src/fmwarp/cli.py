@@ -177,8 +177,19 @@ class Config:
                                     for name in ("lo", "hi", "n_per_axis")})
 
 
-def load_dataset(cfg: Config) -> tuple[datamod.WeatherFrame, list[datamod.FmcSeries]]:
-    return datamod.load_csv(cfg.get("data.path"), fill=cfg.get("data.fill"))
+def kept_dataset(cfg: Config) -> Path:
+    """``<out>/dataset/<key>.npy``, where ``pretrain`` keeps the parse of the
+    dataset for every later :func:`load_dataset` (see ``data.kept_path``)."""
+    return datamod.kept_path(cfg.get("out") / "dataset", cfg.get("data.path"),
+                             cfg.get("data.fill"))
+
+
+def load_dataset(cfg: Config, kept: Path | None = None
+                 ) -> tuple[datamod.WeatherFrame, list[datamod.FmcSeries]]:
+    """The dataset, read from ``kept`` (by default :func:`kept_dataset`)
+    when that holds its parse, else parsed."""
+    kept = kept_dataset(cfg) if kept is None else kept
+    return datamod.load_csv(cfg.get("data.path"), fill=cfg.get("data.fill"), kept=kept)
 
 
 def split_dataset(cfg: Config, frame, series) -> datamod.Split:
@@ -340,9 +351,14 @@ def _map(fn, tasks, jobs: int) -> list:
 
 
 def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
-    """Train per-realization source-task checkpoints plus manifest."""
+    """Train per-realization source-task checkpoints plus manifest, and keep
+    the parse of the dataset they trained on. The kept file is written
+    before training, so that the parse need not be held through it, but
+    committed only after the checkpoints."""
     jobs = cfg.get("jobs", jobs)
-    parts = split_dataset(cfg, *load_dataset(cfg))
+    kept = kept_dataset(cfg)
+    dataset = load_dataset(cfg, kept)
+    parts = split_dataset(cfg, *dataset)
     source_class = cfg.get("source.class")
     normalizer, scaler = fit_scalers(parts, source_class)
     series = [build_series(part, normalizer, source_class, scaler)
@@ -352,21 +368,25 @@ def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     seeds = [config.seed + k for k in range(cfg.get("realizations"))]
     tasks = [(*arch, *series, replace(config, seed=chunk[0]), len(chunk))
              for chunk in _chunks(seeds, jobs)]
-    results = []
-    for k, real in enumerate(itertools.chain.from_iterable(_map(train.replicate, tasks, jobs))):
-        if isinstance(real, TrainingDivergedError):
-            print(f"realization {k}: {real}", file=sys.stderr)
-            results.append(("diverged", real.last_good))
-        else:
-            results.append(("ok", real))
-    with stage_dir(cfg, "pretrain") as out:
-        for k, (_, real) in enumerate(results):
-            save_checkpoint(out / f"ckpt_{k:04d}.json", real.trained, normalizer, scaler,
-                            source_class=source_class, seed=real.seed,
-                            validation_selection=real.validation_selection)
-            train.write_history_csv(real.history, out / f"history_{k:04d}.csv")
-        write_manifest(out, cfg, "pretrain", source_class=source_class, seeds=seeds,
-                       statuses=[status for status, _ in results])
+    with stage_dir(cfg, "dataset") as kept_dir:
+        datamod.keep_dataset(kept_dir / kept.name, *dataset)
+        del dataset
+        results = []
+        for k, real in enumerate(itertools.chain.from_iterable(
+                _map(train.replicate, tasks, jobs))):
+            if isinstance(real, TrainingDivergedError):
+                print(f"realization {k}: {real}", file=sys.stderr)
+                results.append(("diverged", real.last_good))
+            else:
+                results.append(("ok", real))
+        with stage_dir(cfg, "pretrain") as out:
+            for k, (_, real) in enumerate(results):
+                save_checkpoint(out / f"ckpt_{k:04d}.json", real.trained, normalizer, scaler,
+                                source_class=source_class, seed=real.seed,
+                                validation_selection=real.validation_selection)
+                train.write_history_csv(real.history, out / f"history_{k:04d}.csv")
+            write_manifest(out, cfg, "pretrain", source_class=source_class, seeds=seeds,
+                           statuses=[status for status, _ in results])
     return cfg.get("out") / "pretrain"
 
 

@@ -27,6 +27,11 @@ the last block; on any error it removes the temporary file and leaves
 the target as it was. The dataset writer formats each block a column at
 a time, from arrays and observed masks.
 
+A parse can be kept: :func:`keep_dataset` writes a frame and its series
+as one ``np.save`` array, under a key that :func:`kept_path` takes from
+the dataset's bytes, and :func:`load_csv` reads that array in place of
+the parse when it is there and whole.
+
 Splitting is purely temporal: the default rule assigns the first 8,761
 hourly rows (one year inclusive) to training and halves the remainder
 into validation and test, validation taking the extra row when the
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import codecs
 import collections
+import hashlib
 import itertools
 import math
 import os
@@ -76,6 +82,9 @@ _LINE_ENDS = ("\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\
 # The one accepted timestamp form, which format_timestamp writes; STAMPS is a run of them.
 _STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
 _STAMPS = re.compile(f"(?:{_STAMP.pattern})*", re.ASCII)
+
+# Names the layout of keep_dataset in every key, so a new layout never reads an old file.
+_KEPT_LAYOUT = "fmwarp kept dataset, layout 1"
 
 # Default split rule: one year of hourly rows inclusive of both endpoints.
 TRAIN_ROWS_ONE_YEAR = 8761
@@ -188,7 +197,8 @@ def format_timestamp(t: np.datetime64) -> str:
     return str(np.datetime64(t, "s")) + "Z"
 
 
-def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSeries]]:
+def load_csv(path, fill: str | None = None,
+             kept=None) -> tuple[WeatherFrame, list[FmcSeries]]:
     """Parse a dataset CSV into a weather frame and per-class observation series.
 
     The file goes through the reader of :func:`read_table` (no quoting;
@@ -198,19 +208,28 @@ def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSerie
     hour outside [0, 23] raises :class:`ParseError` with its 1-based file
     row. A held row repeats the weather row before it, with
     its own hour; observations are never held.
+
+    ``kept``, a path from :func:`kept_path`, is read in place of the parse
+    when it holds a whole dataset in the layout of :func:`keep_dataset`;
+    any other file there, or none, is a miss. Its parse raises
+    :class:`ParseError` if the bytes read no longer have the key that
+    ``kept`` is named after, so it is always the parse of those bytes.
     """
-    if fill not in (None, "hold"):
-        raise InvalidInputError(f"unknown fill mode {fill!r}")
+    digest = _key_digest(fill)
+    if kept is not None and (dataset := _read_kept(kept)) is not None:
+        return dataset
     n_weather = len(WEATHER_COLUMNS)
     converters = [_timestamps] + [_floats] * n_weather + [_optional_floats] * len(FUEL_CLASSES)
     # Each block is stacked as it arrives, and each array is one
     # concatenation of its blocks, which are freed as its name is rebound:
     # no whole column is ever copied on its own.
     times, weather, fm = [], [], []
-    for stamps, *columns in _read_blocks(path, CSV_HEADER, converters):
+    for stamps, *columns in _read_blocks(path, CSV_HEADER, converters, digest):
         times.append(stamps)
         weather.append(np.array(columns[:n_weather]))
         fm.append(np.array(columns[n_weather:]))
+    if kept is not None and f"{digest.hexdigest()}.npy" != Path(kept).name:
+        raise ParseError(f"{path} changed while it was read")
     if not times:
         raise ParseError("no data rows", row=2)
     times = np.concatenate(times)
@@ -245,6 +264,71 @@ def load_csv(path, fill: str | None = None) -> tuple[WeatherFrame, list[FmcSerie
     frame = WeatherFrame(times=hourly, **dict(zip(WEATHER_COLUMNS, weather)))
     return frame, [FmcSeries(cls, times[observed[c]], fmc[c, observed[c]])
                    for c, cls in enumerate(FUEL_CLASSES) if observed[c].any()]
+
+
+def _key_digest(fill: str | None):
+    """A sha256 of the kept layout and ``fill``, to be fed the dataset's bytes."""
+    if fill not in (None, "hold"):
+        raise InvalidInputError(f"unknown fill mode {fill!r}")
+    return hashlib.sha256(f"{_KEPT_LAYOUT}\n{fill}\n".encode())
+
+
+def kept_path(directory, path, fill: str | None = None) -> Path:
+    """``<directory>/<key>.npy``: where :func:`keep_dataset` keeps the
+    parse of ``path`` under ``fill``. The key is the sha256 of the kept
+    layout, ``fill`` and the bytes of ``path``, read ``_CHUNK_BYTES`` at
+    a time."""
+    digest = _key_digest(fill)
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(_CHUNK_BYTES), b""):
+            digest.update(chunk)
+    return Path(directory) / f"{digest.hexdigest()}.npy"
+
+
+def keep_dataset(path, frame: WeatherFrame, series: list[FmcSeries]) -> None:
+    """Write a parse of :func:`load_csv` to ``path`` as ``np.save`` writes one
+    column-major float64 array, a row per hour of ``frame``: the time in
+    seconds, the weather columns, then a column per fuel class, nan where it
+    is unobserved. It goes a column at a time, so no whole table is made."""
+    n = len(frame)
+    observed = {s.fuel_class: s for s in series}
+    with open(path, "wb") as f:
+        np.lib.format.write_array_header_1_0(
+            f, {"descr": "<f8", "fortran_order": True, "shape": (n, len(CSV_HEADER))})
+        f.write(frame.times.astype("datetime64[s]").astype("<i8").astype("<f8"))
+        for column in frame.columns().values():
+            f.write(np.ascontiguousarray(column, "<f8"))
+        for cls in FUEL_CLASSES:
+            column = np.full(n, np.nan, "<f8")
+            if cls in observed:
+                column[np.searchsorted(frame.times, observed[cls].times)] = observed[cls].values
+            f.write(column)
+
+
+def _read_kept(path) -> tuple[WeatherFrame, list[FmcSeries]] | None:
+    """The frame and series that :func:`keep_dataset` wrote at ``path``, bit
+    for bit as parsed, each column a view of the table; ``None`` when
+    ``path`` is missing or is not such a table."""
+    try:
+        with open(path, "rb") as f:
+            table = np.lib.format.read_array(f, allow_pickle=False)
+    except (OSError, ValueError, MemoryError):
+        return None
+    n_weather = len(WEATHER_COLUMNS)
+    if (table.dtype != np.float64 or table.shape[1:] != (len(CSV_HEADER),)
+            or np.isinf(table).any() or np.isnan(table[:, : 1 + n_weather]).any()
+            or (np.abs(table[:, 0]) >= 2.0**53).any()):
+        return None
+    times = table[:, 0].astype(np.int64).astype("datetime64[s]")
+    fm = table[:, 1 + n_weather :]
+    observed = ~np.isnan(fm)
+    try:
+        frame = WeatherFrame(times=times,
+                             **dict(zip(WEATHER_COLUMNS, table[:, 1 : 1 + n_weather].T)))
+        return frame, [FmcSeries(cls, times[observed[:, c]], fm[observed[:, c], c])
+                       for c, cls in enumerate(FUEL_CLASSES) if observed[:, c].any()]
+    except InvalidInputError:
+        return None
 
 
 def _floats(cells: list[str]) -> np.ndarray:
@@ -353,15 +437,18 @@ def read_table(path, header, types) -> list[list]:
             for row in zip(*columns)]
 
 
-def _lines(path):
+def _lines(path, digest=None):
     """The lines that ``str.splitlines`` gives for the UTF-8 text of
-    ``path``, which is opened once and decoded ``_CHUNK_BYTES`` at a time.
+    ``path``, which is opened once and decoded ``_CHUNK_BYTES`` at a time,
+    each chunk also fed to ``digest`` if one is given.
     A byte that is not UTF-8 raises :class:`ParseError` with its offset in
     the file and the row it falls in."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     tail, start, row = "", 0, 0
     with open(path, "rb") as f:
         for chunk in itertools.chain(iter(lambda: f.read(_CHUNK_BYTES), b""), [b""]):
+            if digest is not None:
+                digest.update(chunk)
             try:
                 text = tail + decoder.decode(chunk, final=not chunk)
             except UnicodeDecodeError as exc:
@@ -378,14 +465,15 @@ def _lines(path):
             yield from lines
 
 
-def _read_blocks(path, header, converters):
+def _read_blocks(path, header, converters, digest=None):
     """Per block of ``BLOCK_ROWS`` data rows, its columns, each converted by
     one call of its entry in ``converters``. Only in a block that does not
     convert, the converters run a cell at a time, to name its first wrong
     cell count or malformed cell. The file is read in one pass, a block of
-    lines at a time; a byte that is not UTF-8 anywhere in it outranks every
-    other defect, so the rest of the file is read before one is raised."""
-    lines = _lines(path)
+    lines at a time, and fed to ``digest``; a byte that is not UTF-8
+    anywhere in it outranks every other defect, so the rest of the file is
+    read before one is raised."""
+    lines = _lines(path, digest)
     try:
         first = next(lines, None)
         names = [] if first is None else [name.strip() for name in first.split(",")]

@@ -122,7 +122,10 @@ def sweep(params: nn.RnnParams, series: list[SupervisedSeries],
     if any(s.mask.sum() < 1 for s in series):
         raise InvalidInputError("grid search needs at least one training observation")
     shifts = candidate_shifts(grid)
-    observed = [np.flatnonzero(col).tolist() for col in np.array([s.mask for s in series]).T]
+    # The series observed at each step, from one scan of the (steps, series) mask.
+    rows, cols = np.nonzero(np.array([s.mask for s in series]).T)
+    bounds, cols = np.searchsorted(rows, np.arange(len(inputs) + 1)).tolist(), cols.tolist()
+    observed = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
     sq_sum = np.zeros((len(series), len(shifts)))
     initial = nn.LstmState.zeros(params.lstm.hidden_size)
     # Extreme shifts can overflow in the linear-gate mode; those candidates

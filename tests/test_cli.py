@@ -1243,3 +1243,95 @@ def test_every_error_class_carries_its_exit_code():
         "TrainingDivergedError": 4,
         "SearchFailedError": 5, "EvaluationError": 5, "ZeroVarianceError": 5,
     }
+
+
+def counting_reads(monkeypatch):
+    """The calls of the CSV reader from here on, one path each."""
+    reads, inner = [], data._read_blocks
+
+    def wrapper(path, *args):
+        reads.append(path)
+        return inner(path, *args)
+
+    monkeypatch.setattr(data, "_read_blocks", wrapper)
+    return reads
+
+
+def test_after_pretrain_transfer_and_evaluate_read_the_kept_dataset(tmp_path, monkeypatch):
+    # pretrain keeps its parse under out/dataset, keyed by the CSV's bytes;
+    # the stages after it never call the CSV reader.
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, grid__n_per_axis=5,
+                                 methods="TimeWarp,NoTransfer")
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    reads = counting_reads(monkeypatch)
+    cli.cmd_pretrain(cfg)
+    assert len(reads) == 1
+    [kept] = (out / "dataset").iterdir()
+    assert kept == cli.kept_dataset(cfg)
+    first = kept.read_bytes()
+    cli.cmd_pretrain(cfg, jobs=2)  # a rerun reads it, and keeps the same bytes
+    assert [p.name for p in (out / "dataset").iterdir()] == [kept.name]
+    assert kept.read_bytes() == first
+    assert cli.run(["transfer", "--config", str(cfg_path)]) == 0
+    assert cli.run(["evaluate", "--config", str(cfg_path)]) == 0
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("damage", [
+    lambda kept: kept.write_bytes(kept.read_bytes()[:-100]),
+    lambda kept: np.save(kept, np.load(kept)[:, 1:]),
+    lambda kept: kept.write_text("not an array\n"),
+], ids=["truncated", "wrong shape", "not npy"])
+def test_a_damaged_kept_dataset_gives_the_outputs_of_a_parse(pretrained_run, tmp_path,
+                                                             monkeypatch, damage):
+    shutil.copytree(pretrained_run, tmp_path, dirs_exist_ok=True)
+    cfg_path, out, _ = write_cfg(tmp_path, grid__n_per_axis=5, methods="TimeWarp,FreezeDense")
+    stages = (["transfer", "--config", str(cfg_path), "--class", "fm1"],
+              ["evaluate", "--config", str(cfg_path)])
+    reads = counting_reads(monkeypatch)
+    outputs = []
+    for damaged in (False, True):
+        if damaged:
+            damage(cli.kept_dataset(cli.Config.load(str(cfg_path))))
+        assert [cli.run(argv) for argv in stages] == [0, 0]
+        outputs.append({path.relative_to(out): path.read_bytes() for path in out.rglob("*")
+                        if path.is_file() and path.parts[len(out.parts)] != "dataset"})
+        assert len(reads) == 2 * damaged
+    assert outputs[0] == outputs[1]
+
+
+def test_a_failing_pretrain_keeps_no_dataset(tmp_path, monkeypatch):
+    cfg_path, out, _ = write_cfg(tmp_path, train__max_epochs=1)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    monkeypatch.setattr(nn, "save_params", lambda *args, **kwargs: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        cli.cmd_pretrain(cfg)
+    assert not (out / "dataset").exists()
+    # A run that stops before training: no fm10 observation in the training span.
+    drop_observations(cfg, tmp_path / "synth.csv", "fm10", "train")
+    with pytest.raises(ConfigError, match="no fm10 observations in the training span"):
+        cli.cmd_pretrain(cfg)
+    assert not (out / "dataset").exists() and not (out / "pretrain").exists()
+
+
+def test_an_edited_dataset_is_parsed_again_and_its_bad_row_named(pretrained_run, tmp_path,
+                                                                  monkeypatch, capsys):
+    # The key is the content: after a clean pretrain, one cell of the CSV
+    # turns negative, and transfer parses the file and names the row.
+    shutil.copytree(pretrained_run, tmp_path, dirs_exist_ok=True)
+    cfg_path, out, dataset = write_cfg(tmp_path, grid__n_per_axis=5)
+    lines = dataset.read_text().splitlines(keepends=True)
+    cells = lines[99].split(",")
+    cells[data.CSV_HEADER.index("rain")] = "-1.0"
+    lines[99] = ",".join(cells)
+    dataset.write_text("".join(lines))
+    capsys.readouterr()
+    code = run_main(monkeypatch, "transfer", "--config", str(cfg_path), "--method", "TimeWarp",
+                    "--class", "fm1")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: row 100: negative rain or solar value at ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "transfer").exists()

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 import warnings
 
@@ -269,6 +270,102 @@ def test_load_csv_rejects_quoted_cell(tmp_path):
         data.load_csv(path)
     assert err.value.row == 3
     assert "wind" in str(err.value)
+
+
+def assert_same_arrays(a, b):
+    """``assert_loads_equal``, dtypes included."""
+    assert_loads_equal(a, b)
+    (frame_a, series_a), (frame_b, series_b) = a, b
+    assert [c.dtype for c in (frame_a.times, *frame_a.columns().values())] == [
+        c.dtype for c in (frame_b.times, *frame_b.columns().values())]
+    assert [(s.times.dtype, s.values.dtype) for s in series_a] == [
+        (s.times.dtype, s.values.dtype) for s in series_b]
+
+
+def held_dataset(path):
+    """Two 2-hour gaps, fm1 seen at every third row, fm100 once, fm10 and
+    fm1000 never: a file that parses only with ``fill = "hold"``."""
+    rows = make_rows(40)
+    for k, row in enumerate(rows):
+        fm1 = f"{5.0 + k / 8}" if k % 3 == 0 else ""
+        rows[k] = row + f",{fm1},,{'17.25' if k == 20 else ''},"
+    write_fixture(path, [row for k, row in enumerate(rows) if k not in (6, 7, 30, 31)])
+
+
+@pytest.mark.parametrize("fill", [None, "hold"])
+def test_a_kept_dataset_reads_back_as_the_parse_bit_for_bit(tmp_path, monkeypatch, fill):
+    path = tmp_path / "d.csv"
+    if fill is None:
+        frame = data.synth_weather(seed=2, n_days=3)
+        data.write_csv(path, frame, [data.synth_targets(frame, data.NOMINAL_TAU[cls],
+                                                        fuel_class=cls)
+                                     for cls in data.FUEL_CLASSES])
+    else:
+        held_dataset(path)
+    parsed = data.load_csv(path, fill)
+    kept = data.kept_path(tmp_path / "kept", path, fill)
+    kept.parent.mkdir()
+    data.keep_dataset(kept, *parsed)
+    # The file is what np.save writes for the one column-major float64 table.
+    frame, series = parsed
+    table = np.full((len(frame), len(data.CSV_HEADER)), np.nan, order="F")
+    table[:, 0] = frame.times.astype(np.int64)
+    for c, column in enumerate(frame.columns().values(), start=1):
+        table[:, c] = column
+    for s in series:
+        table[np.isin(frame.times, s.times),
+              1 + len(data.WEATHER_COLUMNS) + data.FUEL_CLASSES.index(s.fuel_class)] = s.values
+    saved = io.BytesIO()
+    np.save(saved, table)
+    assert kept.read_bytes() == saved.getvalue()
+
+    def no_parse(*args):
+        raise AssertionError("parsed the CSV")
+
+    monkeypatch.setattr(data, "_read_blocks", no_parse)
+    read = data.load_csv(path, fill, kept=kept)
+    assert_same_arrays(read, parsed)
+    if fill == "hold":
+        assert len(read[0]) == 40 and [s.fuel_class for s in read[1]] == ["fm1", "fm100"]
+    # The key is the bytes and the fill mode, not the file name.
+    twin = tmp_path / "twin.csv"
+    twin.write_bytes(path.read_bytes())
+    assert data.kept_path(tmp_path / "kept", twin, fill) == kept
+    assert data.kept_path(tmp_path / "kept", path, "hold" if fill is None else None) != kept
+
+
+@pytest.mark.parametrize("damage", [
+    lambda kept: kept.write_bytes(kept.read_bytes()[:-8]),
+    lambda kept: np.save(kept, np.load(kept)[:, :-1]),
+    lambda kept: np.save(kept, np.load(kept).T),
+    lambda kept: kept.write_bytes(b"timestamp,drying_eq\n"),
+    lambda kept: kept.write_bytes(b""),
+    lambda kept: np.save(kept, np.array([{"a": 1}], dtype=object)),
+    lambda kept: np.save(kept, np.load(kept).astype(np.float32)),
+    lambda kept: (kept.unlink(), kept.mkdir()),
+], ids=["truncated", "a column short", "transposed", "not npy", "empty", "objects", "float32",
+        "a directory"])
+def test_a_damaged_kept_dataset_is_a_miss_that_parses(tmp_path, damage):
+    path = tmp_path / "d.csv"
+    held_dataset(path)
+    parsed = data.load_csv(path, "hold")
+    kept = data.kept_path(tmp_path, path, "hold")
+    data.keep_dataset(kept, *parsed)
+    damage(kept)
+    assert_same_arrays(data.load_csv(path, "hold", kept=kept), parsed)
+
+
+def test_a_parse_of_bytes_whose_key_is_not_the_kept_name_raises(tmp_path):
+    # The bytes parsed are hashed as they are read: a kept path named after
+    # other bytes (a file edited after its key was taken) is never answered
+    # with a parse of these.
+    path = tmp_path / "d.csv"
+    held_dataset(path)
+    with pytest.raises(ParseError, match="changed while it was read"):
+        data.load_csv(path, "hold", kept=tmp_path / f"{'0' * 64}.npy")
+    kept = data.kept_path(tmp_path, path, "hold")
+    assert_same_arrays(data.load_csv(path, "hold", kept=kept), data.load_csv(path, "hold"))
+    assert not kept.exists()
 
 
 def test_split_ten_day_example():
