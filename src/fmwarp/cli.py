@@ -60,6 +60,14 @@ def _listed(parse, count: int | None = None):
     return parse_list
 
 
+def _distinct(parse):
+    def parse_distinct(text: str) -> tuple:
+        if len(set(items := parse(text))) < len(items):  # a repeat is a typo, e.g. fm1 for fm1000
+            raise ValueError(text)
+        return items
+    return parse_distinct
+
+
 def _optional(parse):
     return lambda text: None if text.strip().lower() in ("", "none") else parse(text)
 
@@ -86,10 +94,10 @@ KEYS = {
     "out": ("runs/exp", Path, "a path"),
     "jobs": ("1", _finite(int, 1), _COUNT),
     "realizations": ("1", _finite(int, 1), _COUNT),
-    "methods": ("TimeWarp", _listed(lambda name: transfer.TransferMethod.parse(name).value),
-                "method names from " + ", ".join(m.value for m in transfer.TransferMethod)),
-    "classes": ("fm1,fm100,fm1000", _listed(_one_of(*datamod.FUEL_CLASSES)),
-                "class names from " + ", ".join(datamod.FUEL_CLASSES)),
+    "methods": ("TimeWarp", _distinct(_listed(lambda m: transfer.TransferMethod.parse(m).value)),
+                "distinct names from " + ", ".join(m.value for m in transfer.TransferMethod)),
+    "classes": ("fm1,fm100,fm1000", _distinct(_listed(_one_of(*datamod.FUEL_CLASSES))),
+                "distinct names from " + ", ".join(datamod.FUEL_CLASSES)),
     "data.path": ("", _path, "a non-empty path"),
     "data.fill": ("", lambda text: text or None, "a fill mode, or empty"),
     "split.rule": ("year", _one_of("year", "fraction"), "year or fraction"),
@@ -137,7 +145,7 @@ class Config:
         values: dict[str, str] = {}
         if path:
             try:
-                text = Path(path).read_text(encoding="utf-8")
+                text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is no key
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
             for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -205,8 +205,8 @@ def adapt(method: TransferMethod, pretrained: list[nn.RnnParams | None], train: 
           val: SupervisedSeries, config: TrainConfig, seeds: list[int],
           grid: GridSpec = DEFAULT_GRID, arch: tuple[int, int, tuple[int, ...]] | None = None,
           waiting: list[np.ndarray | None] | None = None,
-          alongside: list[dict[str, SupervisedSeries]] | None = None,
-          forced_shift: BiasShift | None = None) -> list[TransferResult | TrainingDivergedError]:
+          alongside: list[dict[str, SupervisedSeries]] | None = None
+          ) -> list[TransferResult | TrainingDivergedError]:
     """Run one transfer protocol on R realizations using only training and
     validation data: realization r starts from ``pretrained[r]``, or for
     NoTransfer from a fresh init of sizes ``arch`` (input, hidden, dense)
@@ -214,11 +214,9 @@ def adapt(method: TransferMethod, pretrained: list[nn.RnnParams | None], train: 
     on its own: it picks from ``waiting[r]`` when that is a surface an
     earlier sweep left for it, and else sweeps ``train`` together with the
     series of ``alongside[r]`` over the same inputs, whose surfaces come
-    back under the same keys in its result's ``alongside``.
-    ``forced_shift`` bypasses the search, for diagnostics and contract
-    tests, and leaves no surface. The fine-tunes share one
-    :func:`fit_lockstep` call, so each realization comes back bit for bit
-    as it would alone, and one that diverges as its error.
+    back under the same keys in its result's ``alongside``. The fine-tunes
+    share one :func:`fit_lockstep` call, so each realization comes back bit
+    for bit as it would alone, and one that diverges as its error.
     """
     protocol = PROTOCOLS[method]
     if protocol.pretrained and any(net is None for net in pretrained):
@@ -233,16 +231,13 @@ def adapt(method: TransferMethod, pretrained: list[nn.RnnParams | None], train: 
                              for name in start.tensor_names()}
         shift = surface = None
         swept = {}
-        if protocol.search and forced_shift is not None:
-            shift = forced_shift
-        elif protocol.search:  # on the training observations only
+        if protocol.search:  # on the training observations only
             surface = waiting[r] if waiting else None
             if surface is None:
                 others = alongside[r] if alongside else {}
                 surface, *surfaces = sweep(start, [train, *others.values()], grid)
                 swept = dict(zip(others, surfaces))
             shift = _pick(surface)
-        if shift is not None:
             start = apply_shift(start, shift)
         results.append(TransferResult(start, shift, surface, swept))
     if not protocol.fine_tune:
@@ -254,13 +249,11 @@ def adapt(method: TransferMethod, pretrained: list[nn.RnnParams | None], train: 
 
 
 def run_method(method: TransferMethod, pretrained: nn.RnnParams | None, train: SupervisedSeries,
-               val: SupervisedSeries, config: TrainConfig, grid: GridSpec = DEFAULT_GRID,
-               arch: tuple[int, int, tuple[int, ...]] | None = None,
-               forced_shift: BiasShift | None = None) -> TransferResult:
-    """One realization of :func:`adapt`, seeded by ``config.seed``; a
-    fine-tune that diverges raises its :class:`TrainingDivergedError`."""
-    [result] = adapt(method, [pretrained], train, val, config, [config.seed], grid, arch,
-                     forced_shift=forced_shift)
+               val: SupervisedSeries, config: TrainConfig,
+               grid: GridSpec = DEFAULT_GRID) -> TransferResult:
+    """One realization of :func:`adapt` from ``pretrained``, seeded by ``config.seed``;
+    a fine-tune that diverges raises its :class:`TrainingDivergedError`."""
+    [result] = adapt(method, [pretrained], train, val, config, [config.seed], grid)
     if isinstance(result, TrainingDivergedError):
         raise result
     return result

@@ -257,7 +257,7 @@ def test_fm1000_warp_slows_and_beats_zero_shot(synthetic_transfer):
           f"alpha_f {[round(a, 2) for a in alpha_f]}")
 
 
-def test_criterion_5_method_matrix_contracts():
+def test_criterion_5_method_matrix_contracts(monkeypatch):
     t0 = time.time()
     rng = np.random.default_rng(77)
     x = rng.normal(size=(140, 3))
@@ -288,9 +288,10 @@ def test_criterion_5_method_matrix_contracts():
     full = transfer.run_method(
         transfer.TransferMethod.FULL_FINE_TUNE, pretrained, train_s, val_s, config
     )
+    # The search runs, and its pick is forced to the zero shift.
+    monkeypatch.setattr(transfer, "_pick", lambda surface: transfer.BiasShift(0.0, 0.0))
     forced = transfer.run_method(
-        transfer.TransferMethod.TIME_WARP_FINE_TUNE, pretrained, train_s, val_s, config,
-        forced_shift=transfer.BiasShift(0.0, 0.0),
+        transfer.TransferMethod.TIME_WARP_FINE_TUNE, pretrained, train_s, val_s, config
     )
     for name, arr in full.params.tensors().items():
         assert np.array_equal(arr, forced.params.tensors()[name]), name

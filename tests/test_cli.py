@@ -67,6 +67,15 @@ def test_config_file_and_overrides(tmp_path):
         cli.Config.load(str(bad))
 
 
+def test_a_config_file_that_starts_with_a_utf8_bom_loads(tmp_path, monkeypatch):
+    cfg_path, _, dataset = write_cfg(tmp_path)
+    bom = tmp_path / "bom.cfg"
+    bom.write_text("\ufeff" + cfg_path.read_text().lstrip(), encoding="utf-8")
+    assert cli.Config.load(str(bom)).values == cli.Config.load(str(cfg_path)).values
+    assert run_main(monkeypatch, "synth", "--config", str(bom)) == 0
+    assert dataset.exists()
+
+
 def test_synth_deterministic_and_sized(tmp_path):
     cfg_path, _, dataset = write_cfg(tmp_path, synth__n_days=30)
     cfg = cli.Config.load(str(cfg_path))
@@ -1125,6 +1134,21 @@ def test_a_bad_method_in_the_list_exits_before_any_method_runs(tmp_path, monkeyp
     cli.cmd_pretrain(cfg)
     assert run_main(monkeypatch, "transfer", "--config", str(cfg_path), "--class", "fm1") == 2
     assert "'methods'" in capsys.readouterr().err
+    assert not (out / "transfer").exists()
+
+
+@pytest.mark.parametrize("key, value, flag", [
+    ("methods", "TimeWarp,timewarp", ("--class", "fm1")),
+    ("classes", "fm1,fm1", ("--method", "TimeWarp")),
+])
+def test_a_name_repeated_in_the_list_exits_before_any_method_runs(tmp_path, monkeypatch, capsys,
+                                                                  key, value, flag):
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, grid__n_per_axis=5, **{key: value})
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    assert run_main(monkeypatch, "transfer", "--config", str(cfg_path), *flag) == 2
+    assert f"'{key}' must be distinct" in capsys.readouterr().err
     assert not (out / "transfer").exists()
 
 

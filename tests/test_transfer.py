@@ -193,11 +193,12 @@ def test_run_method_requires_pretrained():
 
 def test_run_method_no_transfer_ignores_pretrained_weights():
     train_s, val_s = tiny_task(1)
-    fresh = transfer.run_method(
-        TransferMethod.NO_TRANSFER, None, train_s, val_s, CFG, arch=(3, 4, (4, 3))
+    [fresh] = transfer.adapt(
+        TransferMethod.NO_TRANSFER, [None], train_s, val_s, CFG, [CFG.seed], arch=(3, 4, (4, 3))
     )
-    seeded_same = transfer.run_method(
-        TransferMethod.NO_TRANSFER, small_net(99), train_s, val_s, CFG, arch=(3, 4, (4, 3))
+    [seeded_same] = transfer.adapt(
+        TransferMethod.NO_TRANSFER, [small_net(99)], train_s, val_s, CFG, [CFG.seed],
+        arch=(3, 4, (4, 3))
     )
     for name, arr in fresh.params.tensors().items():
         assert_array_equal(arr, seeded_same.params.tensors()[name])
@@ -255,17 +256,16 @@ def test_run_method_time_warp_touches_only_gate_biases():
     assert_array_equal(result.surface, grid_search(pretrained, train_s)[1])
 
 
-def test_run_method_warp_finetune_equals_full_finetune_at_zero_shift():
+def test_run_method_warp_finetune_equals_full_finetune_at_zero_shift(monkeypatch):
     train_s, val_s = tiny_task(4)
     pretrained = small_net(4)
     full = transfer.run_method(TransferMethod.FULL_FINE_TUNE, pretrained, train_s, val_s, CFG)
+    monkeypatch.setattr(transfer, "_pick", lambda surface: BiasShift(0.0, 0.0))
     forced = transfer.run_method(
-        TransferMethod.TIME_WARP_FINE_TUNE, pretrained, train_s, val_s, CFG,
-        forced_shift=BiasShift(0.0, 0.0),
+        TransferMethod.TIME_WARP_FINE_TUNE, pretrained, train_s, val_s, CFG
     )
     for name, arr in full.params.tensors().items():
         assert_array_equal(arr, forced.params.tensors()[name])
-    assert forced.surface is None
 
 
 def test_run_method_warp_finetune_composes_search_shift_and_fit():
@@ -288,16 +288,20 @@ ARCH = (3, 4, (4, 3))  # of small_net, for NoTransfer's fresh starts
 
 
 def adapt_and_run_method(method, nets, train_s, val_s, cfg, seeds, grid=transfer.DEFAULT_GRID):
-    """``adapt`` over ``nets`` in one stack, and ``run_method`` on each alone;
+    """``adapt`` over ``nets`` in one stack, and ``run_method`` on each alone
+    (for NoTransfer, whose fresh start needs ``ARCH``, ``adapt`` on each alone);
     assert that every realization's outcome is its solo one bit for bit (a
     diverged one in its message and ``last_good``), and return the outcomes."""
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = transfer.adapt(method, nets, train_s, val_s, cfg, seeds, grid, ARCH)
         solo = []
         for net, seed in zip(nets, seeds):
+            one = replace(cfg, seed=seed)
             try:
-                solo.append(transfer.run_method(method, net, train_s, val_s,
-                                                replace(cfg, seed=seed), grid, ARCH))
+                solo.append(transfer.run_method(method, net, train_s, val_s, one, grid)
+                            if transfer.PROTOCOLS[method].pretrained else
+                            transfer.adapt(method, [net], train_s, val_s, one, [seed], grid,
+                                           ARCH)[0])
             except TrainingDivergedError as exc:
                 solo.append(exc)
     assert len(stacked) == len(nets)
