@@ -358,6 +358,14 @@ def _map(fn, tasks, jobs: int) -> list:
         return list(pool.map(fn, *zip(*tasks)))
 
 
+def _starts(cfg: Config, seeds) -> list[nn.RnnParams]:
+    """A fresh network of the configured sizes drawn from each seed: the
+    start of pretrain or NoTransfer realization k, whose seed is ``seed + k``."""
+    sizes = (datamod.N_FEATURES, cfg.get("arch.hidden_size"), cfg.get("arch.dense_sizes"))
+    return [nn.init_params(*sizes, rng=train.substream(seed, train.STREAM_INIT))
+            for seed in seeds]
+
+
 def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     """Train per-realization source-task checkpoints plus manifest, and keep
     the parse of the dataset they trained on. The kept file is written
@@ -369,19 +377,21 @@ def cmd_pretrain(cfg: Config, jobs: int | None = None) -> Path:
     parts = split_dataset(cfg, *dataset)
     source_class = cfg.get("source.class")
     normalizer, scaler = fit_scalers(parts, source_class)
-    series = [build_series(part, normalizer, source_class, scaler)
-              for part in (parts.train, parts.val)]
-    arch = (datamod.N_FEATURES, cfg.get("arch.hidden_size"), cfg.get("arch.dense_sizes"))
+    train_s, val_s = (build_series(part, normalizer, source_class, scaler)
+                      for part in (parts.train, parts.val))
     config = cfg.train_config()
     seeds = [config.seed + k for k in range(cfg.get("realizations"))]
-    tasks = [(*arch, *series, replace(config, seed=chunk[0]), len(chunk))
-             for chunk in _chunks(seeds, jobs)]
     with stage_dir(cfg, "dataset") as kept_dir:
         datamod.keep_dataset(kept_dir / kept.name, *dataset)
         del dataset
+        members = [(start, *train.subsample_validation(val_s, seed), seed)
+                   for start, seed in zip(_starts(cfg, seeds), seeds)]
+        tasks = [(starts, train_s, vals, config, chunk_seeds, selections)
+                 for starts, vals, selections, chunk_seeds in
+                 (map(list, zip(*chunk)) for chunk in _chunks(members, jobs))]
         results = []
         for k, real in enumerate(itertools.chain.from_iterable(
-                _map(train.replicate, tasks, jobs))):
+                _map(train.fit_lockstep, tasks, jobs))):
             if isinstance(real, TrainingDivergedError):
                 print(f"realization {k}: {real}", file=sys.stderr)
                 results.append(("diverged", real.last_good))
@@ -437,7 +447,7 @@ _WAITING: dict[str, np.ndarray] = {}
 
 def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | None = None,
                  parts: datamod.Split | None = None) -> Path:
-    """Adapt every pretrained realization that trained to a target fuel class.
+    """Adapt each pretrained realization that trained (NoTransfer: a fresh one) to a class.
 
     Each checkpoint is read once. Consecutive realizations that share a
     ``_lockstep_key`` and target scaler share their series and are cut into
@@ -463,17 +473,19 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     parts = split_dataset(cfg, *load_dataset(cfg)) if parts is None else parts
     config = cfg.train_config()
     grid = cfg.grid_spec()
-    arch = (datamod.N_FEATURES, cfg.get("arch.hidden_size"), cfg.get("arch.dense_sizes"))
     others = [cls for cls in cfg.get("classes") if protocol.search and cls != fuel_class
               and len(parts.train.observations.get(cls, ())) > 0]
 
-    # (k, pretrained params, normalizer, target scaler) per realization.
-    sources = ([(k, *load_checkpoint(path)) for k, path in ckpts] if protocol.pretrained
-               else [(k, None, *scalers) for k, scalers in
-                     enumerate([fit_scalers(parts, fuel_class)] * cfg.get("realizations"))])
+    # (k, start, normalizer, target scaler) per realization.
+    if protocol.pretrained:
+        sources = [(k, *load_checkpoint(path)) for k, path in ckpts]
+    else:
+        scalers = fit_scalers(parts, fuel_class)
+        sources = [(k, start, *scalers) for k, start in enumerate(
+            _starts(cfg, range(config.seed, config.seed + cfg.get("realizations"))))]
     tasks = []
-    for _, run in itertools.groupby(sources, key=lambda src: (
-            protocol.pretrained and _lockstep_key(*src[1:3]), src[3].to_dict())):
+    for _, run in itertools.groupby(sources, key=lambda src: (_lockstep_key(*src[1:3]),
+                                                              src[3].to_dict())):
         run = list(run)
         _, _, normalizer, scaler = run[0]
         series = [build_series(part, normalizer, fuel_class, scaler)
@@ -484,7 +496,7 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
             waiting = [_WAITING.pop(transfer.search_key(src[1], series[0], grid), None)
                        if protocol.search else None for src in chunk]
             tasks.append((method, [src[1] for src in chunk], *series, config,
-                          [config.seed + src[0] for src in chunk], grid, arch, waiting,
+                          [config.seed + src[0] for src in chunk], grid, waiting,
                           [{} if surface is not None else {
                               key: s for s in alongside
                               if (key := transfer.search_key(src[1], s, grid)) not in _WAITING}
@@ -623,17 +635,24 @@ def cmd_report(cfg: Config) -> str:
     ))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # main prints it as one error line and exits 2
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fmwarp",
         description="Time-warping transfer learning pipeline for fuel-moisture RNNs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("synth", "pretrain", "transfer", "evaluate", "report"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name)  # a _Parser too
         p.add_argument("--config", default=None, help="flat dotted-key config file")
-        p.add_argument("--seed", type=int, default=None, help="root seed override")
-        p.add_argument("--jobs", type=int, default=None, help="realization-level parallelism")
+        if name in ("synth", "pretrain", "transfer"):
+            p.add_argument("--seed", type=int, default=None, help="root seed override")
+        if name in ("pretrain", "transfer"):
+            p.add_argument("--jobs", type=int, default=None, help="realization-level parallelism")
         p.add_argument("--out", default=None, help="sets the out key (data.path for synth)")
         if name in ("transfer", "evaluate"):
             p.add_argument("--method", default=None, help="transfer method name")
@@ -648,7 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     out_key = "data.path" if args.command == "synth" else "out"
-    overrides = {"seed": args.seed, "jobs": args.jobs, out_key: args.out}
+    overrides = {"seed": getattr(args, "seed", None), "jobs": getattr(args, "jobs", None),
+                 out_key: args.out}
     if args.command == "transfer":
         overrides["classes"] = args.fuel_class
     cfg = Config.load(args.config, overrides)

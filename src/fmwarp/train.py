@@ -1,4 +1,4 @@
-"""Training: masked loss, backpropagation through time, Adam, replication.
+"""Training: masked loss, backpropagation through time, Adam.
 
 Training runs truncated backpropagation through time over non-overlapping
 fixed-length segments of a single long series. The hidden state at each
@@ -37,7 +37,8 @@ divergence verdict.
 
 All randomness flows from integer seeds through named substreams
 (init / shuffle / valsplit), so a realization is a pure function of
-(seed, data, config).
+(seed, data, config). The trainer trains the starts it is given; the
+stages draw every fresh one from its seed's init substream (``cli._starts``).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ STREAM_INIT = 0x1A17
 STREAM_SHUFFLE = 0x5F1E
 STREAM_VALSPLIT = 0x7A15
 
-# Fraction of validation observations each replicated realization keeps.
+# Fraction of validation observations each pretrain realization keeps.
 VAL_KEEP_FRACTION = 0.9
 
 
@@ -555,34 +556,6 @@ def subsample_validation(val: SupervisedSeries, seed: int) -> tuple[SupervisedSe
     mask[keep] = 1.0
     sub = SupervisedSeries(inputs=val.inputs, targets=val.targets, mask=mask)
     return sub, f"val-keep{n_keep}of{idx.size}-seed{seed}"
-
-
-def replicate(
-    input_size: int,
-    hidden_size: int,
-    dense_sizes: tuple[int, int],
-    train: SupervisedSeries,
-    val: SupervisedSeries,
-    base_config: TrainConfig,
-    n: int,
-) -> list[Realization | TrainingDivergedError]:
-    """Train n independently seeded realizations (seeds seed0 .. seed0+n-1)
-    in lockstep.
-
-    Realization k draws every factor from seed ``seed0 + k``: its initial
-    weights, its segment order and its random subset of the validation
-    observations. One that diverges comes back as its
-    :class:`TrainingDivergedError`, carrying its last good snapshot.
-    """
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    seeds = [base_config.seed + k for k in range(n)]
-    params = [
-        nn.init_params(input_size, hidden_size, dense_sizes, rng=substream(seed, STREAM_INIT))
-        for seed in seeds
-    ]
-    vals, selections = zip(*(subsample_validation(val, seed) for seed in seeds))
-    return fit_lockstep(params, train, list(vals), base_config, seeds, list(selections))
 
 
 def write_history_csv(history: list[tuple[int, float, float]], path) -> None:

@@ -12,8 +12,10 @@ over the same inputs and returns each one's surface.
 Six protocols are supported, one row each of :data:`PROTOCOLS`: its
 start, its frozen tensors, whether it searches a shift and whether it
 fine-tunes. :func:`adapt` runs one on a stack of realizations in
-lockstep. No protocol ever sees the test partition: the interface takes
-only the training and validation series.
+lockstep, each from the start it is given: a pretrained checkpoint, or
+the fresh network the stage draws (``cli._starts``). No protocol ever
+sees the test partition: the interface takes only the training and
+validation series.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fmwarp import data as datamod
 from fmwarp import nn
 from fmwarp.errors import (ConfigError, InvalidInputError, SearchFailedError,
                            TrainingDivergedError)
-from fmwarp.train import STREAM_INIT, SupervisedSeries, TrainConfig, fit_lockstep, substream
+from fmwarp.train import SupervisedSeries, TrainConfig, fit_lockstep
 
 
 @dataclass(frozen=True)
@@ -201,32 +203,28 @@ class TransferResult:
     alongside: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adapt(method: TransferMethod, pretrained: list[nn.RnnParams | None], train: SupervisedSeries,
+def adapt(method: TransferMethod, starts: list[nn.RnnParams | None], train: SupervisedSeries,
           val: SupervisedSeries, config: TrainConfig, seeds: list[int],
-          grid: GridSpec = DEFAULT_GRID, arch: tuple[int, int, tuple[int, ...]] | None = None,
-          waiting: list[np.ndarray | None] | None = None,
+          grid: GridSpec = DEFAULT_GRID, waiting: list[np.ndarray | None] | None = None,
           alongside: list[dict[str, SupervisedSeries]] | None = None
           ) -> list[TransferResult | TrainingDivergedError]:
     """Run one transfer protocol on R realizations using only training and
-    validation data: realization r starts from ``pretrained[r]``, or for
-    NoTransfer from a fresh init of sizes ``arch`` (input, hidden, dense)
-    drawn from ``seeds[r]``, which also orders its segments. Each searches
-    on its own: it picks from ``waiting[r]`` when that is a surface an
-    earlier sweep left for it, and else sweeps ``train`` together with the
-    series of ``alongside[r]`` over the same inputs, whose surfaces come
-    back under the same keys in its result's ``alongside``. The fine-tunes
+    validation data: realization r adapts a copy of ``starts[r]``, and
+    ``seeds[r]`` orders its segments; a ``None`` start is a
+    :class:`ConfigError`. Each searches on its own: it picks from
+    ``waiting[r]`` when that is a surface an earlier sweep left for it, and
+    else sweeps ``train`` together with the series of ``alongside[r]`` over
+    the same inputs, whose surfaces come back under the same keys in its
+    result's ``alongside``. The fine-tunes
     share one :func:`fit_lockstep` call, so each realization comes back bit
     for bit as it would alone, and one that diverges as its error.
     """
     protocol = PROTOCOLS[method]
-    if protocol.pretrained and any(net is None for net in pretrained):
-        raise ConfigError(f"{method.value} requires a pretrained model")
-    if not protocol.pretrained and arch is None:
-        raise ConfigError(f"{method.value} needs the arch sizes of its fresh start")
+    if any(start is None for start in starts):
+        raise ConfigError(f"{method.value} requires a start network")
     results = []
-    for r, (net, seed) in enumerate(zip(pretrained, seeds, strict=True)):
-        start = (net.copy() if protocol.pretrained
-                 else nn.init_params(*arch, rng=substream(seed, STREAM_INIT)))
+    for r, (start, _) in enumerate(zip(starts, seeds, strict=True)):
+        start = start.copy()
         start.freeze_mask = {name: protocol.frozen is not None and name.startswith(protocol.frozen)
                              for name in start.tensor_names()}
         shift = surface = None

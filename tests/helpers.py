@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from fmwarp import train, transfer
+from fmwarp import nn, train, transfer
 from fmwarp.errors import InvalidInputError, TrainingDivergedError
 from fmwarp.timelag import TimeLagParams
 
@@ -59,3 +59,15 @@ def fit(params, train_series, val, config, val_selection_id="full"):
     if isinstance(outcome, TrainingDivergedError):
         raise outcome
     return outcome
+
+
+def replicate(input_size, hidden_size, dense_sizes, train_series, val, config, n):
+    """``n`` realizations seeded ``config.seed`` .. ``config.seed + n - 1``
+    in one ``train.fit_lockstep`` call, as one worker of ``fmwarp pretrain``
+    trains them: realization k draws its fresh start, its segment order and
+    its subset of the validation observations from seed ``config.seed + k``."""
+    seeds = [config.seed + k for k in range(n)]
+    starts = [nn.init_params(input_size, hidden_size, dense_sizes,
+                             rng=train.substream(seed, train.STREAM_INIT)) for seed in seeds]
+    vals, selections = zip(*(train.subsample_validation(val, seed) for seed in seeds))
+    return train.fit_lockstep(starts, train_series, list(vals), config, seeds, list(selections))

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from fmwarp import data, evaluation, nn, timelag, train, transfer
-from helpers import WarpFactor, from_retention, grid_search, warp
+from helpers import WarpFactor, from_retention, grid_search, replicate, warp
 
 
 def report(criterion, detail):
@@ -169,7 +169,7 @@ def synthetic_transfer():
     config = train.TrainConfig(
         learning_rate=0.01, batch_length=72, max_epochs=150, patience=25, seed=500
     )
-    realizations = train.replicate(
+    realizations = replicate(
         2, FIXTURE_HIDDEN, (16, 8),
         series(parts.train, "fm10"), series(parts.val, "fm10"),
         config, n=FIXTURE_REALIZATIONS,

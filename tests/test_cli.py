@@ -191,7 +191,7 @@ def test_transfer_timewarp_touches_only_bias_entries(tmp_path):
     assert len(shifts) == 3
 
 
-def test_transfer_no_transfer_ignores_checkpoints(tmp_path):
+def test_transfer_no_transfer_ignores_checkpoints(tmp_path, monkeypatch):
     cfg_path, out, _ = write_cfg(tmp_path, realizations=1)
     cfg = cli.Config.load(str(cfg_path))
     cli.cmd_synth(cfg)
@@ -200,6 +200,16 @@ def test_transfer_no_transfer_ignores_checkpoints(tmp_path):
     assert len(sorted(tdir.glob("ckpt_*.json"))) == 1
     with pytest.raises(ConfigError):
         cli.cmd_transfer(cfg, "FullFineTune", "fm100")
+    # Corrupt checkpoints under pretrain/, which a pretrained method reads
+    # and refuses: NoTransfer reads none of them and writes the same bytes.
+    fresh = snapshot(tdir)
+    (out / "pretrain").mkdir()
+    (out / "pretrain" / "ckpt_0000.json").write_text("{not json")
+    (out / "pretrain" / "manifest.json").write_text("{not json")
+    args = ("transfer", "--config", str(cfg_path), "--class", "fm100", "--method")
+    assert run_main(monkeypatch, *args, "FullFineTune") == 3
+    assert run_main(monkeypatch, *args, "NoTransfer") == 0
+    assert snapshot(tdir) == fresh
 
 
 def test_evaluate_report_schema_and_filters(tmp_path):
@@ -315,6 +325,22 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 5
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["pretrain", "--bogus"], ["pretrain", "--jobs", "two"],
+    ["evaluate", "--filter", "none"],
+    # Each stage takes only the flags it reads.
+    ["synth", "--jobs", "2"], ["evaluate", "--jobs", "2"], ["report", "--jobs", "2"],
+    ["evaluate", "--seed", "1"], ["report", "--seed", "1"],
+])
+def test_a_command_line_the_parser_refuses_exits_2_with_one_error_line(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_main(monkeypatch, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not any(tmp_path.iterdir())
 
 
 def drop_observations(cfg, dataset, fuel_class, partition):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 from fmwarp import data, nn, timelag, train, transfer  # noqa: E402
 from fmwarp.errors import (InvalidInputError, ParseError, SearchFailedError,  # noqa: E402
                            SplitError)
-from helpers import WarpFactor, fit, grid_search, warp  # noqa: E402
+from helpers import WarpFactor, fit, grid_search, replicate, warp  # noqa: E402
 
 
 @settings(max_examples=20, deadline=None)
@@ -41,7 +41,7 @@ def test_replicate_equals_solo_fits_bitwise(n, length, batch_length, hidden, epo
     val_s = train.SupervisedSeries(x[length:], y[length:], mask[length:])
     config = train.TrainConfig(learning_rate=0.05, batch_length=batch_length,
                                max_epochs=epochs, patience=1, seed=seed, shuffle=shuffle)
-    lockstep = train.replicate(2, hidden, (3, 2), train_s, val_s, config, n=n)
+    lockstep = replicate(2, hidden, (3, 2), train_s, val_s, config, n=n)
     for k, real in enumerate(lockstep):
         config_k = replace(config, seed=seed + k)
         params = nn.init_params(2, hidden, (3, 2), rng=train.substream(config_k.seed,

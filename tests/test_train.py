@@ -11,7 +11,7 @@ from numpy.testing import assert_array_equal
 
 from fmwarp import data, nn, train, transfer
 from fmwarp.errors import DegenerateMaskError, InvalidInputError, TrainingDivergedError
-from helpers import fit
+from helpers import fit, replicate
 
 
 def random_params(seed, input_size=3, hidden=2, dense=(3, 2), jitter=0.3):
@@ -810,8 +810,8 @@ def test_lockstep_training_matches_plain_reference_loop(shuffle):
 def test_replicate_determinism_and_seed_range():
     train_s, val_s = identity_task(seed=13, T=120)
     cfg = train.TrainConfig(learning_rate=0.03, batch_length=30, max_epochs=4, patience=4, seed=10)
-    a = train.replicate(3, 3, (3, 2), train_s, val_s, cfg, n=2)
-    b = train.replicate(3, 3, (3, 2), train_s, val_s, cfg, n=2)
+    a = replicate(3, 3, (3, 2), train_s, val_s, cfg, n=2)
+    b = replicate(3, 3, (3, 2), train_s, val_s, cfg, n=2)
     assert [r.seed for r in a] == [10, 11]
     for ra, rb in zip(a, b):
         for name, arr in ra.trained.tensors().items():
@@ -821,7 +821,7 @@ def test_replicate_determinism_and_seed_range():
 def test_replicate_varies_initial_weights():
     train_s, val_s = identity_task(seed=14, T=120)
     cfg = train.TrainConfig(learning_rate=0.03, batch_length=30, max_epochs=2, patience=2, seed=20)
-    reals = train.replicate(3, 3, (3, 2), train_s, val_s, cfg, n=2)
+    reals = replicate(3, 3, (3, 2), train_s, val_s, cfg, n=2)
     diff = any(
         not np.array_equal(reals[0].trained.tensors()[k], reals[1].trained.tensors()[k])
         for k in reals[0].trained.tensors()
@@ -832,7 +832,7 @@ def test_replicate_varies_initial_weights():
 def test_replicate_valsplit_selection_recorded():
     train_s, val_s = identity_task(seed=15, T=120)
     cfg = train.TrainConfig(learning_rate=0.03, batch_length=30, max_epochs=2, patience=2, seed=30)
-    reals = train.replicate(3, 3, (3, 2), train_s, val_s, cfg, n=2)
+    reals = replicate(3, 3, (3, 2), train_s, val_s, cfg, n=2)
     assert all(r.validation_selection.startswith("val-keep") for r in reals)
 
 
@@ -840,7 +840,7 @@ def test_replicate_reporting_mean_std():
     # mean +- standard deviation across realizations, the reporting convention.
     train_s, val_s = identity_task(seed=16, T=120)
     cfg = train.TrainConfig(learning_rate=0.03, batch_length=30, max_epochs=3, patience=3, seed=0)
-    reals = train.replicate(3, 3, (3, 2), train_s, val_s, cfg, n=3)
+    reals = replicate(3, 3, (3, 2), train_s, val_s, cfg, n=3)
     finals = np.array([r.history[-1][2] for r in reals])
     assert np.isfinite(finals.mean()) and np.isfinite(finals.std(ddof=1))
 

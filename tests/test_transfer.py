@@ -191,19 +191,6 @@ def test_run_method_requires_pretrained():
         transfer.run_method(TransferMethod.FULL_FINE_TUNE, None, train_s, val_s, CFG)
 
 
-def test_run_method_no_transfer_ignores_pretrained_weights():
-    train_s, val_s = tiny_task(1)
-    [fresh] = transfer.adapt(
-        TransferMethod.NO_TRANSFER, [None], train_s, val_s, CFG, [CFG.seed], arch=(3, 4, (4, 3))
-    )
-    [seeded_same] = transfer.adapt(
-        TransferMethod.NO_TRANSFER, [small_net(99)], train_s, val_s, CFG, [CFG.seed],
-        arch=(3, 4, (4, 3))
-    )
-    for name, arr in fresh.params.tensors().items():
-        assert_array_equal(arr, seeded_same.params.tensors()[name])
-
-
 def test_run_method_freeze_recurrent_keeps_lstm_bitwise():
     train_s, val_s = tiny_task(2)
     pretrained = small_net(2)
@@ -284,24 +271,17 @@ def test_run_method_warp_finetune_composes_search_shift_and_fit():
         assert_array_equal(result.params.tensors()[name], arr)
 
 
-ARCH = (3, 4, (4, 3))  # of small_net, for NoTransfer's fresh starts
-
-
 def adapt_and_run_method(method, nets, train_s, val_s, cfg, seeds, grid=transfer.DEFAULT_GRID):
-    """``adapt`` over ``nets`` in one stack, and ``run_method`` on each alone
-    (for NoTransfer, whose fresh start needs ``ARCH``, ``adapt`` on each alone);
+    """``adapt`` over ``nets`` in one stack, and ``run_method`` on each alone;
     assert that every realization's outcome is its solo one bit for bit (a
     diverged one in its message and ``last_good``), and return the outcomes."""
     with np.errstate(over="ignore", invalid="ignore"):
-        stacked = transfer.adapt(method, nets, train_s, val_s, cfg, seeds, grid, ARCH)
+        stacked = transfer.adapt(method, nets, train_s, val_s, cfg, seeds, grid)
         solo = []
         for net, seed in zip(nets, seeds):
             one = replace(cfg, seed=seed)
             try:
-                solo.append(transfer.run_method(method, net, train_s, val_s, one, grid)
-                            if transfer.PROTOCOLS[method].pretrained else
-                            transfer.adapt(method, [net], train_s, val_s, one, [seed], grid,
-                                           ARCH)[0])
+                solo.append(transfer.run_method(method, net, train_s, val_s, one, grid))
             except TrainingDivergedError as exc:
                 solo.append(exc)
     assert len(stacked) == len(nets)
