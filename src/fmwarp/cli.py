@@ -53,7 +53,7 @@ def _finite(kind, low=-math.inf):
 def _listed(parse, count: int | None = None):
     """A parser of comma-separated items that refuses no items, or not ``count``."""
     def parse_list(text: str) -> tuple:
-        items = tuple(parse(item) for item in text.split(",") if item.strip())
+        items = tuple(parse(item.strip()) for item in text.split(",") if item.strip())
         if not items or count not in (None, len(items)):
             raise ValueError(text)
         return items
@@ -82,6 +82,8 @@ def _path(text: str) -> Path:
     return Path(text)
 
 
+# A "#" at the start of a line or after whitespace starts a comment; inside a value it is text.
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _INT, _COUNT, _NUMBER = "an integer", "an integer >= 1", "a number"
 
@@ -149,7 +151,7 @@ class Config:
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
             for lineno, raw in enumerate(text.splitlines(), start=1):
-                line = raw.split("#", 1)[0].strip()
+                line = _COMMENT.sub("", raw).strip()
                 if not line:
                     continue
                 if "=" not in line:

@@ -27,6 +27,13 @@ the last block; on any error it removes the temporary file and leaves
 the target as it was. The dataset writer formats each block a column at
 a time, from arrays and observed masks.
 
+The weather is one float64 matrix, a row per column of ``WEATHER_COLUMNS``
+and a column per hour, as the parse, the kept table and the synthesis
+make it; a split slices it once per partition and the writers take it
+whole. Only :class:`Normalizer` stacks rows of it again, into a C-ordered
+(hours, columns) copy, since a mean over a transposed view of the matrix
+may differ from that in the last bits.
+
 A parse can be kept: :func:`keep_dataset` writes a frame and its series
 as one ``np.save`` array, under a key that :func:`kept_path` takes from
 the dataset's bytes, and :func:`load_csv` reads that array in place of
@@ -97,27 +104,25 @@ RAIN_SATURATION_MMH = 5.0
 
 @dataclass(frozen=True)
 class WeatherFrame:
-    """Hourly predictor matrix with UTC timestamps (strictly increasing, 1 h apart)."""
+    """Hourly predictors with UTC timestamps (strictly increasing, 1 h apart).
+
+    ``values`` is the one float64 matrix of the weather, a row per column
+    of ``WEATHER_COLUMNS`` in that order and a column per hour. Each column
+    reads by name, ``frame.rain`` and the rest, as a view of its row.
+    :class:`Normalizer` stacks its rows into a C-ordered copy, not a view,
+    so that its mean and std keep their bits whatever layout ``values`` has.
+    """
 
     times: np.ndarray  # datetime64[s]
-    drying_eq: np.ndarray
-    wetting_eq: np.ndarray
-    solar: np.ndarray
-    wind: np.ndarray
-    rain: np.ndarray
-    hour: np.ndarray
-    doy: np.ndarray
-    elevation: np.ndarray
-    lon: np.ndarray
-    lat: np.ndarray
+    values: np.ndarray  # float64, (len(WEATHER_COLUMNS), hours)
 
     def __post_init__(self):
         n = self.times.size
         if n == 0:
             raise InvalidInputError("weather frame must be non-empty")
-        for name in WEATHER_COLUMNS:
-            if getattr(self, name).shape != (n,):
-                raise InvalidInputError(f"column {name} length mismatch")
+        if self.values.shape != (len(WEATHER_COLUMNS), n):
+            raise InvalidInputError(f"weather values must have shape "
+                                    f"({len(WEATHER_COLUMNS)}, {n}), got {self.values.shape}")
         deltas = np.diff(self.times)
         if n > 1 and not (deltas == HOUR).all():
             raise InvalidInputError("timestamps must be strictly increasing with 1-hour spacing")
@@ -126,17 +131,13 @@ class WeatherFrame:
         if ((self.hour < 0) | (self.hour > 23)).any():
             raise InvalidInputError("hour_of_day must lie in [0, 23]")
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in WEATHER_COLUMNS:
+            raise AttributeError(f"'WeatherFrame' object has no attribute {name!r}")
+        return self.values[WEATHER_COLUMNS.index(name)]
+
     def __len__(self) -> int:
         return self.times.size
-
-    def columns(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in WEATHER_COLUMNS}
-
-    def slice(self, mask: np.ndarray) -> "WeatherFrame":
-        return WeatherFrame(
-            times=self.times[mask],
-            **{name: getattr(self, name)[mask] for name in WEATHER_COLUMNS},
-        )
 
 
 @dataclass(frozen=True)
@@ -261,9 +262,9 @@ def load_csv(path, fill: str | None = None,
         hourly = times[0] + np.arange(weather.shape[1]) * HOUR
         filled = ~np.isin(hourly, times)
         weather[WEATHER_COLUMNS.index("hour"), filled] = _calendar_columns(hourly[filled])[0]
-    frame = WeatherFrame(times=hourly, **dict(zip(WEATHER_COLUMNS, weather)))
-    return frame, [FmcSeries(cls, times[observed[c]], fmc[c, observed[c]])
-                   for c, cls in enumerate(FUEL_CLASSES) if observed[c].any()]
+    return WeatherFrame(hourly, weather), [
+        FmcSeries(cls, times[observed[c]], fmc[c, observed[c]])
+        for c, cls in enumerate(FUEL_CLASSES) if observed[c].any()]
 
 
 def _key_digest(fill: str | None):
@@ -289,15 +290,15 @@ def keep_dataset(path, frame: WeatherFrame, series: list[FmcSeries]) -> None:
     """Write a parse of :func:`load_csv` to ``path`` as ``np.save`` writes one
     column-major float64 array, a row per hour of ``frame``: the time in
     seconds, the weather columns, then a column per fuel class, nan where it
-    is unobserved. It goes a column at a time, so no whole table is made."""
+    is unobserved. The times, the weather matrix and each class's column
+    are written in turn, so no whole table is made."""
     n = len(frame)
     observed = {s.fuel_class: s for s in series}
     with open(path, "wb") as f:
         np.lib.format.write_array_header_1_0(
             f, {"descr": "<f8", "fortran_order": True, "shape": (n, len(CSV_HEADER))})
         f.write(frame.times.astype("datetime64[s]").astype("<i8").astype("<f8"))
-        for column in frame.columns().values():
-            f.write(np.ascontiguousarray(column, "<f8"))
+        f.write(np.ascontiguousarray(frame.values, "<f8"))
         for cls in FUEL_CLASSES:
             column = np.full(n, np.nan, "<f8")
             if cls in observed:
@@ -307,7 +308,7 @@ def keep_dataset(path, frame: WeatherFrame, series: list[FmcSeries]) -> None:
 
 def _read_kept(path) -> tuple[WeatherFrame, list[FmcSeries]] | None:
     """The frame and series that :func:`keep_dataset` wrote at ``path``, bit
-    for bit as parsed, each column a view of the table; ``None`` when
+    for bit as parsed, the weather matrix a view of the table; ``None`` when
     ``path`` is missing or is not such a table."""
     try:
         with open(path, "rb") as f:
@@ -323,10 +324,9 @@ def _read_kept(path) -> tuple[WeatherFrame, list[FmcSeries]] | None:
     fm = table[:, 1 + n_weather :]
     observed = ~np.isnan(fm)
     try:
-        frame = WeatherFrame(times=times,
-                             **dict(zip(WEATHER_COLUMNS, table[:, 1 : 1 + n_weather].T)))
-        return frame, [FmcSeries(cls, times[observed[:, c]], fm[observed[:, c], c])
-                       for c, cls in enumerate(FUEL_CLASSES) if observed[:, c].any()]
+        return WeatherFrame(times, table[:, 1 : 1 + n_weather].T), [
+            FmcSeries(cls, times[observed[:, c]], fm[observed[:, c], c])
+            for c, cls in enumerate(FUEL_CLASSES) if observed[:, c].any()]
     except InvalidInputError:
         return None
 
@@ -513,7 +513,7 @@ def write_csv(path, frame: WeatherFrame, series: list[FmcSeries]) -> None:
     n_weather = len(WEATHER_COLUMNS)
     values = np.full((len(CSV_HEADER) - 1, len(frame)), np.nan)
     observed = np.zeros(values.shape, dtype=bool)
-    values[:n_weather], observed[:n_weather] = list(frame.columns().values()), True
+    values[:n_weather], observed[:n_weather] = frame.values, True
     for s in series:  # a later series of a class replaces the earlier one
         c = n_weather + FUEL_CLASSES.index(s.fuel_class)
         rows = np.minimum(np.searchsorted(frame.times, s.times), len(frame) - 1)
@@ -578,7 +578,8 @@ def split(frame: WeatherFrame, series: list[FmcSeries], spec: SplitSpec) -> Spli
             s.fuel_class: FmcSeries(s.fuel_class, s.times[sel[name]], s.values[sel[name]])
             for s, sel in obs_masks
         }
-        parts[name] = Partition(weather=frame.slice(mask), observations=obs, span=name)
+        weather = WeatherFrame(frame.times[mask], frame.values[:, mask])
+        parts[name] = Partition(weather=weather, observations=obs, span=name)
     return Split(*parts.values())
 
 
@@ -632,6 +633,7 @@ class Normalizer:
 
     @classmethod
     def fit(cls, frame: WeatherFrame) -> "Normalizer":
+        # A C-ordered copy: over a view of frame.values the mean differs in the last bits.
         raw = np.stack([getattr(frame, c) for c in cls.CONTINUOUS], axis=1)
         mean = raw.mean(axis=0)
         std = raw.std(axis=0)
@@ -798,20 +800,11 @@ def synth_weather(seed: int, n_days: int, profile: SynthProfile = SynthProfile()
         rain[s : s + duration] += intensity
     rain = np.clip(rain, 0.0, 42.17)
 
-    const = np.full(n, 1.0)
-    return WeatherFrame(
-        times=times,
-        drying_eq=drying,
-        wetting_eq=wetting,
-        solar=solar,
-        wind=wind,
-        rain=rain,
-        hour=hour,
-        doy=doy,
-        elevation=profile.elevation * const,
-        lon=profile.lon * const,
-        lat=profile.lat * const,
-    )
+    values = np.empty((len(WEATHER_COLUMNS), n))
+    for row, column in enumerate((drying, wetting, solar, wind, rain, hour, doy,
+                                  profile.elevation, profile.lon, profile.lat)):
+        values[row] = column
+    return WeatherFrame(times, values)
 
 
 def synth_targets(

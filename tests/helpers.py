@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from fmwarp import nn, train, transfer
+from fmwarp import data, nn, train, transfer
 from fmwarp.errors import InvalidInputError, TrainingDivergedError
 from fmwarp.timelag import TimeLagParams
 
@@ -71,3 +71,8 @@ def replicate(input_size, hidden_size, dense_sizes, train_series, val, config, n
                              rng=train.substream(seed, train.STREAM_INIT)) for seed in seeds]
     vals, selections = zip(*(train.subsample_validation(val, seed) for seed in seeds))
     return train.fit_lockstep(starts, train_series, list(vals), config, seeds, list(selections))
+
+
+def columns(frame) -> dict:
+    """Each weather column of ``frame`` by name, in ``data.WEATHER_COLUMNS`` order."""
+    return {name: getattr(frame, name) for name in data.WEATHER_COLUMNS}

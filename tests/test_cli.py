@@ -67,6 +67,31 @@ def test_config_file_and_overrides(tmp_path):
         cli.Config.load(str(bad))
 
 
+def test_list_keys_take_a_space_after_each_comma(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("classes = fm1, fm100\nmethods = TimeWarp, FullFineTune\n"
+                    "arch.dense_sizes = 16, 8\n")
+    cfg = cli.Config.load(str(path))
+    assert cfg.get("classes") == ("fm1", "fm100")
+    assert cfg.get("methods") == ("TimeWarp", "FullFineTune")
+    assert cfg.get("arch.dense_sizes") == (16, 8)
+
+
+def test_a_hash_starts_a_comment_only_at_line_start_or_after_whitespace(
+        tmp_path, monkeypatch, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text("out = runs/exp#2\n#seed = 5\nseed = 3  # root seed\n"
+                    "train.patience = 4\t# a tab before it\n")
+    cfg = cli.Config.load(str(path))
+    assert str(cfg.get("out")) == "runs/exp#2"
+    assert cfg.get("seed") == 3
+    assert cfg.get("train.patience") == 4
+    cfg_path, _, dataset = write_cfg(tmp_path, seed="3#x")
+    assert run_main(monkeypatch, "synth", "--config", str(cfg_path)) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not dataset.exists()
+
+
 def test_a_config_file_that_starts_with_a_utf8_bom_loads(tmp_path, monkeypatch):
     cfg_path, _, dataset = write_cfg(tmp_path)
     bom = tmp_path / "bom.cfg"

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fmwarp import data, timelag
 from fmwarp.errors import AlignmentError, InvalidInputError, ParseError, SplitError
+from helpers import columns
 
 HEADER = ",".join(data.CSV_HEADER)
 
@@ -199,7 +200,7 @@ def test_write_then_load_roundtrip(tmp_path):
 def assert_loads_equal(a, b):
     (frame_a, series_a), (frame_b, series_b) = a, b
     assert frame_a.times.tobytes() == frame_b.times.tobytes()
-    for name, column in frame_a.columns().items():
+    for name, column in columns(frame_a).items():
         assert column.tobytes() == getattr(frame_b, name).tobytes()
     assert [(s.fuel_class, s.times.tobytes(), s.values.tobytes()) for s in series_a] == [
         (s.fuel_class, s.times.tobytes(), s.values.tobytes()) for s in series_b
@@ -254,7 +255,7 @@ def test_load_csv_peak_memory_is_within_a_small_factor_of_its_result(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in [frame.times, *frame.columns().values()])
+    returned = sum(a.nbytes for a in [frame.times, *columns(frame).values()])
     returned += sum(s.times.nbytes + s.values.nbytes for s in series)
     assert peak < 2.5 * returned, (peak, returned)
 
@@ -276,8 +277,8 @@ def assert_same_arrays(a, b):
     """``assert_loads_equal``, dtypes included."""
     assert_loads_equal(a, b)
     (frame_a, series_a), (frame_b, series_b) = a, b
-    assert [c.dtype for c in (frame_a.times, *frame_a.columns().values())] == [
-        c.dtype for c in (frame_b.times, *frame_b.columns().values())]
+    assert [c.dtype for c in (frame_a.times, *columns(frame_a).values())] == [
+        c.dtype for c in (frame_b.times, *columns(frame_b).values())]
     assert [(s.times.dtype, s.values.dtype) for s in series_a] == [
         (s.times.dtype, s.values.dtype) for s in series_b]
 
@@ -310,7 +311,7 @@ def test_a_kept_dataset_reads_back_as_the_parse_bit_for_bit(tmp_path, monkeypatc
     frame, series = parsed
     table = np.full((len(frame), len(data.CSV_HEADER)), np.nan, order="F")
     table[:, 0] = frame.times.astype(np.int64)
-    for c, column in enumerate(frame.columns().values(), start=1):
+    for c, column in enumerate(columns(frame).values(), start=1):
         table[:, c] = column
     for s in series:
         table[np.isin(frame.times, s.times),
@@ -504,10 +505,35 @@ def test_synth_targets_slow_fuel_changes_less():
 def test_weather_frame_validation():
     frame = data.synth_weather(seed=1, n_days=2)
     with pytest.raises(InvalidInputError):
-        data.WeatherFrame(
-            times=frame.times[::2],  # 2-hour spacing
-            **{name: getattr(frame, name)[::2] for name in data.WEATHER_COLUMNS},
-        )
+        data.WeatherFrame(times=frame.times[::2],  # 2-hour spacing
+                          values=frame.values[:, ::2])
+
+
+def test_normalizer_bits_are_those_of_the_c_ordered_stack_for_every_frame(tmp_path,
+                                                                           monkeypatch):
+    # The checkpoints store the normalizer: its mean and std are those of the
+    # continuous columns stacked into a C-ordered (hours, 8) array, whichever
+    # producer made the frame. Over 730 days a mean over a transposed view of
+    # the weather matrix differs from that in the last bits.
+    synth = data.synth_weather(seed=1, n_days=730)
+    path = tmp_path / "d.csv"
+    data.write_csv(path, synth, [data.synth_targets(synth, tau=10.0)])
+    parsed, series = data.load_csv(path)
+    kept = data.kept_path(tmp_path, path)
+    data.keep_dataset(kept, parsed, series)
+    monkeypatch.setattr(data, "_read_blocks", None)  # read from the kept file, not parsed
+    from_kept, _ = data.load_csv(path, kept=kept)
+    monkeypatch.undo()
+    partition = data.split(parsed, series, data.default_split_spec(parsed)).train.weather
+    for frame in (parsed, from_kept, partition, synth):
+        raw = np.stack([getattr(frame, c) for c in data.Normalizer.CONTINUOUS], axis=1)
+        norm = data.Normalizer.fit(frame)
+        assert norm.mean.tobytes() == raw.mean(axis=0).tobytes()
+        varying = norm.std != 1.0  # constant columns keep a std of 1
+        assert varying.sum() == 5
+        assert norm.std[varying].tobytes() == raw.std(axis=0)[varying].tobytes()
+        z = norm.transform(frame)[:, : len(data.Normalizer.CONTINUOUS)]
+        assert z.tobytes() == ((raw - norm.mean) / norm.std).tobytes()
 
 
 def test_normalizer_train_only_and_roundtrip():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 from fmwarp import data, nn, timelag, train, transfer  # noqa: E402
 from fmwarp.errors import (InvalidInputError, ParseError, SearchFailedError,  # noqa: E402
                            SplitError)
-from helpers import WarpFactor, fit, grid_search, replicate, warp  # noqa: E402
+from helpers import WarpFactor, columns, fit, grid_search, replicate, warp  # noqa: E402
 
 
 @settings(max_examples=20, deadline=None)
@@ -323,7 +323,7 @@ def test_write_csv_load_csv_round_trip(tmp_path_factory, seed, n_days, draw):
     data.write_csv(path, frame, series)
     frame2, series2 = data.load_csv(path)
     assert_array_equal(frame2.times, frame.times)
-    for name, column in frame.columns().items():
+    for name, column in columns(frame).items():
         assert_array_equal(getattr(frame2, name), column)
     observed = {s.fuel_class: s for s in series if len(s)}
     assert [s.fuel_class for s in series2] == list(observed)
@@ -398,7 +398,7 @@ def test_load_csv_hold_fills_gaps_of_up_to_three_hours(tmp_path_factory, seed, r
     # Each row is the last kept row at or before it, with its own hour
     # (a synth hour is the hour of its timestamp).
     previous = np.maximum.accumulate(np.where(kept, np.arange(n), 0))
-    for name, column in frame.columns().items():
+    for name, column in columns(frame).items():
         expected = column if name == "hour" else column[previous]
         assert getattr(held, name).tobytes() == expected.tobytes(), name
     assert [s.fuel_class for s in series] == ["fm10"]

@@ -96,7 +96,7 @@ def row_load_csv(path):
     if found:
         i, _, what = min(found)
         raise ParseError(f"{what} {data.format_timestamp(times[i])}", row=int(i) + 2)
-    frame = data.WeatherFrame(times=times, **dict(zip(WEATHER_COLUMNS, weather)))
+    frame = data.WeatherFrame(times=times, values=weather)
     return frame, [data.FmcSeries(cls, times[observed[c]], fmc[c, observed[c]])
                    for c, cls in enumerate(FUEL_CLASSES) if observed[c].any()]
 
