@@ -93,7 +93,7 @@ _INT, _COUNT, _NUMBER = "an integer", "an integer >= 1", "a number"
 # parser takes only the kind, so those errors keep their own exit code.
 KEYS = {
     "seed": ("0", _finite(int, 0), "an integer >= 0"),
-    "out": ("runs/exp", Path, "a path"),
+    "out": ("runs/exp", _path, "a non-empty path"),
     "jobs": ("1", _finite(int, 1), _COUNT),
     "realizations": ("1", _finite(int, 1), _COUNT),
     "methods": ("TimeWarp", _distinct(_listed(lambda m: transfer.TransferMethod.parse(m).value)),
@@ -131,9 +131,10 @@ LOCKSTEP_MAX = 8
 
 
 class Config:
-    """Flat dotted-key configuration; every key must be one of ``KEYS``, so
-    a misspelled key fails instead of training on the default. ``values``
-    holds the texts, as the manifests echo them."""
+    """Flat dotted-key configuration of one run; every key must be one of
+    ``KEYS``, so a misspelled key fails instead of training on the default.
+    ``values`` holds the texts, as the manifests echo them, and ``waiting``
+    the surfaces :func:`cmd_transfer` left for a later call of the run."""
 
     def __init__(self, values: dict[str, str]):
         unknown = sorted(values.keys() - KEYS.keys())
@@ -141,6 +142,7 @@ class Config:
             raise ConfigError(f"unknown config keys {unknown}")
         self.values = {key: default for key, (default, _, _) in KEYS.items()}
         self.values.update(values)
+        self.waiting: dict[str, np.ndarray] = {}
 
     @classmethod
     def load(cls, path: str | None, overrides: dict[str, str] | None = None) -> "Config":
@@ -282,6 +284,11 @@ def stage_dir(cfg: Config, *parts: str):
         shutil.rmtree(old, ignore_errors=True)
     except FmwarpError as exc:  # tmp is gone when the message prints
         exc.args = (str(exc).replace(str(tmp), str(final)),)
+        raise
+    except OSError as exc:  # so are the files under tmp that it names
+        for attr in ("filename", "filename2"):  # one set to None would print as None
+            if isinstance(name := getattr(exc, attr), str):
+                setattr(exc, attr, name.replace(str(tmp) + os.sep, str(final) + os.sep))
         raise
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -442,11 +449,6 @@ def _pretrained_checkpoints(pretrain_dir: Path) -> list[tuple[int, Path]]:
     return ckpts
 
 
-# Surfaces a sweep made for another class of the run, by transfer.search_key,
-# each waiting for the one transfer call of its class that takes it.
-_WAITING: dict[str, np.ndarray] = {}
-
-
 def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | None = None,
                  parts: datamod.Split | None = None) -> Path:
     """Adapt each pretrained realization that trained (NoTransfer: a fresh one) to a class.
@@ -458,12 +460,12 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
     fine-tune diverges fails the stage. A realization keeps its pretrain
     index in its file names, its shifts row and its seed.
 
-    A realization's search takes the surface that an earlier call in this
-    process left waiting for it and this class, and that surface is then
+    A realization's search takes the surface that an earlier call with this
+    ``cfg`` left in ``cfg.waiting`` for it and this class, which is then
     gone. Otherwise one sweep scores this class together with every other
     class of the ``classes`` key that has training observations and no
-    waiting surface, and leaves theirs waiting. ``parts``, when given, is
-    the split dataset, which is then not read again.
+    waiting surface, and leaves theirs there, keyed by ``search_key``.
+    ``parts``, when given, is the split dataset, which is not read again.
     """
     if fuel_class not in datamod.FUEL_CLASSES:
         raise ConfigError(f"unknown fuel class {fuel_class!r}")
@@ -495,19 +497,19 @@ def cmd_transfer(cfg: Config, method_name: str, fuel_class: str, jobs: int | Non
         alongside = [replace(build_series(parts.train, normalizer, cls, scaler),
                              inputs=series[0].inputs) for cls in others]
         for chunk in _chunks(run, jobs):
-            waiting = [_WAITING.pop(transfer.search_key(src[1], series[0], grid), None)
+            waiting = [cfg.waiting.pop(transfer.search_key(src[1], series[0], grid), None)
                        if protocol.search else None for src in chunk]
             tasks.append((method, [src[1] for src in chunk], *series, config,
                           [config.seed + src[0] for src in chunk], grid, waiting,
                           [{} if surface is not None else {
                               key: s for s in alongside
-                              if (key := transfer.search_key(src[1], s, grid)) not in _WAITING}
+                              if (key := transfer.search_key(src[1], s, grid)) not in cfg.waiting}
                            for src, surface in zip(chunk, waiting)]))
     results = list(itertools.chain.from_iterable(_map(transfer.adapt, tasks, jobs)))
     if diverged := [result for result in results if isinstance(result, TrainingDivergedError)]:
         raise diverged[0]
     for result in results:
-        _WAITING.update(result.alongside)
+        cfg.waiting.update(result.alongside)
 
     shift_rows = []
     with stage_dir(cfg, "transfer", method.value, fuel_class) as out:
@@ -571,8 +573,9 @@ def cmd_evaluate(
     del series, parts
 
     def checkpoints():
-        """(method, class, observations, params, normalizer, scaler) per
-        checkpoint; a directory is checked before its first checkpoint loads."""
+        """(method, class, index, observations, params, normalizer, scaler)
+        per checkpoint, the index read from its name; a directory is checked
+        before its first checkpoint loads."""
         for cdir in sorted(p for p in transfer_root.glob("*/*") if p.is_dir()):
             method, cls = cdir.parent.name, cdir.name
             if method_name and method.lower() != method_name.lower():
@@ -586,15 +589,17 @@ def cmd_evaluate(
             if not ckpts:
                 raise EvaluationError(f"no checkpoints under {cdir}")
             for ckpt in ckpts:
-                yield (method, cls, obs, *load_checkpoint(ckpt))
+                if not (index := re.fullmatch(r"ckpt_([0-9]+)\.json", ckpt.name)):
+                    raise InvalidInputError(f"{ckpt}: no realization index in the checkpoint name")
+                yield (method, cls, int(index[1]), obs, *load_checkpoint(ckpt))
 
-    metric_rows = []  # (method, class, filter, MetricSet), realizations in order
-    for _, group in itertools.groupby(checkpoints(), key=lambda ckpt: _lockstep_key(*ckpt[3:5])):
+    metric_rows = []  # (method, class, filter, index, MetricSet), realizations in order
+    for _, group in itertools.groupby(checkpoints(), key=lambda ckpt: _lockstep_key(*ckpt[4:6])):
         while run := list(itertools.islice(group, LOCKSTEP_MAX)):
-            _, _, _, nets, normalizers, _ = zip(*run)
+            *_, nets, normalizers, _ = zip(*run)
             preds, _ = nn.forward(nn.stack(nets), normalizers[0].transform(frame),
                                   from_step=test_start)
-            for (method, cls, obs, _, _, scaler), row in zip(run, preds):
+            for (method, cls, k, obs, _, _, scaler), row in zip(run, preds):
                 pred_pairs, obs_pairs = datamod.align_for_eval(
                     frame.times[test_start:], scaler.unscale(row), obs.times, obs.values
                 )
@@ -606,7 +611,7 @@ def cmd_evaluate(
                     if filter_name and fname != filter_name:
                         continue
                     try:
-                        metric_rows.append((method, cls, fname, evaluation.metrics(p, m)))
+                        metric_rows.append((method, cls, fname, k, evaluation.metrics(p, m)))
                     except (InvalidInputError, ZeroVarianceError) as exc:
                         raise EvaluationError(
                             f"cannot score {method} {cls} {fname}: {exc}") from None
@@ -619,7 +624,8 @@ def cmd_evaluate(
         (eval_dir / "report.txt").write_text(evaluation.format_report_table(reports) + "\n")
         datamod.write_table(
             eval_dir / "medians.csv", ("method", "class", "filter", "median_realization"),
-            ((r.method, r.fuel_class, r.filter, r.median_realization) for r in reports),
+            ((r.method, r.fuel_class, r.filter, r.realizations[r.median_realization])
+             for r in reports),
         )
     return cfg.get("out") / "evaluate"
 
@@ -632,8 +638,8 @@ def cmd_report(cfg: Config) -> str:
     rows = datamod.read_table(path, evaluation.PER_REALIZATION_COLUMNS,
                               (str, str, str, int, float, float, float, int))
     return evaluation.format_report_table(evaluation.group_reports(
-        (method, cls, fname, evaluation.MetricSet(*metrics))
-        for method, cls, fname, _, *metrics in rows
+        (method, cls, fname, k, evaluation.MetricSet(*metrics))
+        for method, cls, fname, k, *metrics in rows
     ))
 
 

@@ -49,7 +49,8 @@ class EvalReport:
     std: dict[str, float]
     n: int  # pairs per realization
     per_realization: tuple[MetricSet, ...]
-    median_realization: int  # index of the realization with median rmse
+    median_realization: int  # position in per_realization of the median-rmse realization
+    realizations: tuple[int, ...]  # each realization's index, as its checkpoint names it
 
 
 def metrics(pred, obs) -> MetricSet:
@@ -128,10 +129,12 @@ def pacf(series, max_lag: int) -> CorrelogramResult:
 
 
 def aggregate(
-    per_realization: list[MetricSet], method: str, fuel_class: str, filter_label: str
+    per_realization: list[MetricSet], method: str, fuel_class: str, filter_label: str,
+    realizations: tuple[int, ...] | None = None,
 ) -> EvalReport:
     """Sample mean and standard deviation (n-1 denominator, 0 for one
-    realization) per metric, plus the median-RMSE realization's index."""
+    realization) per metric, plus the median-RMSE realization's position.
+    ``realizations`` are the realizations' indices, by default 0, 1, ..."""
     if not per_realization:
         raise InvalidInputError("aggregate needs at least one realization")
     mean: dict[str, float] = {}
@@ -154,6 +157,7 @@ def aggregate(
         n=per_realization[0].n,
         per_realization=tuple(per_realization),
         median_realization=median_idx,
+        realizations=tuple(range(len(per_realization)) if realizations is None else realizations),
     )
 
 
@@ -189,14 +193,15 @@ def format_report_table(reports: list[EvalReport]) -> str:
 def write_per_realization_csv(reports: list[EvalReport], path) -> None:
     datamod.write_table(path, PER_REALIZATION_COLUMNS, (
         (r.method, r.fuel_class, r.filter, k, m.r2, m.bias, m.rmse, m.n)
-        for r in reports for k, m in enumerate(r.per_realization)
+        for r in reports for k, m in zip(r.realizations, r.per_realization)
     ))
 
 
 def group_reports(rows) -> list[EvalReport]:
     """One :func:`aggregate` report per cell of (method, class, filter,
-    MetricSet) rows, cells sorted, realizations in row order."""
-    groups: dict[tuple[str, str, str], list[MetricSet]] = {}
-    for method, fuel_class, filter_label, m in rows:
-        groups.setdefault((method, fuel_class, filter_label), []).append(m)
-    return [aggregate(ms, *cell) for cell, ms in sorted(groups.items())]
+    realization index, MetricSet) rows, cells sorted, realizations in row order."""
+    groups: dict[tuple[str, str, str], list[tuple[int, MetricSet]]] = {}
+    for method, fuel_class, filter_label, k, m in rows:
+        groups.setdefault((method, fuel_class, filter_label), []).append((k, m))
+    return [aggregate([m for _, m in kms], *cell, realizations=tuple(k for k, _ in kms))
+            for cell, kms in sorted(groups.items())]

@@ -1,10 +1,13 @@
-"""Every public module-level function and class of fmwarp has a caller, and
-every keyword parameter with a default is passed by one.
+"""Every public module-level function and class of fmwarp has a caller,
+every keyword parameter with a default is passed by one, and no module
+holds state that a call changes.
 
 A name or a parameter that only the tests use is API the program does not
-need; it belongs in ``tests/helpers.py``. The checks read the source with
-``ast``: a name counts as called when an identifier spells it anywhere in
-``src/fmwarp`` outside its own definition, or in ``perfbench``.
+need; it belongs in ``tests/helpers.py``. State that outlives a call
+belongs to an object the caller holds, such as the run's ``Config``. The
+checks read the source with ``ast``: a name counts as called when an
+identifier spells it anywhere in ``src/fmwarp`` outside its own
+definition, or in ``perfbench``.
 """
 
 import ast
@@ -118,3 +121,109 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
 
 def test_every_keyword_parameter_is_passed_by_a_caller_outside_the_tests():
     assert unpassed_keyword_parameters() == set()
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTATORS = {"add", "append", "clear", "difference_update", "discard", "extend", "insert",
+            "intersection_update", "pop", "popitem", "remove", "reverse", "setdefault", "sort",
+            "symmetric_difference_update", "update"}
+
+
+def _scope(fn) -> tuple[set[str], set[str]]:
+    """The names a function binds itself (its parameters and the targets it
+    stores to or deletes) and the names it declares ``global``, outside its
+    nested functions and classes."""
+    bound = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    declared = set()
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]  # a lambda's is one
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Global):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound, declared
+
+
+def mutated_module_state(folder: Path = ROOT / "src" / "fmwarp") -> set[str]:
+    """``module.name`` of each module-level dict, list or set of the modules
+    in ``folder`` that some statement there changes: by a mutating method
+    call, by an item assigned or deleted, or in place. Every name that a
+    function rebinds through ``global`` is reported too, whatever it holds.
+    A module's containers are its top-level names bound to a display, a
+    comprehension or a call of ``dict``, ``list`` or ``set``. They are
+    reached by their name, unless a function binds that name itself, or
+    through ``from fmwarp import module``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(folder.glob("*.py"))}
+    pairs = [(module, target, node.value)
+             for module, tree in trees.items() for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    containers = set()
+    while pairs:
+        module, target, value = pairs.pop()
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            pairs.extend((module, t, v) for t, v in zip(target.elts, value.elts))
+        elif isinstance(target, ast.Name) and (
+                isinstance(value, CONTAINERS) or (isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name) and value.func.id in ("dict", "list", "set"))):
+            containers.add((module, target.id))
+    found = set()
+
+    def visit(module, node, aliases, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            bound, declared = _scope(node)
+            found.update(f"{module}.{name}" for name in bound & declared)
+            local = local | (bound - declared)
+        changed = None
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS):
+            changed = node.func.value
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            changed = node.value
+        elif isinstance(node, ast.AugAssign):
+            changed = node.target
+        if isinstance(changed, ast.Name) and changed.id not in local:
+            if (module, changed.id) in containers:
+                found.add(f"{module}.{changed.id}")
+        elif (isinstance(changed, ast.Attribute) and isinstance(changed.value, ast.Name)
+              and (aliases.get(changed.value.id), changed.attr) in containers):
+            found.add(f"{aliases[changed.value.id]}.{changed.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, aliases, local)
+
+    for module, tree in trees.items():
+        aliases = {alias.asname or alias.name: alias.name
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and node.module == "fmwarp" for alias in node.names}
+        visit(module, tree, aliases, frozenset())
+    return found
+
+
+def test_no_statement_changes_state_held_by_a_module(tmp_path):
+    # A module-level store outlives every run in its process. First, the
+    # check sees each way to change one:
+    (tmp_path / "a.py").write_text(
+        "CALLED, ITEM, DELETED, IN_PLACE, KEPT, SHADOWED = {}, [], {}, set(), {}, []\n"
+        "COUNT = 0\n"
+        "def f(SHADOWED):\n"
+        "    global COUNT\n"
+        "    COUNT += 1\n"
+        "    CALLED.setdefault('k', 0)\n"
+        "    ITEM[0:1] = [1]\n"
+        "    del DELETED['k']\n"
+        "    SHADOWED.append(KEPT.get('k'))\n"
+        "    local = {}\n"
+        "    local['k'] = 1\n")
+    (tmp_path / "b.py").write_text(
+        "from fmwarp import a as other\n"
+        "def g():\n"
+        "    other.IN_PLACE |= {1}\n")
+    assert mutated_module_state(tmp_path) == {"a.CALLED", "a.ITEM", "a.DELETED", "a.IN_PLACE",
+                                              "a.COUNT"}
+    assert mutated_module_state() == set()

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -32,13 +33,6 @@ realizations = 2
 synth.n_days = 12
 synth.cap = 27
 """
-
-
-@pytest.fixture(autouse=True)
-def no_waiting_picks(monkeypatch):
-    """Each test starts, as a new process does, with no search surface
-    waiting from an earlier transfer call."""
-    monkeypatch.setattr(cli, "_WAITING", {})
 
 
 def write_cfg(tmp_path, name="exp.cfg", **extra):
@@ -688,7 +682,7 @@ def test_a_rewritten_checkpoint_gets_no_waiting_pick(tmp_path, monkeypatch):
     passes = shifted_passes(monkeypatch)
     warm = snapshot(cli.cmd_transfer(cfg, "TimeWarp", "fm100"))
     assert len(passes) == 1  # realization 1 takes its pick; 0 sweeps again
-    monkeypatch.setattr(cli, "_WAITING", {})
+    cfg.waiting.clear()
     assert snapshot(cli.cmd_transfer(cfg, "TimeWarp", "fm100")) == warm
     assert len(passes) == 3
 
@@ -702,7 +696,19 @@ def test_transfer_with_a_class_sweeps_that_class_alone(tmp_path, monkeypatch):
         swept.append(len(series)) or inner(params, series, grid)))
     assert cli.run(["transfer", "--config", str(cfg_path), "--class", "fm1"]) == 0
     assert swept == [1, 1]
-    assert cli._WAITING == {}
+
+
+def test_a_run_takes_no_surface_that_another_run_left(tmp_path, monkeypatch):
+    # Two runs of one config in one process: the first one's fm1 sweep
+    # leaves fm100 surfaces in its own Config, so the second one sweeps.
+    cfg_path, _, _ = write_cfg(tmp_path, grid__n_per_axis=5)
+    first = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(first)
+    cli.cmd_pretrain(first)
+    cli.cmd_transfer(first, "TimeWarp", "fm1")
+    passes = shifted_passes(monkeypatch)
+    cli.cmd_transfer(cli.Config.load(str(cfg_path)), "TimeWarp", "fm100")
+    assert passes == [26, 26]
 
 
 def test_transfer_without_a_class_runs_every_method_and_class_in_one_sweep_each(
@@ -936,6 +942,60 @@ def test_stage_errors_name_the_final_path(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert f"{out / 'evaluate' / 'report.csv'}: row 2 " in err
     assert ".partial" not in err
+
+
+def test_an_os_error_in_a_stage_names_the_final_path(tmp_path, monkeypatch, capsys):
+    cfg_path, out, _ = write_cfg(tmp_path, realizations=1, train__max_epochs=1)
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+
+    def full_disk(params, path, extra=None):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(nn, "save_params", full_disk)
+    assert run_main(monkeypatch, "pretrain", "--config", str(cfg_path)) == 6
+    err = capsys.readouterr().err
+    assert f"'{out / 'pretrain' / 'ckpt_0000.json'}'" in err
+    assert ".partial" not in err
+
+
+def test_an_empty_out_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # An empty out would be the working directory, as a bare Path("") is ".".
+    cfg_path, _, _ = write_cfg(tmp_path, realizations=1, train__max_epochs=1)
+    cli.cmd_synth(cli.Config.load(str(cfg_path)))
+    empty, _, _ = write_cfg(tmp_path, name="empty.cfg", out="")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for argv in (("--config", str(empty)), ("--config", str(cfg_path), "--out", "")):
+        assert run_main(monkeypatch, "pretrain", *argv) == 2
+        assert "config key 'out' must be a non-empty path, got ''" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+
+
+def test_evaluate_numbers_each_row_by_the_checkpoint_it_scored(tmp_path, monkeypatch, capsys):
+    # Realization 0 diverged in pretrain, so only ckpt_0001.json is adapted:
+    # its rows say 1, not its position 0.
+    cfg_path, out, _ = write_cfg(tmp_path, grid__n_per_axis=5, train__max_epochs=1)
+    cfg = cli.Config.load(str(cfg_path))
+    cli.cmd_synth(cfg)
+    cli.cmd_pretrain(cfg)
+    manifest = out / "pretrain" / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                     "statuses": ["diverged", "ok"]}))
+    cli.cmd_transfer(cfg, "TimeWarp", "fm1")
+    tdir = out / "transfer" / "TimeWarp" / "fm1"
+    assert sorted(p.name for p in tdir.glob("ckpt_*")) == ["ckpt_0001.json"]
+    eval_dir = cli.cmd_evaluate(cfg)
+    rows = data.read_table(eval_dir / "per_realization.csv", evaluation.PER_REALIZATION_COLUMNS,
+                           (str,) * 8)
+    assert [row[3] for row in rows] == ["1", "1"]  # filters all and le30
+    medians = data.read_table(eval_dir / "medians.csv",
+                              ("method", "class", "filter", "median_realization"), (str,) * 4)
+    assert [row[3] for row in medians] == ["1", "1"]
+    assert cli.cmd_report(cfg) == (eval_dir / "report.txt").read_text().rstrip("\n")
+    shutil.copy(tdir / "ckpt_0001.json", tdir / "ckpt_1a.json")
+    assert run_main(monkeypatch, "evaluate", "--config", str(cfg_path)) == 3
+    assert f"{tdir / 'ckpt_1a.json'}: no realization index" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, code", [

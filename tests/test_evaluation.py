@@ -196,3 +196,15 @@ def test_per_realization_csv_roundtrips_aggregates(tmp_path):
         parsed.append(MetricSet(float(r2), float(bias), float(rmse), int(n)))
     again = evaluation.aggregate(parsed, "FullFineTune", "fm100", "all")
     assert again.mean == rep.mean and again.std == rep.std
+
+
+def test_group_reports_keeps_the_index_of_each_realization(tmp_path):
+    sets = [MetricSet(0.5, 0.1, 2.0, 7), MetricSet(0.7, -0.1, 1.0, 7)]
+    assert evaluation.aggregate(sets, "m", "fm1", "all").realizations == (0, 1)
+    [rep] = evaluation.group_reports([("m", "fm1", "all", 3, sets[0]),
+                                      ("m", "fm1", "all", 5, sets[1])])
+    assert rep.realizations == (3, 5)
+    assert rep.median_realization == 1  # a position: the lower median is the second row
+    path = tmp_path / "per.csv"
+    evaluation.write_per_realization_csv([rep], path)
+    assert [line.split(",")[3] for line in path.read_text().splitlines()[1:]] == ["3", "5"]
